@@ -1,55 +1,15 @@
 #include "coord/router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <unordered_map>
 #include <utility>
 
 #include "core/recommender_iface.h"
 #include "landmark/compose.h"
-#include "obs/prometheus.h"
 #include "util/flat_map.h"
-#include "util/logging.h"
 #include "util/timer.h"
 
 namespace mbr::coord {
-
-namespace {
-
-std::string Errno(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-
-// Blocking full write (connection threads are one-per-client and may block).
-util::Status SendAll(int fd, std::span<const uint8_t> bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t n =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd p{fd, POLLOUT, 0};
-      ::poll(&p, 1, 100);
-      continue;
-    }
-    return util::Status::IoError(Errno("send"));
-  }
-  return util::Status::Ok();
-}
-
-}  // namespace
 
 Router::Router(const ShardPlan& plan, const RouterConfig& config)
     : plan_(plan), config_(config) {
@@ -87,282 +47,64 @@ Router::Router(const ShardPlan& plan, const RouterConfig& config)
   }
   pool_ = std::make_unique<net::ClientPool>(std::move(endpoints),
                                             config_.pool_idle);
+
+  net::ServerConfig front;
+  front.host = config_.host;
+  front.port = config_.port;
+  front.max_connections = config_.max_connections;
+  // Routed work blocks on shard RPCs, so every admissible request gets a
+  // dispatcher: up to max_connections requests route at once.
+  front.max_inflight = config_.max_connections;
+  front.dispatch_threads = config_.max_connections;
+  // Shard RPCs carry the client's own deadline (ShardDeadlineMs); the
+  // front end adds none.
+  front.request_deadline_ms = 0;
+  front.limits = config_.limits;
+  front.registry = registry_;
+  server_ = std::make_unique<net::Server>(static_cast<net::Handler&>(*this),
+                                          front);
 }
 
-Router::~Router() {
-  if (started_) {
-    RequestStop();
-    Wait();
-  }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
+bool Router::Inline(const net::Request& req) const {
+  return req.kind != net::MessageKind::kRecommend &&
+         req.kind != net::MessageKind::kRecommendBatch &&
+         req.kind != net::MessageKind::kStats;
 }
 
-util::Status Router::Start() {
-  if (started_) return util::Status::FailedPrecondition("already started");
-  listen_fd_ =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) return util::Status::IoError(Errno("socket"));
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    return util::Status::InvalidArgument("bad host address: " + config_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return util::Status::IoError(Errno("bind"));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    return util::Status::IoError(Errno("getsockname"));
-  }
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, 64) != 0) {
-    return util::Status::IoError(Errno("listen"));
-  }
-  started_ = true;
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return util::Status::Ok();
-}
-
-void Router::RequestStop() { stop_.store(true, std::memory_order_release); }
-
-void Router::Wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  running_.store(false, std::memory_order_release);
-}
-
-void Router::AcceptLoop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd p{listen_fd_, POLLIN, 0};
-    int r = ::poll(&p, 1, 100);
-    if (r <= 0) continue;
-    int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    if (open_connections_.load(std::memory_order_relaxed) >=
-        config_.max_connections) {
-      ::close(fd);
-      continue;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    conn_threads_.emplace_back([this, fd] {
-      ServeConnection(fd);
-      open_connections_.fetch_sub(1, std::memory_order_relaxed);
-    });
-  }
-  // Operators poll running() to learn the stop request took effect (the
-  // connection threads watch stop_ themselves and drain right after).
-  running_.store(false, std::memory_order_release);
-}
-
-void Router::ServeConnection(int fd) {
-  net::Connection conn(fd, /*gen=*/0, config_.limits);
-  uint8_t buf[65536];
-  bool alive = true;
-  while (alive && !stop_.load(std::memory_order_acquire)) {
-    pollfd p{fd, POLLIN, 0};
-    int r = ::poll(&p, 1, 100);
-    if (r < 0 && errno != EINTR) break;
-    if (r <= 0) continue;
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n == 0) break;  // peer closed
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      break;
-    }
-    std::vector<net::Connection::Frame> frames;
-    if (!conn.Ingest(buf, static_cast<size_t>(n), &frames).ok()) {
-      break;  // framing broken: close without reply
-    }
-    for (const net::Connection::Frame& f : frames) {
-      alive = HandleClientFrame(&conn, f);
-      if (conn.has_pending_write()) {
-        if (!SendAll(fd, conn.pending_write()).ok()) {
-          alive = false;
-          break;
-        }
-        conn.ConsumeWritten(conn.pending_write().size());
-      }
-      if (!alive) break;
-    }
-  }
-  ::close(fd);
-}
-
-bool Router::QueueError(net::Connection* conn, uint64_t request_id,
-                        uint16_t version, net::WireError code,
-                        const std::string& message) {
-  std::vector<uint8_t> payload = net::EncodeError({code, message});
-  return conn->QueueReply(net::MessageKind::kError, request_id, payload,
-                          version);
-}
-
-bool Router::HandleClientFrame(net::Connection* conn,
-                               const net::Connection::Frame& frame) {
-  const net::FrameHeader& h = frame.header;
-  if (h.version < net::kMinProtocolVersion ||
-      h.version > net::kProtocolVersion) {
-    QueueError(conn, h.request_id, net::kProtocolVersion,
-               net::WireError::kUnsupportedVersion,
-               "router speaks protocol v" +
-                   std::to_string(net::kMinProtocolVersion) + "-v" +
-                   std::to_string(net::kProtocolVersion) +
-                   ", client sent v" + std::to_string(h.version));
-    return false;
-  }
-  if (util::Status st = net::VerifyPayloadCrc(h, frame.payload); !st.ok()) {
-    return QueueError(conn, h.request_id, h.version,
-                      net::WireError::kBadFrame, st.message());
-  }
-
-  switch (h.kind) {
-    case net::MessageKind::kPing:
-      return conn->QueueReply(net::MessageKind::kPong, h.request_id, {},
-                              h.version);
-    case net::MessageKind::kShutdown: {
-      bool ok = conn->QueueReply(net::MessageKind::kShutdownAck,
-                                 h.request_id, {}, h.version);
-      RequestStop();
-      return ok && false;  // close this connection after the ack flushes
-    }
-    case net::MessageKind::kStats: {
-      service::StatsSnapshot s = RollupStats();
-      std::vector<uint8_t> payload = net::EncodeStats(s, h.version);
-      return conn->QueueReply(net::MessageKind::kStatsResult, h.request_id,
-                              payload, h.version);
-    }
-    case net::MessageKind::kMetrics: {
-      if (h.version < 2) {
-        return QueueError(conn, h.request_id, h.version,
-                          net::WireError::kUnknownKind,
-                          "METRICS requires protocol v2");
-      }
-      std::string text = obs::RenderPrometheus(*registry_);
-      if (text.size() + 4 > config_.limits.max_payload_bytes) {
-        text.resize(config_.limits.max_payload_bytes > 4
-                        ? config_.limits.max_payload_bytes - 4
-                        : 0);
-        size_t nl = text.rfind('\n');
-        text.resize(nl == std::string::npos ? 0 : nl + 1);
-      }
-      std::vector<uint8_t> payload = net::EncodeMetricsResult(text);
-      return conn->QueueReply(net::MessageKind::kMetricsResult, h.request_id,
-                              payload, h.version);
-    }
-    case net::MessageKind::kFollow:
-    case net::MessageKind::kUnfollow:
-    case net::MessageKind::kRelabel:
-      if (h.version < 3) {
-        return QueueError(conn, h.request_id, h.version,
-                          net::WireError::kUnknownKind,
-                          "mutation ops require protocol v3");
-      }
-      return QueueError(conn, h.request_id, h.version,
-                        net::WireError::kInvalidArgument,
-                        "the partitioned tier serves read-only "
-                        "(mutations are not routed)");
-    case net::MessageKind::kRecommendPartial:
-    case net::MessageKind::kLandmarkFetch:
-      return QueueError(conn, h.request_id, h.version,
-                        net::WireError::kInvalidArgument,
-                        "shard ops are answered by shards, not the router");
+net::Reply Router::Handle(const net::Request& req) {
+  switch (req.kind) {
+    case net::MessageKind::kStats:
+      return {net::MessageKind::kStatsResult,
+              net::EncodeStats(RollupStats(), req.version)};
     case net::MessageKind::kRecommend:
     case net::MessageKind::kRecommendBatch:
       break;
+    case net::MessageKind::kRecommendPartial:
+    case net::MessageKind::kLandmarkFetch:
+      return net::MakeErrorReply(
+          net::WireError::kInvalidArgument,
+          "shard ops are answered by shards, not the router");
     default:
-      return QueueError(conn, h.request_id, h.version,
-                        net::WireError::kUnknownKind,
-                        "unhandled message kind " +
-                            std::to_string(static_cast<uint16_t>(h.kind)));
-  }
-
-  std::vector<net::RecommendRequest> decoded;
-  if (h.kind == net::MessageKind::kRecommend) {
-    net::RecommendRequest r;
-    if (util::Status st = net::DecodeRecommend(frame.payload, config_.limits,
-                                               h.version, &r);
-        !st.ok()) {
-      return QueueError(conn, h.request_id, h.version,
-                        net::WireError::kBadFrame, st.message());
-    }
-    decoded.push_back(std::move(r));
-  } else {
-    if (util::Status st = net::DecodeRecommendBatch(
-            frame.payload, config_.limits, h.version, &decoded);
-        !st.ok()) {
-      return QueueError(conn, h.request_id, h.version,
-                        net::WireError::kBadFrame, st.message());
-    }
-  }
-  // Same admission checks a single-node server applies: bounds against the
-  // plan's universe, worst-case reply size against the frame cap.
-  const size_t per_list_overhead =
-      h.version >= 5 ? 13 : h.version >= 3 ? 12 : 4;
-  size_t reply_bytes =
-      4 + (h.version >= 4 ? net::kCoordTrailerBytes : 0);
-  for (const net::RecommendRequest& r : decoded) {
-    if (r.user >= plan_.num_nodes() || r.topic >= plan_.num_topics()) {
-      return QueueError(
-          conn, h.request_id, h.version, net::WireError::kInvalidArgument,
-          "query out of range: user " + std::to_string(r.user) + " (nodes " +
-              std::to_string(plan_.num_nodes()) + "), topic " +
-              std::to_string(r.topic) + " (topics " +
-              std::to_string(plan_.num_topics()) + ")");
-    }
-    reply_bytes += per_list_overhead +
-                   static_cast<size_t>(r.top_n) * net::kResultEntryBytes;
-  }
-  if (reply_bytes > config_.limits.max_payload_bytes) {
-    return QueueError(conn, h.request_id, h.version,
-                      net::WireError::kInvalidArgument,
-                      "reply would exceed the " +
-                          std::to_string(config_.limits.max_payload_bytes) +
-                          "-byte frame payload cap");
+      return net::MakeErrorReply(net::WireError::kInvalidArgument,
+                                 "the partitioned tier serves read-only "
+                                 "(mutations are not routed)");
   }
 
   std::vector<Routed> routed;
-  routed.reserve(decoded.size());
-  for (const net::RecommendRequest& r : decoded) {
+  routed.reserve(req.queries.size());
+  for (const net::RecommendRequest& r : req.queries) {
     util::Result<Routed> one = RouteOne(r);
-    if (!one.ok()) {
-      // First failure speaks for the frame, mirroring the single-node
-      // batch contract.
-      const util::StatusCode code = one.status().code();
-      const net::WireError wire =
-          code == util::StatusCode::kDeadlineExceeded
-              ? net::WireError::kDeadlineExceeded
-              : code == util::StatusCode::kInvalidArgument
-                    ? net::WireError::kInvalidArgument
-                    : net::WireError::kInternal;
-      return QueueError(conn, h.request_id, h.version, wire,
-                        one.status().message());
-    }
+    // First failure speaks for the frame, mirroring the single-node batch
+    // contract.
+    if (!one.ok()) return net::MakeErrorReply(one.status());
     routed.push_back(std::move(*one));
   }
 
-  if (h.kind == net::MessageKind::kRecommend) {
+  if (req.kind == net::MessageKind::kRecommend) {
     Routed& one = routed.front();
-    std::vector<uint8_t> payload =
-        net::EncodeResult(one.entries, one.graph_epoch, h.version, one.coord,
-                          one.served_tier);
-    return conn->QueueReply(net::MessageKind::kResult, h.request_id, payload,
-                            h.version);
+    return {net::MessageKind::kResult,
+            net::EncodeResult(one.entries, one.graph_epoch, req.version,
+                              one.coord, one.served_tier)};
   }
   std::vector<net::RankedList> lists;
   std::vector<uint64_t> epochs;
@@ -384,10 +126,8 @@ bool Router::HandleClientFrame(net::Connection* conn,
     tiers.push_back(one.served_tier);
     lists.push_back(std::move(one.entries));
   }
-  std::vector<uint8_t> payload =
-      net::EncodeResultBatch(lists, epochs, h.version, coord, tiers);
-  return conn->QueueReply(net::MessageKind::kResultBatch, h.request_id,
-                          payload, h.version);
+  return {net::MessageKind::kResultBatch,
+          net::EncodeResultBatch(lists, epochs, req.version, coord, tiers)};
 }
 
 template <typename Fn>

@@ -35,6 +35,15 @@
 // (DEADLINE_EXCEEDED, INVALID_ARGUMENT) are relayed as ERROR unchanged.
 // Mutations are rejected: the partitioned tier serves read-only.
 //
+// Front end: the router is a net::Server handler, so client connections
+// get the same epoll loop, framing and checks as a shard or single-node
+// server — it sheds past its admission bound (OVERLOADED), drains with a
+// grace backstop, counts refused connections, and exports the mbr_net_*
+// series beside mbr_coord_* in its registry. Routed requests and the STATS
+// rollup block on shard RPCs, so they run on the server's dispatchers, one
+// per admissible request: max_connections is both the admission bound and
+// the dispatcher count.
+//
 // Tier merge (protocol v5): every shard reply names the degradation-
 // ladder tier that served it, and the routed reply carries the *max*
 // (most degraded) tier over the shard replies that fed it — a pressured
@@ -43,19 +52,16 @@
 // landmark approximation by construction, so the routed tier is at least
 // kApprox.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "coord/shard_plan.h"
 #include "net/client.h"
 #include "net/client_pool.h"
-#include "net/connection.h"
 #include "net/protocol.h"
+#include "net/server.h"
 #include "obs/metrics.h"
 #include "service/serving_stats.h"
 #include "util/status.h"
@@ -65,6 +71,7 @@ namespace mbr::coord {
 struct RouterConfig {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral (see Router::port())
+  // Client connections; also the admission bound and dispatcher count.
   uint32_t max_connections = 64;
   // Per-shard round-trip budget. The wire deadline sent to a shard is
   // min(client deadline_ms, shard_timeout_ms); the transport backstop is
@@ -82,31 +89,31 @@ struct RouterConfig {
   // Template for the per-shard client connections (timeouts, reconnect
   // backoff). host/port/protocol_version are overwritten per shard.
   net::ClientConfig shard_client;
-  // mbr_coord_* series registry. nullptr = router-owned private registry.
+  // mbr_coord_* and mbr_net_* series registry. nullptr = router-owned
+  // private registry.
   obs::Registry* registry = nullptr;
   // Idle pooled connections kept per shard.
   size_t pool_idle = 4;
 };
 
-class Router {
+class Router : private net::Handler {
  public:
   // Endpoints are taken from `plan` (after any SetEndpoint overrides).
   Router(const ShardPlan& plan, const RouterConfig& config);
-  ~Router();
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  // Binds, listens, and spawns the accept loop.
-  util::Status Start();
+  // Binds, listens, and starts the front end.
+  util::Status Start() { return server_->Start(); }
   // The bound port (useful with config.port == 0). Valid after Start().
-  uint16_t port() const { return port_; }
-  // Initiates shutdown: stop accepting, wake connection threads. Idempotent.
-  void RequestStop();
-  // Blocks until the accept loop and every connection thread have exited.
-  void Wait();
+  uint16_t port() const { return server_->port(); }
+  // Initiates graceful drain. Async-signal-safe. Idempotent.
+  void RequestStop() { server_->RequestStop(); }
+  // Blocks until the drain completes and all threads are joined.
+  void Wait() { server_->Wait(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return server_->running(); }
 
   // The coordinator STATS rollup: sum of the shard snapshots (counters
   // summed, percentile floors maxed) plus shards_total/shards_up.
@@ -126,15 +133,15 @@ class Router {
     net::CoordTrailer coord;
   };
 
-  void AcceptLoop();
-  void ServeConnection(int fd);
-  // Returns false when the connection must close (fatal framing error or
-  // SHUTDOWN).
-  bool HandleClientFrame(net::Connection* conn,
-                         const net::Connection::Frame& frame);
-  bool QueueError(net::Connection* conn, uint64_t request_id,
-                  uint16_t version, net::WireError code,
-                  const std::string& message);
+  // net::Handler: the front end range-checks against the plan's universe,
+  // answers everything but routed work and STATS inline (as errors), and
+  // runs Handle on a dispatcher for the rest.
+  uint32_t num_nodes() const override {
+    return static_cast<uint32_t>(plan_.num_nodes());
+  }
+  uint32_t num_topics() const override { return plan_.num_topics(); }
+  bool Inline(const net::Request& req) const override;
+  net::Reply Handle(const net::Request& req) override;
 
   util::Result<Routed> RouteOne(const net::RecommendRequest& req);
   util::Result<Routed> RouteLandmark(const net::RecommendRequest& req,
@@ -172,17 +179,8 @@ class Router {
   obs::Registry* registry_ = nullptr;
   Metrics metrics_;
   std::unique_ptr<net::ClientPool> pool_;
-
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  bool started_ = false;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> running_{false};
-  std::atomic<uint32_t> open_connections_{0};
-
-  std::thread accept_thread_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> conn_threads_;
+  // Last member: destroyed (drained, dispatchers joined) first.
+  std::unique_ptr<net::Server> server_;
 };
 
 }  // namespace mbr::coord

@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "obs/prometheus.h"
+#include "util/logging.h"
 #include "util/timer.h"
 
 namespace mbr::net {
@@ -22,50 +23,310 @@ std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+service::Query ToQuery(
+    const RecommendRequest& r,
+    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
+  service::Query q;
+  q.user = r.user;
+  q.topic = static_cast<topics::TopicId>(r.topic);
+  q.top_n = r.top_n;
+  q.exclude.assign(r.exclude.begin(), r.exclude.end());
+  q.deadline = deadline;
+  return q;
+}
+
 }  // namespace
 
+Reply MakeErrorReply(WireError code, const std::string& message) {
+  return {MessageKind::kError, EncodeError({code, message})};
+}
+
+Reply MakeErrorReply(const util::Status& status) {
+  const util::StatusCode code = status.code();
+  return MakeErrorReply(code == util::StatusCode::kDeadlineExceeded
+                            ? WireError::kDeadlineExceeded
+                        : code == util::StatusCode::kInvalidArgument
+                            ? WireError::kInvalidArgument
+                            : WireError::kInternal,
+                        status.message());
+}
+
+// ---------------------------------------------------------------------------
+// The engine handler: QueryEngine reads, plus the mutation applier and the
+// v4 shard ops when ServerConfig names them.
+
+class Server::EngineHandler final : public Handler {
+ public:
+  EngineHandler(service::QueryEngine& engine, const Server& server)
+      : engine_(engine), server_(server) {}
+
+  uint32_t num_nodes() const override { return engine_.num_nodes(); }
+  uint32_t num_topics() const override { return engine_.num_topics(); }
+
+  bool Inline(const Request& req) const override {
+    switch (req.kind) {
+      case MessageKind::kStats:
+      case MessageKind::kLandmarkFetch:
+        // A snapshot, and copies of stored lists: shard serving is
+        // read-only, so the restricted index and the epoch are stable.
+        return true;
+      case MessageKind::kRecommendPartial:
+        return !Owns(req.queries.front().user);  // rejected by Partial()
+      case MessageKind::kRecommend:
+      case MessageKind::kRecommendBatch:
+        return false;
+      default:
+        return config().applier == nullptr;  // rejected by Mutate()
+    }
+  }
+
+  Reply Handle(const Request& req) override {
+    switch (req.kind) {
+      case MessageKind::kStats:
+        return {MessageKind::kStatsResult,
+                EncodeStats(server_.StatsNow(), req.version)};
+      case MessageKind::kLandmarkFetch:
+        return Fetch(req);
+      case MessageKind::kRecommendPartial:
+        return Partial(req);
+      case MessageKind::kRecommend:
+      case MessageKind::kRecommendBatch:
+        return Recommend(req);
+      default:
+        return Mutate(req);
+    }
+  }
+
+ private:
+  const ServerConfig& config() const { return server_.config_; }
+  bool sharded() const {
+    return config().shard_owned != nullptr && config().shard_index != nullptr;
+  }
+  bool Owns(uint32_t node) const {
+    return sharded() && (*config().shard_owned)[node];
+  }
+
+  LandmarkList StoredList(uint32_t landmark, uint32_t topic) const {
+    LandmarkList list;
+    list.landmark = landmark;
+    const std::vector<landmark::StoredRec>& stored =
+        config().shard_index->Recommendations(
+            landmark, static_cast<topics::TopicId>(topic));
+    list.entries.reserve(stored.size());
+    for (const landmark::StoredRec& rec : stored) {
+      list.entries.push_back({rec.node, rec.sigma, rec.topo_beta});
+    }
+    return list;
+  }
+
+  Reply Recommend(const Request& req) {
+    std::vector<service::Query> queries;
+    queries.reserve(req.queries.size());
+    for (const RecommendRequest& r : req.queries) {
+      queries.push_back(ToQuery(r, req.deadline));
+    }
+    std::vector<util::Result<service::Response>> results =
+        engine_.RecommendMany(queries);
+    // RESULT/RESULT_BATCH have no per-item error channel; the whole
+    // request shares one deadline, so the first failure speaks for the
+    // batch.
+    for (const util::Result<service::Response>& r : results) {
+      if (!r.ok()) return MakeErrorReply(r.status());
+    }
+    if (req.kind == MessageKind::kRecommend) {
+      const service::Response& resp = results.front().value();
+      return {MessageKind::kResult,
+              EncodeResult(resp.ranking.entries, resp.meta.graph_epoch,
+                           req.version, {},
+                           static_cast<uint8_t>(resp.meta.served_tier))};
+    }
+    std::vector<RankedList> lists;
+    std::vector<uint64_t> epochs;
+    std::vector<uint8_t> tiers;
+    lists.reserve(results.size());
+    epochs.reserve(results.size());
+    tiers.reserve(results.size());
+    for (util::Result<service::Response>& r : results) {
+      epochs.push_back(r.value().meta.graph_epoch);
+      tiers.push_back(static_cast<uint8_t>(r.value().meta.served_tier));
+      lists.push_back(std::move(r.value().ranking.entries));
+    }
+    return {MessageKind::kResultBatch,
+            EncodeResultBatch(lists, epochs, req.version, {}, tiers)};
+  }
+
+  // The batch was fully decoded before admission, so a malformed frame
+  // can never reach the applier or bump the graph epoch.
+  Reply Mutate(const Request& req) {
+    if (config().applier == nullptr) {
+      return MakeErrorReply(WireError::kInvalidArgument,
+                            "server is read-only (mutations disabled)");
+    }
+    const service::MutationOp op =
+        req.kind == MessageKind::kFollow     ? service::MutationOp::kFollow
+        : req.kind == MessageKind::kUnfollow ? service::MutationOp::kUnfollow
+                                             : service::MutationOp::kRelabel;
+    std::vector<service::Mutation> batch;
+    batch.reserve(req.mutations.size());
+    for (const MutationRecord& rec : req.mutations) {
+      service::Mutation m;
+      m.op = op;
+      m.src = rec.src;
+      m.dst = rec.dst;
+      m.labels = topics::TopicSet(rec.labels);
+      batch.push_back(m);
+    }
+    const service::MutationOutcome outcome = config().applier->Apply(batch);
+    MutateAck ack;
+    ack.applied = outcome.applied;
+    ack.rejected = outcome.rejected;
+    ack.graph_epoch = outcome.graph_epoch;
+    return {MessageKind::kMutateAck, EncodeMutateAck(ack)};
+  }
+
+  Reply Partial(const Request& req) {
+    if (!sharded()) {
+      return MakeErrorReply(
+          WireError::kInvalidArgument,
+          "RECOMMEND_PARTIAL requires a shard-configured server");
+    }
+    // A partial exploration only makes sense on the user's home shard —
+    // the halo guarantees byte-identity for owned users and nothing else.
+    const RecommendRequest& r = req.queries.front();
+    if (!Owns(r.user)) {
+      return MakeErrorReply(WireError::kInvalidArgument,
+                            "user " + std::to_string(r.user) +
+                                " is not homed on shard " +
+                                std::to_string(config().shard));
+    }
+    util::Result<service::QueryEngine::PartialExploration> partial =
+        engine_.ExplorePartial(ToQuery(r, req.deadline));
+    if (!partial.ok()) return MakeErrorReply(partial.status());
+    PartialReply reply;
+    reply.graph_epoch = partial->graph_epoch;
+    reply.records.reserve(partial->records.size());
+    for (const landmark::DecomposedRecord& dr : partial->records) {
+      PartialRecord pr;
+      pr.node = dr.node;
+      pr.sigma = dr.sigma;
+      if (dr.is_landmark) {
+        pr.flags |= kPartialFlagLandmark;
+        pr.topo_alphabeta = dr.topo_alphabeta;
+        if (Owns(dr.node)) {
+          // Locally-homed landmark: ship its stored list inline so the
+          // router's common case needs no second round trip.
+          pr.flags |= kPartialFlagInline;
+          reply.lists.push_back(StoredList(dr.node, r.topic));
+        }
+      }
+      reply.records.push_back(pr);
+    }
+    if (reply.records.size() > config().limits.max_partial) {
+      return MakeErrorReply(
+          WireError::kInvalidArgument,
+          "exploration reached " + std::to_string(reply.records.size()) +
+              " nodes, over the " +
+              std::to_string(config().limits.max_partial) +
+              "-record partial cap");
+    }
+    std::vector<uint8_t> payload = EncodePartialReply(reply);
+    if (payload.size() > config().limits.max_payload_bytes) {
+      return MakeErrorReply(
+          WireError::kInvalidArgument,
+          "partial reply would exceed the frame payload cap");
+    }
+    return {MessageKind::kPartialResult, std::move(payload)};
+  }
+
+  Reply Fetch(const Request& req) const {
+    if (!sharded()) {
+      return MakeErrorReply(
+          WireError::kInvalidArgument,
+          "LANDMARK_FETCH requires a shard-configured server");
+    }
+    if (req.fetch.topic >= engine_.num_topics()) {
+      return MakeErrorReply(
+          WireError::kInvalidArgument,
+          "topic " + std::to_string(req.fetch.topic) + " out of range");
+    }
+    LandmarkVectorsReply vectors;
+    vectors.graph_epoch = engine_.params_epoch();
+    for (uint32_t lm : req.fetch.landmarks) {
+      if (lm >= config().shard_owned->size() ||
+          !config().shard_index->IsLandmark(lm)) {
+        return MakeErrorReply(
+            WireError::kInvalidArgument,
+            "node " + std::to_string(lm) + " is not a landmark");
+      }
+      // Landmarks homed elsewhere are silently skipped: the reply names
+      // each list, so the router sees exactly which it got.
+      if (Owns(lm)) vectors.lists.push_back(StoredList(lm, req.fetch.topic));
+    }
+    std::vector<uint8_t> payload = EncodeLandmarkVectors(vectors);
+    if (payload.size() > config().limits.max_payload_bytes) {
+      return MakeErrorReply(
+          WireError::kInvalidArgument,
+          "landmark vectors reply would exceed the frame cap");
+    }
+    return {MessageKind::kLandmarkVectors, std::move(payload)};
+  }
+
+  service::QueryEngine& engine_;
+  const Server& server_;
+};
+
+// ---------------------------------------------------------------------------
+// Lifecycle.
+
 Server::Server(service::QueryEngine& engine, const ServerConfig& config)
-    : engine_(&engine), config_(config) {
+    : engine_(&engine),
+      owned_handler_(std::make_unique<EngineHandler>(engine, *this)),
+      handler_(owned_handler_.get()),
+      config_(config) {
+  if (config_.registry == nullptr) config_.registry = &engine.registry();
+  Init();
+}
+
+Server::Server(Handler& handler, const ServerConfig& config)
+    : handler_(&handler), config_(config) {
+  MBR_CHECK(config_.registry != nullptr);
+  Init();
+}
+
+void Server::Init() {
   if (config_.max_inflight == 0) config_.max_inflight = 1;
   if (config_.dispatch_threads == 0) config_.dispatch_threads = 1;
-  registry_ = config_.registry != nullptr ? config_.registry
-                                          : &engine_->registry();
-  metrics_.accepted = registry_->GetCounter(
-      "mbr_net_connections_accepted_total", "Connections accepted.");
-  metrics_.refused = registry_->GetCounter(
+  obs::Registry& r = *config_.registry;
+  metrics_.accepted = r.GetCounter("mbr_net_connections_accepted_total",
+                                   "Connections accepted.");
+  metrics_.refused = r.GetCounter(
       "mbr_net_connections_refused_total",
       "Connections closed at accept (cap reached or draining).");
-  metrics_.closed = registry_->GetCounter("mbr_net_connections_closed_total",
-                                          "Connections fully closed.");
-  metrics_.requests = registry_->GetCounter("mbr_net_requests_total",
-                                            "Work requests admitted.");
-  metrics_.shed_overload = registry_->GetCounter(
-      "mbr_net_shed_overload_total", "Requests answered OVERLOADED.");
-  metrics_.shed_deadline = registry_->GetCounter(
+  metrics_.closed = r.GetCounter("mbr_net_connections_closed_total",
+                                 "Connections fully closed.");
+  metrics_.requests =
+      r.GetCounter("mbr_net_requests_total", "Work requests admitted.");
+  metrics_.shed_overload = r.GetCounter("mbr_net_shed_overload_total",
+                                        "Requests answered OVERLOADED.");
+  metrics_.shed_deadline = r.GetCounter(
       "mbr_net_shed_deadline_total",
       "Requests whose deadline expired before a dispatcher picked them up.");
-  metrics_.protocol_errors = registry_->GetCounter(
+  metrics_.protocol_errors = r.GetCounter(
       "mbr_net_protocol_errors_total", "Malformed frames / bad payloads.");
-  metrics_.bytes_read = registry_->GetCounter("mbr_net_bytes_read_total",
-                                              "Payload bytes read from peers.");
-  metrics_.bytes_written = registry_->GetCounter(
-      "mbr_net_bytes_written_total", "Reply bytes written to peers.");
-  metrics_.recommend_latency_us = registry_->GetHistogram(
-      "mbr_net_request_latency_us",
-      "Dispatcher latency per request in microseconds, by op.",
-      {{"op", "recommend"}});
-  metrics_.batch_latency_us = registry_->GetHistogram(
-      "mbr_net_request_latency_us",
-      "Dispatcher latency per request in microseconds, by op.",
-      {{"op", "recommend_batch"}});
-  metrics_.mutate_latency_us = registry_->GetHistogram(
-      "mbr_net_request_latency_us",
-      "Dispatcher latency per request in microseconds, by op.",
-      {{"op", "mutate"}});
-  metrics_.partial_latency_us = registry_->GetHistogram(
-      "mbr_net_request_latency_us",
-      "Dispatcher latency per request in microseconds, by op.",
-      {{"op", "recommend_partial"}});
+  metrics_.bytes_read = r.GetCounter("mbr_net_bytes_read_total",
+                                     "Payload bytes read from peers.");
+  metrics_.bytes_written = r.GetCounter("mbr_net_bytes_written_total",
+                                        "Reply bytes written to peers.");
+  auto latency = [&r](const char* op) {
+    return r.GetHistogram(
+        "mbr_net_request_latency_us",
+        "Dispatcher latency per request in microseconds, by op.",
+        {{"op", op}});
+  };
+  metrics_.recommend_latency_us = latency("recommend");
+  metrics_.batch_latency_us = latency("recommend_batch");
+  metrics_.mutate_latency_us = latency("mutate");
+  metrics_.partial_latency_us = latency("recommend_partial");
 }
 
 Server::~Server() {
@@ -147,9 +408,10 @@ void Server::Wait() {
 }
 
 service::StatsSnapshot Server::StatsNow() const {
-  service::StatsSnapshot s = service::MakeStatsSnapshot(engine_->Stats());
-  // A leaf server is its own one-shard "deployment"; the router overwrites
-  // these with the real rollup in its STATS path.
+  service::StatsSnapshot s;
+  if (engine_ != nullptr) s = service::MakeStatsSnapshot(engine_->Stats());
+  // A leaf server is its own one-shard "deployment" (a router answers
+  // STATS with its shard rollup instead).
   s.shards_total = 1;
   s.shards_up = 1;
   s.shed_overload = metrics_.shed_overload->Value();
@@ -310,6 +572,13 @@ bool Server::QueueError(Connection* conn, uint64_t request_id,
   return true;
 }
 
+void Server::QueueReply(Connection* conn, const FrameHeader& h,
+                        MessageKind kind, std::span<const uint8_t> payload) {
+  if (!conn->QueueReply(kind, h.request_id, payload, h.version)) {
+    CloseConnection(conn->fd());
+  }
+}
+
 void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
   const FrameHeader& h = frame.header;
   if (h.version < kMinProtocolVersion || h.version > kProtocolVersion) {
@@ -329,32 +598,31 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
                st.message());
     return;
   }
+  // An op newer than the frame's version gets the error an old peer would
+  // see for any kind it never learned.
+  const uint16_t since =
+      h.kind == MessageKind::kMetrics ? 2
+      : IsMutationKind(h.kind)        ? 3
+      : h.kind == MessageKind::kRecommendPartial ||
+              h.kind == MessageKind::kLandmarkFetch
+          ? 4
+          : 1;
+  if (h.version < since) {
+    QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
+               std::string(MessageKindName(h.kind)) + " requires protocol v" +
+                   std::to_string(since));
+    return;
+  }
 
   switch (h.kind) {
     case MessageKind::kPing:
-      if (!conn->QueueReply(MessageKind::kPong, h.request_id, {},
-                            h.version)) {
-        CloseConnection(conn->fd());
-      }
+      QueueReply(conn, h, MessageKind::kPong, {});
       return;
-    case MessageKind::kStats: {
-      std::vector<uint8_t> payload = EncodeStats(StatsNow(), h.version);
-      if (!conn->QueueReply(MessageKind::kStatsResult, h.request_id, payload,
-                            h.version)) {
-        CloseConnection(conn->fd());
-      }
-      return;
-    }
     case MessageKind::kMetrics: {
-      // v2+ op: render the whole registry (engine + net series) as
-      // Prometheus text. Rendered inline on the event loop — exposition is
-      // a rare, operator-driven request.
-      if (h.version < 2) {
-        QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
-                   "METRICS requires protocol v2");
-        return;
-      }
-      std::string text = obs::RenderPrometheus(*registry_);
+      // Render the whole registry (handler + net series) as Prometheus
+      // text, inline on the event loop — exposition is a rare,
+      // operator-driven request.
+      std::string text = obs::RenderPrometheus(*config_.registry);
       if (text.size() + 4 > config_.limits.max_payload_bytes) {
         text.resize(config_.limits.max_payload_bytes > 4
                         ? config_.limits.max_payload_bytes - 4
@@ -363,11 +631,8 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
         size_t nl = text.rfind('\n');
         text.resize(nl == std::string::npos ? 0 : nl + 1);
       }
-      std::vector<uint8_t> payload = EncodeMetricsResult(text);
-      if (!conn->QueueReply(MessageKind::kMetricsResult, h.request_id,
-                            payload, h.version)) {
-        CloseConnection(conn->fd());
-      }
+      QueueReply(conn, h, MessageKind::kMetricsResult,
+                 EncodeMetricsResult(text));
       return;
     }
     case MessageKind::kShutdown:
@@ -380,268 +645,29 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
       FlushWrites(conn);
       BeginDrain();
       return;
-    case MessageKind::kFollow:
-    case MessageKind::kUnfollow:
-    case MessageKind::kRelabel:
-      // v3+ ops; same gating shape as METRICS so a v1/v2 peer that never
-      // learned these kinds sees the same error it would for any unknown
-      // kind.
-      if (h.version < 3) {
-        QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
-                   "mutation ops require protocol v3");
-        return;
-      }
-      break;  // work requests, handled below
-    case MessageKind::kRecommendPartial:
-      // v4+ shard op; only a shard-configured server knows which users it
-      // homes and which stored lists to inline.
-      if (h.version < 4) {
-        QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
-                   "shard ops require protocol v4");
-        return;
-      }
-      if (config_.shard_owned == nullptr || config_.shard_index == nullptr) {
-        QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
-                   "RECOMMEND_PARTIAL requires a shard-configured server");
-        return;
-      }
-      break;  // work request, handled below
-    case MessageKind::kLandmarkFetch: {
-      // v4+ shard op, answered inline on the event loop: shard serving is
-      // read-only, so the restricted index and the epoch are stable and
-      // the reply is a straight copy of stored lists.
-      if (h.version < 4) {
-        QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
-                   "shard ops require protocol v4");
-        return;
-      }
-      if (config_.shard_owned == nullptr || config_.shard_index == nullptr) {
-        QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
-                   "LANDMARK_FETCH requires a shard-configured server");
-        return;
-      }
-      LandmarkFetchRequest fetch;
-      if (util::Status st =
-              DecodeLandmarkFetch(frame.payload, config_.limits, &fetch);
-          !st.ok()) {
-        QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
-                   st.message());
-        return;
-      }
-      if (fetch.topic >= engine_->num_topics()) {
-        QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
-                   "topic " + std::to_string(fetch.topic) + " out of range");
-        return;
-      }
-      LandmarkVectorsReply vectors;
-      vectors.graph_epoch = engine_->params_epoch();
-      for (uint32_t lm : fetch.landmarks) {
-        if (lm >= config_.shard_owned->size() ||
-            !config_.shard_index->IsLandmark(lm)) {
-          QueueError(conn, h.request_id, h.version,
-                     WireError::kInvalidArgument,
-                     "node " + std::to_string(lm) + " is not a landmark");
-          return;
-        }
-        // Landmarks homed elsewhere are silently skipped: the reply names
-        // each list, so the router sees exactly which it got.
-        if (!(*config_.shard_owned)[lm]) continue;
-        LandmarkList list;
-        list.landmark = lm;
-        const std::vector<landmark::StoredRec>& stored =
-            config_.shard_index->Recommendations(
-                lm, static_cast<topics::TopicId>(fetch.topic));
-        list.entries.reserve(stored.size());
-        for (const landmark::StoredRec& rec : stored) {
-          list.entries.push_back({rec.node, rec.sigma, rec.topo_beta});
-        }
-        vectors.lists.push_back(std::move(list));
-      }
-      std::vector<uint8_t> payload = EncodeLandmarkVectors(vectors);
-      if (payload.size() > config_.limits.max_payload_bytes) {
-        QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
-                   "landmark vectors reply would exceed the frame cap");
-        return;
-      }
-      if (!conn->QueueReply(MessageKind::kLandmarkVectors, h.request_id,
-                            payload, h.version)) {
-        CloseConnection(conn->fd());
-      }
-      return;
-    }
-    case MessageKind::kRecommend:
-    case MessageKind::kRecommendBatch:
-      break;  // work requests, handled below
     default:
-      QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
-                 "unhandled message kind " +
-                     std::to_string(static_cast<uint16_t>(h.kind)));
-      return;
+      break;
   }
 
+  Request req;
+  if (!DecodeRequest(conn, frame, &req)) return;
+  if (handler_->Inline(req)) {
+    Reply reply = handler_->Handle(req);
+    if (reply.kind == MessageKind::kError) {
+      metrics_.protocol_errors->Increment();
+    }
+    QueueReply(conn, h, reply.kind, reply.payload);
+    return;
+  }
   if (draining_) {
     QueueError(conn, h.request_id, h.version, WireError::kShuttingDown,
                "server is draining");
     return;
   }
-
-  // Decode and validate against the engine's current bounds before
-  // admission — QueryEngine treats out-of-range queries as hard
-  // precondition violations, the wire layer must make them soft errors.
-  PendingRequest req;
-  req.conn_fd = conn->fd();
-  req.conn_gen = conn->gen();
-  req.request_id = h.request_id;
-  req.version = h.version;
-  req.kind = h.kind;
-  if (IsMutationKind(h.kind)) {
-    // Decode fully BEFORE touching the applier: a malformed mutation frame
-    // is answered with BAD_FRAME and can never bump the graph epoch.
-    std::vector<MutationRecord> records;
-    if (util::Status st =
-            DecodeMutation(frame.payload, config_.limits, h.kind, &records);
-        !st.ok()) {
-      QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
-                 st.message());
-      return;
-    }
-    if (config_.applier == nullptr) {
-      QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
-                 "server is read-only (mutations disabled)");
-      return;
-    }
-    const service::MutationOp op =
-        h.kind == MessageKind::kFollow     ? service::MutationOp::kFollow
-        : h.kind == MessageKind::kUnfollow ? service::MutationOp::kUnfollow
-                                           : service::MutationOp::kRelabel;
-    req.mutations.reserve(records.size());
-    for (const MutationRecord& rec : records) {
-      service::Mutation m;
-      m.op = op;
-      m.src = rec.src;
-      m.dst = rec.dst;
-      m.labels = topics::TopicSet(rec.labels);
-      req.mutations.push_back(m);
-    }
-    if (config_.request_deadline_ms > 0) {
-      req.has_deadline = true;
-      req.deadline = Clock::now() +
-                     std::chrono::milliseconds(config_.request_deadline_ms);
-    }
-    uint32_t cur_inflight = inflight_.load(std::memory_order_relaxed);
-    if (cur_inflight >= config_.max_inflight) {
-      metrics_.shed_overload->Increment();
-      if (!conn->QueueReply(MessageKind::kOverloaded, h.request_id, {},
-                            h.version)) {
-        CloseConnection(conn->fd());
-      }
-      return;
-    }
-    inflight_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.requests->Increment();
-    conn->add_inflight();
-    {
-      std::lock_guard<std::mutex> lock(dispatch_mu_);
-      dispatch_queue_.push_back(std::move(req));
-    }
-    dispatch_cv_.notify_one();
-    return;
-  }
-  std::vector<RecommendRequest> decoded;
-  if (h.kind == MessageKind::kRecommend ||
-      h.kind == MessageKind::kRecommendPartial) {
-    RecommendRequest r;
-    if (util::Status st =
-            DecodeRecommend(frame.payload, config_.limits, h.version, &r);
-        !st.ok()) {
-      QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
-                 st.message());
-      return;
-    }
-    decoded.push_back(std::move(r));
-  } else {
-    if (util::Status st = DecodeRecommendBatch(frame.payload, config_.limits,
-                                               h.version, &decoded);
-        !st.ok()) {
-      QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
-                 st.message());
-      return;
-    }
-  }
-  // A reply the client's own frame cap would reject must never be
-  // produced: bound the worst-case result payload up front. At v3 every
-  // list additionally carries its 8-byte graph epoch; at v4 the frame
-  // carries one coordinator trailer. A PARTIAL reply's size depends on
-  // the exploration, not top_n — it is bounded after execution instead.
-  if (h.kind != MessageKind::kRecommendPartial) {
-    // v3 adds the 8-byte per-list epoch, v5 the per-list tier byte.
-    const size_t per_list_overhead =
-        h.version >= 5 ? 13 : h.version >= 3 ? 12 : 4;
-    size_t reply_bytes = 4;  // list-count prefix
-    if (h.version >= 4) reply_bytes += kCoordTrailerBytes;
-    for (const RecommendRequest& r : decoded) {
-      reply_bytes += per_list_overhead +
-                     static_cast<size_t>(r.top_n) * kResultEntryBytes;
-    }
-    if (reply_bytes > config_.limits.max_payload_bytes) {
-      QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
-                 "reply would exceed the " +
-                     std::to_string(config_.limits.max_payload_bytes) +
-                     "-byte frame payload cap");
-      return;
-    }
-  }
-  const uint32_t num_nodes = engine_->num_nodes();
-  const uint32_t num_topics = engine_->num_topics();
-  // The effective deadline is the tighter of the server-wide bound and the
-  // client's per-request deadline_ms (v2 field; 0 = none either way).
-  uint32_t deadline_ms = config_.request_deadline_ms;
-  for (const RecommendRequest& r : decoded) {
-    if (r.deadline_ms > 0 &&
-        (deadline_ms == 0 || r.deadline_ms < deadline_ms)) {
-      deadline_ms = r.deadline_ms;
-    }
-  }
-  if (deadline_ms > 0) {
-    req.has_deadline = true;
-    req.deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
-  }
-  req.queries.reserve(decoded.size());
-  for (RecommendRequest& r : decoded) {
-    if (r.user >= num_nodes || r.topic >= num_topics) {
-      QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
-                 "query out of range: user " + std::to_string(r.user) +
-                     " (nodes " + std::to_string(num_nodes) + "), topic " +
-                     std::to_string(r.topic) + " (topics " +
-                     std::to_string(num_topics) + ")");
-      return;
-    }
-    service::Query q;
-    q.user = r.user;
-    q.topic = static_cast<topics::TopicId>(r.topic);
-    q.top_n = r.top_n;
-    q.exclude = std::move(r.exclude);
-    if (req.has_deadline) q.deadline = req.deadline;
-    req.queries.push_back(std::move(q));
-  }
-  // A partial exploration only makes sense on the user's home shard — the
-  // halo guarantees byte-identity for owned users and nothing else.
-  if (h.kind == MessageKind::kRecommendPartial &&
-      !(*config_.shard_owned)[req.queries.front().user]) {
-    QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
-               "user " + std::to_string(req.queries.front().user) +
-                   " is not homed on shard " + std::to_string(config_.shard));
-    return;
-  }
-
   // Admission control: bounded in-flight, explicit shed beyond it.
-  uint32_t cur = inflight_.load(std::memory_order_relaxed);
-  if (cur >= config_.max_inflight) {
+  if (inflight_.load(std::memory_order_relaxed) >= config_.max_inflight) {
     metrics_.shed_overload->Increment();
-    if (!conn->QueueReply(MessageKind::kOverloaded, h.request_id, {},
-                          h.version)) {
-      CloseConnection(conn->fd());
-    }
+    QueueReply(conn, h, MessageKind::kOverloaded, {});
     return;
   }
   inflight_.fetch_add(1, std::memory_order_relaxed);
@@ -649,9 +675,95 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
   conn->add_inflight();
   {
     std::lock_guard<std::mutex> lock(dispatch_mu_);
-    dispatch_queue_.push_back(std::move(req));
+    dispatch_queue_.push_back({conn->fd(), conn->gen(), std::move(req)});
   }
   dispatch_cv_.notify_one();
+}
+
+bool Server::DecodeRequest(Connection* conn, const Connection::Frame& frame,
+                           Request* req) {
+  const FrameHeader& h = frame.header;
+  req->request_id = h.request_id;
+  req->version = h.version;
+  req->kind = h.kind;
+  util::Status st;
+  switch (h.kind) {
+    case MessageKind::kStats:
+      return true;
+    case MessageKind::kFollow:
+    case MessageKind::kUnfollow:
+    case MessageKind::kRelabel:
+      st = DecodeMutation(frame.payload, config_.limits, h.kind,
+                          &req->mutations);
+      break;
+    case MessageKind::kLandmarkFetch:
+      st = DecodeLandmarkFetch(frame.payload, config_.limits, &req->fetch);
+      break;
+    case MessageKind::kRecommend:
+    case MessageKind::kRecommendPartial:
+      st = DecodeRecommend(frame.payload, config_.limits, h.version,
+                           &req->queries.emplace_back());
+      break;
+    case MessageKind::kRecommendBatch:
+      st = DecodeRecommendBatch(frame.payload, config_.limits, h.version,
+                                &req->queries);
+      break;
+    default:
+      QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
+                 "unhandled message kind " +
+                     std::to_string(static_cast<uint16_t>(h.kind)));
+      return false;
+  }
+  if (!st.ok()) {
+    QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
+               st.message());
+    return false;
+  }
+
+  // Validate against the handler's bounds before admission: an engine
+  // treats out-of-range queries as hard precondition violations, the wire
+  // layer must make them soft errors. A reply the client's own frame cap
+  // would reject must never be produced, so the worst-case result payload
+  // is bounded up front: v3 adds the 8-byte per-list epoch, v4 one
+  // coordinator trailer per frame, v5 the per-list tier byte. A PARTIAL
+  // reply's size depends on the exploration, not top_n — it is bounded
+  // after execution instead.
+  const uint32_t num_nodes = handler_->num_nodes();
+  const uint32_t num_topics = handler_->num_topics();
+  const size_t per_list_overhead =
+      h.version >= 5 ? 13 : h.version >= 3 ? 12 : 4;
+  size_t reply_bytes = 4 + (h.version >= 4 ? kCoordTrailerBytes : 0);
+  // The effective deadline is the tighter of the server-wide bound and the
+  // client's per-request deadline_ms (v2 field; 0 = none either way).
+  uint32_t deadline_ms = config_.request_deadline_ms;
+  for (const RecommendRequest& r : req->queries) {
+    if (r.user >= num_nodes || r.topic >= num_topics) {
+      QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+                 "query out of range: user " + std::to_string(r.user) +
+                     " (nodes " + std::to_string(num_nodes) + "), topic " +
+                     std::to_string(r.topic) + " (topics " +
+                     std::to_string(num_topics) + ")");
+      return false;
+    }
+    reply_bytes +=
+        per_list_overhead + static_cast<size_t>(r.top_n) * kResultEntryBytes;
+    if (r.deadline_ms > 0 &&
+        (deadline_ms == 0 || r.deadline_ms < deadline_ms)) {
+      deadline_ms = r.deadline_ms;
+    }
+  }
+  if (h.kind != MessageKind::kRecommendPartial &&
+      reply_bytes > config_.limits.max_payload_bytes) {
+    QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+               "reply would exceed the " +
+                   std::to_string(config_.limits.max_payload_bytes) +
+                   "-byte frame payload cap");
+    return false;
+  }
+  if (deadline_ms > 0) {
+    req->deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
+  }
+  return true;
 }
 
 void Server::ProcessCompletions() {
@@ -773,163 +885,45 @@ void Server::FinishShutdown() {
 
 void Server::DispatchLoop() {
   for (;;) {
-    PendingRequest req;
+    PendingRequest p;
     {
       std::unique_lock<std::mutex> lock(dispatch_mu_);
       dispatch_cv_.wait(lock, [this] {
         return dispatch_stop_ || !dispatch_queue_.empty();
       });
       if (dispatch_queue_.empty()) return;  // stopping, queue drained
-      req = std::move(dispatch_queue_.front());
+      p = std::move(dispatch_queue_.front());
       dispatch_queue_.pop_front();
     }
 
-    std::vector<uint8_t> frame;
-    if (req.has_deadline && Clock::now() > req.deadline) {
+    const Request& req = p.req;
+    Reply reply;
+    if (req.deadline && Clock::now() > *req.deadline) {
       metrics_.shed_deadline->Increment();
-      std::vector<uint8_t> payload =
-          EncodeError({WireError::kDeadlineExceeded,
-                       "deadline expired before execution"});
-      AppendFrame(MessageKind::kError, req.request_id, payload, &frame,
-                  req.version);
-    } else if (IsMutationKind(req.kind)) {
-      util::WallTimer timer;
-      const service::MutationOutcome outcome =
-          config_.applier->Apply(req.mutations);
-      MutateAck ack;
-      ack.applied = outcome.applied;
-      ack.rejected = outcome.rejected;
-      ack.graph_epoch = outcome.graph_epoch;
-      std::vector<uint8_t> payload = EncodeMutateAck(ack);
-      AppendFrame(MessageKind::kMutateAck, req.request_id, payload, &frame,
-                  req.version);
-      metrics_.mutate_latency_us->Record(
-          static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
-    } else if (req.kind == MessageKind::kRecommendPartial) {
-      util::WallTimer timer;
-      const service::Query& q = req.queries.front();
-      util::Result<service::QueryEngine::PartialExploration> partial =
-          engine_->ExplorePartial(q);
-      if (!partial.ok()) {
-        const util::StatusCode code = partial.status().code();
-        const WireError wire =
-            code == util::StatusCode::kDeadlineExceeded
-                ? WireError::kDeadlineExceeded
-                : code == util::StatusCode::kInvalidArgument
-                      ? WireError::kInvalidArgument
-                      : WireError::kInternal;
-        std::vector<uint8_t> payload =
-            EncodeError({wire, partial.status().message()});
-        AppendFrame(MessageKind::kError, req.request_id, payload, &frame,
-                    req.version);
-      } else {
-        PartialReply reply;
-        reply.graph_epoch = partial->graph_epoch;
-        reply.records.reserve(partial->records.size());
-        for (const landmark::DecomposedRecord& dr : partial->records) {
-          PartialRecord pr;
-          pr.node = dr.node;
-          pr.sigma = dr.sigma;
-          if (dr.is_landmark) {
-            pr.flags |= kPartialFlagLandmark;
-            pr.topo_alphabeta = dr.topo_alphabeta;
-            if ((*config_.shard_owned)[dr.node]) {
-              // Locally-homed landmark: ship its stored list inline so the
-              // router's common case needs no second round trip.
-              pr.flags |= kPartialFlagInline;
-              LandmarkList list;
-              list.landmark = dr.node;
-              const std::vector<landmark::StoredRec>& stored =
-                  config_.shard_index->Recommendations(dr.node, q.topic);
-              list.entries.reserve(stored.size());
-              for (const landmark::StoredRec& rec : stored) {
-                list.entries.push_back({rec.node, rec.sigma, rec.topo_beta});
-              }
-              reply.lists.push_back(std::move(list));
-            }
-          }
-          reply.records.push_back(pr);
-        }
-        if (reply.records.size() > config_.limits.max_partial) {
-          std::vector<uint8_t> payload = EncodeError(
-              {WireError::kInvalidArgument,
-               "exploration reached " + std::to_string(reply.records.size()) +
-                   " nodes, over the " +
-                   std::to_string(config_.limits.max_partial) +
-                   "-record partial cap"});
-          AppendFrame(MessageKind::kError, req.request_id, payload, &frame,
-                      req.version);
-        } else {
-          std::vector<uint8_t> payload = EncodePartialReply(reply);
-          if (payload.size() > config_.limits.max_payload_bytes) {
-            payload = EncodeError(
-                {WireError::kInvalidArgument,
-                 "partial reply would exceed the frame payload cap"});
-            AppendFrame(MessageKind::kError, req.request_id, payload, &frame,
-                        req.version);
-          } else {
-            AppendFrame(MessageKind::kPartialResult, req.request_id, payload,
-                        &frame, req.version);
-          }
-        }
-      }
-      metrics_.partial_latency_us->Record(
-          static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
+      reply = MakeErrorReply(WireError::kDeadlineExceeded,
+                             "deadline expired before execution");
     } else {
       util::WallTimer timer;
-      std::vector<util::Result<service::Response>> results =
-          engine_->RecommendMany(req.queries);
-      // RESULT/RESULT_BATCH have no per-item error channel; the whole
-      // request shares one deadline, so the first failure speaks for the
-      // batch.
-      const util::Result<service::Response>* failed = nullptr;
-      for (const util::Result<service::Response>& r : results) {
-        if (!r.ok()) {
-          failed = &r;
-          break;
-        }
+      reply = handler_->Handle(req);
+      obs::Histogram* h =
+          req.kind == MessageKind::kRecommend ? metrics_.recommend_latency_us
+          : req.kind == MessageKind::kRecommendBatch
+              ? metrics_.batch_latency_us
+          : req.kind == MessageKind::kRecommendPartial
+              ? metrics_.partial_latency_us
+          : IsMutationKind(req.kind) ? metrics_.mutate_latency_us
+                                     : nullptr;  // the router's STATS
+      if (h != nullptr) {
+        h->Record(static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
       }
-      if (failed != nullptr) {
-        const bool deadline = failed->status().code() ==
-                              util::StatusCode::kDeadlineExceeded;
-        std::vector<uint8_t> payload = EncodeError(
-            {deadline ? WireError::kDeadlineExceeded : WireError::kInternal,
-             failed->status().message()});
-        AppendFrame(MessageKind::kError, req.request_id, payload, &frame,
-                    req.version);
-      } else if (req.kind == MessageKind::kRecommend) {
-        const service::Response& resp = results.front().value();
-        std::vector<uint8_t> payload = EncodeResult(
-            resp.ranking.entries, resp.meta.graph_epoch, req.version, {},
-            static_cast<uint8_t>(resp.meta.served_tier));
-        AppendFrame(MessageKind::kResult, req.request_id, payload, &frame,
-                    req.version);
-      } else {
-        std::vector<RankedList> lists;
-        std::vector<uint64_t> epochs;
-        std::vector<uint8_t> tiers;
-        lists.reserve(results.size());
-        epochs.reserve(results.size());
-        tiers.reserve(results.size());
-        for (util::Result<service::Response>& r : results) {
-          epochs.push_back(r.value().meta.graph_epoch);
-          tiers.push_back(static_cast<uint8_t>(r.value().meta.served_tier));
-          lists.push_back(std::move(r.value().ranking.entries));
-        }
-        std::vector<uint8_t> payload =
-            EncodeResultBatch(lists, epochs, req.version, {}, tiers);
-        AppendFrame(MessageKind::kResultBatch, req.request_id, payload,
-                    &frame, req.version);
-      }
-      obs::Histogram* h = req.kind == MessageKind::kRecommend
-                              ? metrics_.recommend_latency_us
-                              : metrics_.batch_latency_us;
-      h->Record(static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
     }
+    std::vector<uint8_t> frame;
+    AppendFrame(reply.kind, req.request_id, reply.payload, &frame,
+                req.version);
 
     {
       std::lock_guard<std::mutex> lock(completion_mu_);
-      completions_.push_back({req.conn_fd, req.conn_gen, std::move(frame)});
+      completions_.push_back({p.conn_fd, p.conn_gen, std::move(frame)});
     }
     inflight_.fetch_sub(1, std::memory_order_release);
     uint64_t v = 1;

@@ -1,15 +1,20 @@
 #ifndef MBR_NET_SERVER_H_
 #define MBR_NET_SERVER_H_
 
-// Epoll-based non-blocking network front end for service::QueryEngine.
+// Epoll-based non-blocking network front end. What it serves is a Handler:
+// a service::QueryEngine (the Server(QueryEngine&, ...) constructor, which
+// also serves the mutation applier and shard ops named in ServerConfig) or
+// a coord::Router. Framing, version/CRC checks, range and reply-size
+// checks, admission, deadlines, drain, PING/SHUTDOWN/METRICS and the
+// mbr_net_* series live here once, for both.
 //
 // Threading model:
 //   * ONE event-loop thread owns every socket and Connection object: it
 //     accepts, reads, frames, admits, and writes. No connection state is
 //     ever touched from another thread.
 //   * `dispatch_threads` dispatcher threads pop admitted requests from a
-//     bounded queue, run the (blocking) QueryEngine call, encode the reply
-//     frame, and post it to a completion queue; an eventfd wakes the event
+//     bounded queue, run the handler (which may block), and post the
+//     encoded reply frame to a completion queue; an eventfd wakes the event
 //     loop to copy the bytes into the right connection's write buffer.
 //     Completions are routed by (fd, generation), so a connection that
 //     died mid-request simply drops its reply.
@@ -24,10 +29,10 @@
 // of a late answer.
 //
 // Graceful drain: RequestStop() (async-signal-safe; wired to SIGINT/
-// SIGTERM by `mbrec serve`) or a SHUTDOWN frame stops accepting — the
-// listen socket closes, so new connects are refused by the kernel —
-// finishes every in-flight request, flushes replies, then closes all
-// connections and returns from Wait(). Requests arriving on existing
+// SIGTERM by `mbrec serve` and `mbrec route`) or a SHUTDOWN frame stops
+// accepting — the listen socket closes, so new connects are refused by the
+// kernel — finishes every in-flight request, flushes replies, then closes
+// all connections and returns from Wait(). Requests arriving on existing
 // connections during the drain get ERROR(SHUTTING_DOWN). A
 // `drain_grace_ms` backstop force-closes connections whose peers refuse
 // to read their last replies.
@@ -39,6 +44,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -68,8 +74,10 @@ struct ServerConfig {
   WireLimits limits;
   // Where the server registers its mbr_net_* series and what the METRICS
   // op renders. nullptr = the engine's registry, so one exposition covers
-  // engine + network counters by default. Must outlive the server.
+  // engine + network counters by default; required with any other
+  // handler. Must outlive the server.
   obs::Registry* registry = nullptr;
+  // The fields below configure the engine handler only.
   // v3 mutation ops (FOLLOW/UNFOLLOW/RELABEL) apply through this. nullptr
   // = read-only serving: well-formed mutation frames are answered with
   // ERROR(INVALID_ARGUMENT) and never touch the graph. Must outlive the
@@ -91,6 +99,53 @@ struct ServerConfig {
   uint32_t shards_total = 1;
 };
 
+// One request as the server hands it to a Handler: decoded, and for
+// RECOMMEND kinds range-checked against the handler's universe (and, but
+// for RECOMMEND_PARTIAL, bounded against the frame cap).
+struct Request {
+  uint64_t request_id = 0;
+  uint16_t version = kProtocolVersion;  // echoed on the reply
+  MessageKind kind = MessageKind::kRecommend;
+  // RECOMMEND and RECOMMEND_PARTIAL carry one query, RECOMMEND_BATCH many.
+  std::vector<RecommendRequest> queries;
+  std::vector<MutationRecord> mutations;  // FOLLOW / UNFOLLOW / RELABEL
+  LandmarkFetchRequest fetch;             // LANDMARK_FETCH
+  // The tighter of request_deadline_ms and the client's deadline_ms.
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+};
+
+// A handler's answer; the server frames it with the request's id and
+// version.
+struct Reply {
+  MessageKind kind = MessageKind::kError;
+  std::vector<uint8_t> payload;
+};
+Reply MakeErrorReply(WireError code, const std::string& message);
+// A failed status as ERROR: DEADLINE_EXCEEDED and INVALID_ARGUMENT keep
+// their code, anything else is INTERNAL.
+Reply MakeErrorReply(const util::Status& status);
+
+// What a Server serves: STATS and every work op (RECOMMEND,
+// RECOMMEND_BATCH, mutations, shard ops). The server answers PING,
+// METRICS and SHUTDOWN itself.
+class Handler {
+ public:
+  Handler() = default;
+  Handler(const Handler&) = delete;
+  Handler& operator=(const Handler&) = delete;
+  virtual ~Handler() = default;
+  // The universe RECOMMEND frames are range-checked against.
+  virtual uint32_t num_nodes() const = 0;
+  virtual uint32_t num_topics() const = 0;
+  // Whether `req` is answered on the event loop, outside admission and
+  // drain: cheap non-blocking replies and rejections. Everything else is
+  // admitted against max_inflight and answered on a dispatcher thread.
+  virtual bool Inline(const Request& req) const = 0;
+  // Answers one request: on the event loop when Inline, else concurrently
+  // from dispatcher threads.
+  virtual Reply Handle(const Request& req) = 0;
+};
+
 // Snapshot of the server's registry-backed counters (see also
 // StatsNow(), and the METRICS op for the full exposition).
 struct ServerCounters {
@@ -105,8 +160,12 @@ struct ServerCounters {
 
 class Server {
  public:
+  // Serves `engine` (with config.applier and the config.shard_* ops);
   // `engine` must outlive the server.
   Server(service::QueryEngine& engine, const ServerConfig& config);
+  // Serves `handler`, which must outlive the server; config.registry must
+  // be set.
+  Server(Handler& handler, const ServerConfig& config);
   ~Server();
 
   Server(const Server&) = delete;
@@ -127,27 +186,21 @@ class Server {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  // Engine stats + server shed/connection counters, merged into the shared
-  // snapshot struct — the STATS wire reply and the `mbrec serve` log line
-  // both come from here.
+  // Engine stats (when serving an engine) + server shed/connection
+  // counters, merged into the shared snapshot struct — the engine's STATS
+  // wire reply and the `mbrec serve` log line both come from here.
   service::StatsSnapshot StatsNow() const;
 
   ServerCounters counters() const;
 
  private:
   using Clock = std::chrono::steady_clock;
+  class EngineHandler;
 
   struct PendingRequest {
     int conn_fd = -1;
     uint64_t conn_gen = 0;
-    uint64_t request_id = 0;
-    // Protocol version the request arrived with; echoed on the reply.
-    uint16_t version = kProtocolVersion;
-    MessageKind kind = MessageKind::kRecommend;
-    std::vector<service::Query> queries;
-    std::vector<service::Mutation> mutations;  // mutation kinds only
-    Clock::time_point deadline{};
-    bool has_deadline = false;
+    Request req;
   };
   struct Completion {
     int conn_fd = -1;
@@ -155,15 +208,22 @@ class Server {
     std::vector<uint8_t> frame;
   };
 
+  void Init();
   void EventLoop();
   void DispatchLoop();
   void HandleAccept();
   void HandleConnectionEvent(int fd, uint32_t events);
   void HandleFrame(Connection* conn, const Connection::Frame& frame);
+  // Decodes and checks a handler-bound frame into `req`; false after
+  // queueing the error reply.
+  bool DecodeRequest(Connection* conn, const Connection::Frame& frame,
+                     Request* req);
   // Returns false when the connection had to be closed (write overflow) —
   // `conn` is dangling in that case.
   bool QueueError(Connection* conn, uint64_t request_id, uint16_t version,
                   WireError code, const std::string& message);
+  void QueueReply(Connection* conn, const FrameHeader& h,
+                  MessageKind kind, std::span<const uint8_t> payload);
   void ProcessCompletions();
   void FlushWrites(Connection* conn);
   void UpdateEpollInterest(Connection* conn);
@@ -190,9 +250,11 @@ class Server {
     obs::Histogram* partial_latency_us = nullptr;
   };
 
-  service::QueryEngine* engine_;
+  // Set when serving an engine: StatsNow() reports its stats.
+  service::QueryEngine* engine_ = nullptr;
+  std::unique_ptr<Handler> owned_handler_;
+  Handler* handler_ = nullptr;
   ServerConfig config_;
-  obs::Registry* registry_ = nullptr;
   Metrics metrics_;
 
   int listen_fd_ = -1;

@@ -1,20 +1,13 @@
-#include "distributed/cluster.h"
 #include "distributed/partition.h"
 
-#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
 
-#include "core/recommender.h"
 #include "datagen/twitter_generator.h"
-#include "landmark/selection.h"
-#include "topics/similarity_matrix.h"
 
 namespace mbr::distributed {
 namespace {
-
-using graph::NodeId;
 
 const datagen::GeneratedDataset& Dataset() {
   static const datagen::GeneratedDataset& ds =
@@ -103,159 +96,6 @@ TEST(PartitionTest, StatsComputation) {
   p.part_of = {0, 1, 0, 1};
   ComputePartitionStats(g, &p);
   EXPECT_DOUBLE_EQ(p.edge_cut, 1.0);
-}
-
-// ---------- SimulatedCluster ----------
-
-struct ClusterFixture {
-  const datagen::GeneratedDataset& ds = Dataset();
-  core::AuthorityIndex auth{ds.graph};
-  landmark::SelectionResult sel = SelectLandmarks(
-      ds.graph, landmark::SelectionStrategy::kFollow,
-      [] {
-        landmark::SelectionConfig c;
-        c.num_landmarks = 40;
-        return c;
-      }());
-  landmark::LandmarkIndex index{ds.graph, auth,
-                                topics::TwitterSimilarity(), sel.landmarks,
-                                [] {
-                                  landmark::LandmarkIndexConfig c;
-                                  c.top_n = 50;
-                                  return c;
-                                }()};
-  Partitioning partitioning = PartitionGraph(
-      ds.graph, PartitionStrategy::kCommunity, DefaultConfig());
-  SimulatedCluster cluster{ds.graph, auth, topics::TwitterSimilarity(),
-                           index, partitioning};
-};
-
-TEST(SimulatedClusterTest, QueryMatchesSingleNodeApproxByteIdentical) {
-  ClusterFixture f;
-  landmark::ApproxRecommender single(f.ds.graph, f.auth,
-                                     topics::TwitterSimilarity(), f.index,
-                                     {});
-  for (NodeId u : {3u, 77u, 1500u}) {
-    QueryCost cost;
-    const auto& dist = f.cluster.Query(u, 0, &cost);
-    auto local = single.ApproximateScores(u, 0);
-    ASSERT_EQ(dist.size(), local.size());
-    for (const auto& [v, s] : local) {
-      const double* got = dist.Find(v);
-      ASSERT_NE(got, nullptr) << "node " << v;
-      // Byte-identical, not approximately equal: the cluster runs the very
-      // same accumulation as the single-node recommender.
-      uint64_t a, b;
-      std::memcpy(&a, got, sizeof(a));
-      std::memcpy(&b, &s, sizeof(b));
-      EXPECT_EQ(a, b) << "node " << v << ": " << *got << " vs " << s;
-    }
-    EXPECT_GE(cost.partitions_touched, 1u);
-  }
-}
-
-TEST(SimulatedClusterTest, LandmarksHomedOnTheirPartition) {
-  ClusterFixture f;
-  const auto& by_part = f.cluster.landmarks_by_partition();
-  size_t total = 0;
-  for (uint32_t part = 0; part < by_part.size(); ++part) {
-    for (NodeId lm : by_part[part]) {
-      EXPECT_EQ(f.cluster.PartitionOf(lm), part);
-    }
-    total += by_part[part].size();
-  }
-  EXPECT_EQ(total, f.sel.landmarks.size());
-}
-
-TEST(SimulatedClusterTest, LocalQueryLowerBoundsExactScores) {
-  // A shard only sees a subset of the walks (intra-partition ones), so a
-  // partition-local score can never exceed the exact full-graph score.
-  // (It is NOT a subset of the global *approximate* result: shard-local
-  // landmark lists are computed on the subgraph and may retain nodes the
-  // global top-n truncation dropped.)
-  ClusterFixture f;
-  core::TrRecommender exact(f.ds.graph, topics::TwitterSimilarity());
-  for (NodeId u : {10u, 500u, 999u}) {
-    const auto& local = f.cluster.LocalQuery(u, 0);
-    std::vector<NodeId> nodes;
-    for (const auto& [v, s] : local) nodes.push_back(v);
-    auto exact_scores = exact.CandidateScores(u, 0, nodes);
-    size_t i = 0;
-    for (const auto& [v, s] : local) {
-      EXPECT_LE(s, exact_scores[i] + 1e-12) << "node " << v;
-      ++i;
-    }
-  }
-}
-
-TEST(SimulatedClusterTest, LocalQueryStaysInPartition) {
-  ClusterFixture f;
-  for (NodeId u : {10u, 500u, 999u}) {
-    uint32_t home = f.cluster.PartitionOf(u);
-    for (const auto& [v, s] : f.cluster.LocalQuery(u, 0)) {
-      EXPECT_EQ(f.cluster.PartitionOf(v), home) << "node " << v;
-    }
-  }
-}
-
-
-TEST(SimulatedClusterTest, CostModelSaneBounds) {
-  ClusterFixture f;
-  for (NodeId u : {3u, 200u, 1500u}) {
-    QueryCost cost;
-    f.cluster.Query(u, 0, &cost);
-    // Partitions touched is at least the home partition and at most all.
-    EXPECT_GE(cost.partitions_touched, 1u);
-    EXPECT_LE(cost.partitions_touched, 4u);
-    // Each landmark fetch ships at most top_n entries.
-    EXPECT_LE(cost.landmark_entries,
-              cost.landmark_fetches * f.index.config().top_n);
-    // A remote adjacency fetch requires a reachable remote node: bounded
-    // by the graph size.
-    EXPECT_LT(cost.edge_messages, f.ds.graph.num_nodes());
-  }
-}
-
-TEST(SimulatedClusterTest, SingleWorkerHasZeroNetworkCost) {
-  ClusterFixture f;
-  PartitionConfig pc;
-  pc.num_partitions = 1;
-  Partitioning one = PartitionGraph(f.ds.graph, PartitionStrategy::kHash, pc);
-  SimulatedCluster cluster(f.ds.graph, f.auth, topics::TwitterSimilarity(),
-                           f.index, one);
-  QueryCost cost;
-  // Copy: Query()'s table is recommender-owned and LocalQuery() below runs
-  // a different recommender, but keep the copy explicit for clarity.
-  util::FlatMap<NodeId, double> global = cluster.Query(42, 0, &cost);
-  EXPECT_EQ(cost.edge_messages, 0u);
-  EXPECT_EQ(cost.landmark_fetches, 0u);
-  EXPECT_EQ(cost.partitions_touched, 1u);
-  // And local == global when everything is on one worker (same landmark
-  // set, full graph).
-  const auto& local = cluster.LocalQuery(42, 0);
-  EXPECT_EQ(local.size(), global.size());
-  for (const auto& [v, s] : global) {
-    const double* got = local.Find(v);
-    ASSERT_NE(got, nullptr);
-    EXPECT_DOUBLE_EQ(*got, s);
-  }
-}
-
-TEST(SimulatedClusterTest, CommunityPartitioningCostsFewerMessages) {
-  ClusterFixture f;
-  Partitioning hash = PartitionGraph(f.ds.graph, PartitionStrategy::kHash,
-                                     DefaultConfig());
-  SimulatedCluster hash_cluster(f.ds.graph, f.auth,
-                                topics::TwitterSimilarity(), f.index, hash);
-  uint64_t msgs_lpa = 0, msgs_hash = 0;
-  for (NodeId u = 0; u < 60; ++u) {
-    QueryCost a, b;
-    f.cluster.Query(u, 0, &a);
-    hash_cluster.Query(u, 0, &b);
-    msgs_lpa += a.edge_messages;
-    msgs_hash += b.edge_messages;
-  }
-  EXPECT_LT(msgs_lpa, msgs_hash);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // and every single-bit flip of a valid RECOMMEND frame must produce either
 // a well-formed error/reply frame or a clean connection close — never a
 // crash, a hang, or (under ASan) an out-of-bounds read. After the sweep
-// the server must still answer a PING.
+// the server must still answer a PING. The router, a net::Server handler,
+// gets the truncation, bit-flip and garbage sweeps too (RouterCorruption).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "graph/labeled_graph.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "routed_stack.h"
 #include "service/mutation.h"
 #include "service/query_engine.h"
 #include "topics/similarity_matrix.h"
@@ -53,12 +55,15 @@ class NetCorruptionTest : public ::testing::Test {
     ASSERT_TRUE(server_->Start().ok());
   }
 
+  // The front end under test.
+  virtual uint16_t Port() const { return server_->port(); }
+
   int DialRaw() {
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
-    addr.sin_port = htons(server_->port());
+    addr.sin_port = htons(Port());
     EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
     EXPECT_EQ(
         ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
@@ -120,7 +125,7 @@ class NetCorruptionTest : public ::testing::Test {
 
   void ExpectServerStillAlive() {
     ClientConfig cc;
-    cc.port = server_->port();
+    cc.port = Port();
     auto client = Client::Connect(cc);
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     EXPECT_TRUE(client->Ping().ok());
@@ -163,6 +168,25 @@ class NetCorruptionTest : public ::testing::Test {
         if (!SendAndDrain(mutated, &reply)) return;
         ExpectWellFormedReplies(reply);
       }
+    }
+  }
+
+  // Deterministic xorshift garbage, including a few multi-KB blobs.
+  void SweepGarbage() {
+    uint64_t state = 0x9E3779B97F4A7C15ull;
+    auto next = [&state] {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      return static_cast<uint8_t>(state);
+    };
+    for (size_t len : {1u, 7u, 24u, 25u, 333u, 4096u}) {
+      SCOPED_TRACE("garbage length " + std::to_string(len));
+      std::vector<uint8_t> junk(len);
+      for (auto& b : junk) b = next();
+      std::vector<uint8_t> reply;
+      if (!SendAndDrain(junk, &reply)) break;
+      ExpectWellFormedReplies(reply);
     }
   }
 
@@ -249,22 +273,7 @@ TEST_F(NetCorruptionTest, MetricsFrameSurvivesCorruption) {
 }
 
 TEST_F(NetCorruptionTest, RandomGarbageIsSurvivable) {
-  // Deterministic xorshift garbage, including a few multi-KB blobs.
-  uint64_t state = 0x9E3779B97F4A7C15ull;
-  auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return static_cast<uint8_t>(state);
-  };
-  for (size_t len : {1u, 7u, 24u, 25u, 333u, 4096u}) {
-    SCOPED_TRACE("garbage length " + std::to_string(len));
-    std::vector<uint8_t> junk(len);
-    for (auto& b : junk) b = next();
-    std::vector<uint8_t> reply;
-    if (!SendAndDrain(junk, &reply)) break;
-    ExpectWellFormedReplies(reply);
-  }
+  SweepGarbage();
   ExpectServerStillAlive();
 }
 
@@ -373,6 +382,42 @@ TEST_F(NetCorruptionTest, MutationOnReadOnlyServerIsRefusedNotFatal) {
             HeaderParse::kOk);
   EXPECT_EQ(h.kind, MessageKind::kError);
   EXPECT_EQ(engine_->params_epoch(), 0u);
+  ExpectServerStillAlive();
+}
+
+// ---------- The same sweeps against coord::Router over 2 shards ----------
+//
+// The router answers clients through net::Server, so hostile bytes meet the
+// same front end; a frame that survives corruption intact is routed to a
+// shard, and the router must still answer a PING after every sweep.
+
+class RouterCorruptionTest : public NetCorruptionTest {
+ protected:
+  void SetUp() override {
+    NetCorruptionTest::SetUp();
+    coord::RouterConfig rcfg;
+    rcfg.max_connections = 1024;  // as the fixture server: ~250 connections
+    routed_ = std::make_unique<coord::RoutedStack>(*graph_, rcfg);
+    ASSERT_NE(routed_->router, nullptr);
+  }
+
+  uint16_t Port() const override { return routed_->router->port(); }
+
+  std::unique_ptr<coord::RoutedStack> routed_;
+};
+
+TEST_F(RouterCorruptionTest, EveryTruncationClosesCleanly) {
+  SweepTruncations(ValidFrame());
+  ExpectServerStillAlive();
+}
+
+TEST_F(RouterCorruptionTest, EveryBitFlipYieldsErrorOrClose) {
+  SweepBitFlips(ValidFrame());
+  ExpectServerStillAlive();
+}
+
+TEST_F(RouterCorruptionTest, RandomGarbageIsSurvivable) {
+  SweepGarbage();
   ExpectServerStillAlive();
 }
 

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -49,7 +50,17 @@ Shared& shared() {
   return s;
 }
 
-using Factory = std::unique_ptr<core::Recommender> (*)();
+// A recommender constructor with a fixed label. gtest prints a bare
+// function pointer as its address, which ASLR moves on every run, and
+// ctest's discovered test names embed the printed parameter; the label
+// keeps those names the same from one build to the next.
+struct Factory {
+  const char* label;
+  std::unique_ptr<core::Recommender> (*make)();
+  std::unique_ptr<core::Recommender> operator()() const { return make(); }
+};
+
+void PrintTo(const Factory& f, std::ostream* os) { *os << f.label; }
 
 std::unique_ptr<core::Recommender> MakeTr() {
   return std::make_unique<core::TrRecommender>(shared().ds.graph,
@@ -169,9 +180,12 @@ TEST_P(RecommenderContractTest, ExpiredDeadlineYieldsDeadlineExceeded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRecommenders, RecommenderContractTest,
-                         ::testing::Values(&MakeTr, &MakeKatz, &MakeTwr,
-                                           &MakeWtf, &MakeAdamic,
-                                           &MakeApprox));
+                         ::testing::Values(Factory{"Tr", &MakeTr},
+                                           Factory{"Katz", &MakeKatz},
+                                           Factory{"TwitterRank", &MakeTwr},
+                                           Factory{"WtfSalsa", &MakeWtf},
+                                           Factory{"AdamicAdar", &MakeAdamic},
+                                           Factory{"TrLandmark", &MakeApprox}));
 
 }  // namespace
 }  // namespace mbr

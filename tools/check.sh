@@ -1,34 +1,26 @@
 #!/usr/bin/env bash
 # Repo-wide check runner:
 #   1. tier-1: full build + full ctest suite       (build/)
-#   2. ASan:   serde + net + dynamic + hotpath + coord + slo
-#              + incremental                         (build-asan/)
+#   2. ASan:   full ctest suite                    (build-asan/)
 #   3. TSan:   obs + service + net + dynamic + coord + slo
 #              + incremental                         (build-tsan/)
-#   4. UBSan:  core + landmark + service           (build-ubsan/)
+#   4. UBSan:  full ctest suite                    (build-ubsan/)
 #   5. bench-smoke: micro_benchmarks --smoke + ext_slo_ladder --smoke
 #                   + ext_mutation_apply --smoke     (build/)
 #
 # The sanitizer passes reuse the persistent build-asan/, build-tsan/ and
-# build-ubsan/ trees (configured here on first run) and only build/run the
-# labeled suites they exist to harden: byte-level parsers under ASan, the
-# metrics registry + concurrent engine + epoll server under TSan, the
-# floating-point scoring kernels + landmark composition + serving arithmetic
-# under UBSan. The `dynamic` label (mutation path, delta graph, landmark
-# repair) runs under both ASan and TSan: ASan for the mutation wire parsing,
-# TSan for mutators racing readers and the background repair thread. The
-# `hotpath` label (arena/flat-map scratch reuse, scorer differential suite)
-# runs under ASan so a buffer carved too small or a stale span surfaces as a
-# hard error rather than a wrong score. The `coord` label (shard plan serde,
-# router scatter-gather, reconnect backoff) runs under both ASan (wire and
-# artifact parsing) and TSan (router accept/connection threads against the
-# shard servers). The `slo` label (pressure monitor, degradation ladder)
-# runs under both ASan (stale-cache retention and tier bookkeeping) and TSan
-# (the lock-free PressureMonitor hammered from concurrent writers/readers).
-# The `incremental` label (O(Δ) mutation pipeline: row-patched
-# materialization, counter-snapshot authority, delta-aware rebind) runs
-# under both ASan (spliced CSR rows, spans into previous generations) and
-# TSan (the apply/rebind lock split against concurrent generation readers).
+# build-ubsan/ trees (configured here on first run). Every test carries at
+# least its module label (tests/CMakeLists.txt derives it from the file
+# name), and ASan and UBSan run all of them: out-of-bounds reads in the
+# byte-level parsers and arena/flat-map scratch reuse, undefined behaviour
+# in the floating-point scoring kernels and serving arithmetic, anywhere in
+# the library. TSan runs the labels that exercise concurrency: the metrics
+# registry (`obs`), the concurrent engine and the ladder's lock-free
+# PressureMonitor (`service`, `slo`), the epoll server (`net`), mutators
+# racing readers and the background repair thread (`dynamic`), the apply/
+# rebind lock split against concurrent generation readers (`incremental`),
+# and the router's dispatchers blocking on shard RPCs against the shard
+# servers (`coord`).
 #
 # bench-smoke runs the allocation-counting smoke gate of the zero-allocation
 # hot path (DESIGN.md §6.6): a warm exact query and a warm landmark query
@@ -43,6 +35,7 @@ set -e
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 MODE="${1:-all}"
 JOBS="${JOBS:-$(nproc)}"
+TSAN_LABELS='obs|service|net|dynamic|coord|slo|incremental'
 
 run_tier1() {
   echo "==> tier-1: full build + ctest"
@@ -51,11 +44,11 @@ run_tier1() {
   (cd "$REPO/build" && ctest --output-on-failure -j "$JOBS")
 }
 
-run_sanitized() {  # $1=sanitizer $2=build-dir $3=label-regex
-  echo "==> $1: suites matching -L '$3'"
+run_sanitized() {  # $1=sanitizer $2=build-dir [$3=label-regex, else all]
+  echo "==> $1: ${3:+suites matching -L '$3'}${3:-full suite}"
   cmake -B "$2" -S "$REPO" -DMBR_SANITIZE="$1" >/dev/null
   cmake --build "$2" -j "$JOBS"
-  (cd "$2" && ctest -L "$3" --output-on-failure -j "$JOBS")
+  (cd "$2" && ctest ${3:+-L "$3"} --output-on-failure -j "$JOBS")
 }
 
 run_bench_smoke() {
@@ -73,15 +66,15 @@ run_bench_smoke() {
 
 case "$MODE" in
   tier1) run_tier1 ;;
-  asan)  run_sanitized address "$REPO/build-asan" 'serde|net|dynamic|hotpath|coord|slo|incremental' ;;
-  tsan)  run_sanitized thread "$REPO/build-tsan" 'obs|service|net|dynamic|coord|slo|incremental' ;;
-  ubsan) run_sanitized undefined "$REPO/build-ubsan" 'core|landmark|service' ;;
+  asan)  run_sanitized address "$REPO/build-asan" ;;
+  tsan)  run_sanitized thread "$REPO/build-tsan" "$TSAN_LABELS" ;;
+  ubsan) run_sanitized undefined "$REPO/build-ubsan" ;;
   bench-smoke) run_bench_smoke ;;
   all)
     run_tier1
-    run_sanitized address "$REPO/build-asan" 'serde|net|dynamic|hotpath|coord|slo|incremental'
-    run_sanitized thread "$REPO/build-tsan" 'obs|service|net|dynamic|coord|slo|incremental'
-    run_sanitized undefined "$REPO/build-ubsan" 'core|landmark|service'
+    run_sanitized address "$REPO/build-asan"
+    run_sanitized thread "$REPO/build-tsan" "$TSAN_LABELS"
+    run_sanitized undefined "$REPO/build-ubsan"
     run_bench_smoke
     ;;
   *)

@@ -41,10 +41,12 @@
 //                   homed landmark lists; read-only, v4 shard ops)
 //   mbrec route     --plan plan.bin [--endpoints h:p,...] [--port P]
 //                   [--mode landmark|exact] [--degrade partial|off]
-//                   [--timeout-ms T] (coordinator: clients speak ordinary
-//                   v1-v5 to it; replies are byte-identical to single-node
-//                   serving; --degrade off turns shard loss into an ERROR
-//                   instead of a partial merge)
+//                   [--timeout-ms T] [--max-connections K] (coordinator:
+//                   clients speak ordinary v1-v5 to it through the same
+//                   front end as serve; replies are byte-identical to
+//                   single-node serving; --degrade off turns shard loss
+//                   into an ERROR instead of a partial merge; K is also the
+//                   admission bound past which requests get OVERLOADED)
 //
 // Binary graphs (.bin) round-trip exactly; .edges files use the
 // human-readable labeled edge-list format. `save-graph` converts any
