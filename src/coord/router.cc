@@ -41,7 +41,6 @@ Router::Router(const ShardPlan& plan, const RouterConfig& config)
     net::ClientConfig c = config_.shard_client;
     c.host = plan_.endpoints()[s].host;
     c.port = static_cast<uint16_t>(plan_.endpoints()[s].port);
-    c.protocol_version = net::kProtocolVersion;  // shards always speak v5
     c.request_timeout_ms = config_.shard_timeout_ms;
     endpoints.push_back(std::move(c));
   }
@@ -74,8 +73,7 @@ bool Router::Inline(const net::Request& req) const {
 net::Reply Router::Handle(const net::Request& req) {
   switch (req.kind) {
     case net::MessageKind::kStats:
-      return {net::MessageKind::kStatsResult,
-              net::EncodeStats(RollupStats(), req.version)};
+      return {net::MessageKind::kStatsResult, net::EncodeStats(RollupStats())};
     case net::MessageKind::kRecommend:
     case net::MessageKind::kRecommendBatch:
       break;
@@ -90,44 +88,16 @@ net::Reply Router::Handle(const net::Request& req) {
                                  "(mutations are not routed)");
   }
 
-  std::vector<Routed> routed;
+  std::vector<net::ResultReply> routed;
   routed.reserve(req.queries.size());
   for (const net::RecommendRequest& r : req.queries) {
-    util::Result<Routed> one = RouteOne(r);
+    util::Result<net::ResultReply> one = RouteOne(r);
     // First failure speaks for the frame, mirroring the single-node batch
     // contract.
     if (!one.ok()) return net::MakeErrorReply(one.status());
     routed.push_back(std::move(*one));
   }
-
-  if (req.kind == net::MessageKind::kRecommend) {
-    Routed& one = routed.front();
-    return {net::MessageKind::kResult,
-            net::EncodeResult(one.entries, one.graph_epoch, req.version,
-                              one.coord, one.served_tier)};
-  }
-  std::vector<net::RankedList> lists;
-  std::vector<uint64_t> epochs;
-  std::vector<uint8_t> tiers;
-  lists.reserve(routed.size());
-  epochs.reserve(routed.size());
-  tiers.reserve(routed.size());
-  // Per-frame trailer: one partially-merged query marks the whole batch,
-  // and the frame reports the worst shard coverage seen. Tiers stay
-  // per-list (like epochs): each query names the tier that served it.
-  net::CoordTrailer coord;
-  coord.shards_total = static_cast<uint16_t>(plan_.num_shards());
-  coord.shards_answered = coord.shards_total;
-  for (Routed& one : routed) {
-    if (one.coord.partial != 0) coord.partial = 1;
-    coord.shards_answered =
-        std::min(coord.shards_answered, one.coord.shards_answered);
-    epochs.push_back(one.graph_epoch);
-    tiers.push_back(one.served_tier);
-    lists.push_back(std::move(one.entries));
-  }
-  return {net::MessageKind::kResultBatch,
-          net::EncodeResultBatch(lists, epochs, req.version, coord, tiers)};
+  return net::MakeResultReply(req.kind, std::move(routed));
 }
 
 template <typename Fn>
@@ -173,7 +143,7 @@ bool Router::IsShardLoss(const util::Status& status,
   }
 }
 
-util::Result<Router::Routed> Router::RouteOne(
+util::Result<net::ResultReply> Router::RouteOne(
     const net::RecommendRequest& req) {
   metrics_.requests->Increment();
   const uint32_t home = plan_.ShardOf(req.user);
@@ -181,9 +151,9 @@ util::Result<Router::Routed> Router::RouteOne(
                                : RouteExact(req, home);
 }
 
-util::Result<Router::Routed> Router::RouteExact(
+util::Result<net::ResultReply> Router::RouteExact(
     const net::RecommendRequest& req, uint32_t home) {
-  Routed out;
+  net::ResultReply out;
   out.coord.shards_total = static_cast<uint16_t>(plan_.num_shards());
   net::RecommendRequest sreq = req;
   sreq.deadline_ms = ShardDeadlineMs(req.deadline_ms);
@@ -210,9 +180,9 @@ util::Result<Router::Routed> Router::RouteExact(
   return out;
 }
 
-util::Result<Router::Routed> Router::RouteLandmark(
+util::Result<net::ResultReply> Router::RouteLandmark(
     const net::RecommendRequest& req, uint32_t home) {
-  Routed out;
+  net::ResultReply out;
   out.coord.shards_total = static_cast<uint16_t>(plan_.num_shards());
   net::RecommendRequest sreq = req;
   sreq.deadline_ms = ShardDeadlineMs(req.deadline_ms);

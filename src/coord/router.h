@@ -4,7 +4,7 @@
 // The coordinator/router tier (DESIGN.md §6.7): one process that makes N
 // `mbrec serve --shard <i>` processes look like a single recommender.
 //
-// Clients speak the ordinary v1–v4 protocol to the router (RECOMMEND,
+// Clients speak the ordinary wire protocol to the router (RECOMMEND,
 // RECOMMEND_BATCH, STATS, METRICS, PING, SHUTDOWN); the router
 // scatter-gathers over the shard fleet through a pooled net::Client set
 // and merges shard answers so the routed reply is **byte-identical** to
@@ -27,10 +27,10 @@
 // Partial-result policy: each shard call gets a deadline derived from the
 // client deadline (min with shard_timeout_ms). A shard that is down,
 // overloaded, or times out degrades the reply to a *partial* merge — the
-// v4 trailer carries partial=1 and the answered/total shard counts, and
-// mbr_coord_partial_total is bumped — rather than failing or hanging the
-// client (`degrade_partial = false` turns that loss into an ERROR
-// instead, for deployments that prefer failing fast over partial
+// coordinator trailer carries partial=1 and the answered/total shard
+// counts, and mbr_coord_partial_total is bumped — rather than failing or
+// hanging the client (`degrade_partial = false` turns that loss into an
+// ERROR instead, for deployments that prefer failing fast over partial
 // answers). Errors a single-node server would return for the same query
 // (DEADLINE_EXCEEDED, INVALID_ARGUMENT) are relayed as ERROR unchanged.
 // Mutations are rejected: the partitioned tier serves read-only.
@@ -44,13 +44,12 @@
 // per admissible request: max_connections is both the admission bound and
 // the dispatcher count.
 //
-// Tier merge (protocol v5): every shard reply names the degradation-
-// ladder tier that served it, and the routed reply carries the *max*
-// (most degraded) tier over the shard replies that fed it — a pressured
-// shard degrades the whole routed answer, composing with (but orthogonal
-// to) the v4 partial trailer. In landmark mode the merged ranking is the
-// landmark approximation by construction, so the routed tier is at least
-// kApprox.
+// Tier merge: every shard reply names the degradation-ladder tier that
+// served it, and the routed reply carries the *max* (most degraded) tier
+// over the shard replies that fed it — a pressured shard degrades the
+// whole routed answer, composing with (but orthogonal to) the partial
+// trailer. In landmark mode the merged ranking is the landmark
+// approximation by construction, so the routed tier is at least kApprox.
 
 #include <cstdint>
 #include <memory>
@@ -86,8 +85,9 @@ struct RouterConfig {
   // the `mbrec route --degrade off` policy.
   bool degrade_partial = true;
   net::WireLimits limits;
-  // Template for the per-shard client connections (timeouts, reconnect
-  // backoff). host/port/protocol_version are overwritten per shard.
+  // Template for the per-shard client connections (connect timeout,
+  // reconnect backoff). host, port and request_timeout_ms are overwritten
+  // per shard.
   net::ClientConfig shard_client;
   // mbr_coord_* and mbr_net_* series registry. nullptr = router-owned
   // private registry.
@@ -122,17 +122,6 @@ class Router : private net::Handler {
   obs::Registry& registry() { return *registry_; }
 
  private:
-  // One routed RECOMMEND: the merged ranked list, the home shard's graph
-  // epoch, the max served tier over contributing shard replies, and the
-  // coordinator trailer. A non-OK result is relayed to the client as
-  // ERROR (the same statuses a single-node server would send).
-  struct Routed {
-    net::RankedList entries;
-    uint64_t graph_epoch = 0;
-    uint8_t served_tier = 0;
-    net::CoordTrailer coord;
-  };
-
   // net::Handler: the front end range-checks against the plan's universe,
   // answers everything but routed work and STATS inline (as errors), and
   // runs Handle on a dispatcher for the rest.
@@ -143,11 +132,15 @@ class Router : private net::Handler {
   bool Inline(const net::Request& req) const override;
   net::Reply Handle(const net::Request& req) override;
 
-  util::Result<Routed> RouteOne(const net::RecommendRequest& req);
-  util::Result<Routed> RouteLandmark(const net::RecommendRequest& req,
-                                     uint32_t home);
-  util::Result<Routed> RouteExact(const net::RecommendRequest& req,
-                                  uint32_t home);
+  // One routed RECOMMEND: the merged ranked list, the home shard's graph
+  // epoch, the max served tier over contributing shard replies, and the
+  // coordinator trailer. A non-OK result is relayed to the client as
+  // ERROR (the same statuses a single-node server would send).
+  util::Result<net::ResultReply> RouteOne(const net::RecommendRequest& req);
+  util::Result<net::ResultReply> RouteLandmark(
+      const net::RecommendRequest& req, uint32_t home);
+  util::Result<net::ResultReply> RouteExact(const net::RecommendRequest& req,
+                                            uint32_t home);
   // Runs `fn(client)` against `shard` through the pool, recording shard
   // latency and errors; the connection returns to the pool only on success.
   template <typename Fn>

@@ -30,7 +30,7 @@ namespace mbr::core {
 // serving engine's degradation ladder (DESIGN.md §6.8) walks down this
 // order under pressure; offline recommenders always produce the tier that
 // names their algorithm (core::Scorer → kExact, landmark approximation →
-// kApprox). The numeric values are the wire encoding (protocol v5
+// kApprox). The numeric values are the wire encoding (the RESULT
 // `served_tier` byte) — do not reorder.
 enum class Tier : uint8_t {
   kExact = 0,   // converged exact Tr scoring

@@ -201,7 +201,7 @@ util::Result<Client::Reply> Client::RoundTrip(
       Clock::now() + std::chrono::milliseconds(config_.request_timeout_ms);
 
   std::vector<uint8_t> frame;
-  AppendFrame(kind, request_id, payload, &frame, config_.protocol_version);
+  AppendFrame(kind, request_id, payload, &frame);
   MBR_RETURN_IF_ERROR(SendAll(fd_, frame, deadline));
 
   uint8_t header_buf[kFrameHeaderBytes];
@@ -216,14 +216,13 @@ util::Result<Client::Reply> Client::RoundTrip(
     case HeaderParse::kMalformed:
       return util::Status::Internal("malformed reply frame from server");
   }
-  // The server echoes the request's version; anything else means the
-  // reply payload would be decoded with the wrong layout.
-  if (reply.header.version != config_.protocol_version &&
-      reply.header.kind != MessageKind::kError) {
+  // A reply stamped with another version would be decoded with the wrong
+  // layout.
+  if (reply.header.version != kProtocolVersion) {
     return util::Status::Internal(
         "server replied with protocol v" +
         std::to_string(reply.header.version) + ", client speaks v" +
-        std::to_string(config_.protocol_version));
+        std::to_string(kProtocolVersion));
   }
   reply.payload.resize(reply.header.payload_len);
   MBR_RETURN_IF_ERROR(RecvExactly(fd_, reply.payload.data(),
@@ -262,8 +261,7 @@ util::Result<RankedList> Client::Recommend(const RecommendRequest& req) {
 }
 
 util::Result<ResultReply> Client::RecommendEx(const RecommendRequest& req) {
-  auto reply = RoundTrip(MessageKind::kRecommend,
-                         EncodeRecommend(req, config_.protocol_version));
+  auto reply = RoundTrip(MessageKind::kRecommend, EncodeRecommend(req));
   if (!reply.ok()) return reply.status();
   if (reply->header.kind != MessageKind::kResult) {
     return util::Status::Internal(
@@ -272,7 +270,7 @@ util::Result<ResultReply> Client::RecommendEx(const RecommendRequest& req) {
   }
   ResultReply out;
   MBR_RETURN_IF_ERROR(DecodeResult(reply->payload, config_.limits,
-                                   config_.protocol_version, &out.entries,
+                                   kProtocolVersion, &out.entries,
                                    &out.graph_epoch, &out.coord,
                                    &out.served_tier));
   return out;
@@ -292,9 +290,8 @@ util::Result<std::vector<RankedList>> Client::RecommendBatch(
 
 util::Result<std::vector<ResultReply>> Client::RecommendBatchEx(
     const std::vector<RecommendRequest>& queries) {
-  auto reply = RoundTrip(
-      MessageKind::kRecommendBatch,
-      EncodeRecommendBatch(queries, config_.protocol_version));
+  auto reply =
+      RoundTrip(MessageKind::kRecommendBatch, EncodeRecommendBatch(queries));
   if (!reply.ok()) return reply.status();
   if (reply->header.kind != MessageKind::kResultBatch) {
     return util::Status::Internal(
@@ -306,8 +303,7 @@ util::Result<std::vector<ResultReply>> Client::RecommendBatchEx(
   std::vector<uint8_t> tiers;
   CoordTrailer coord;
   MBR_RETURN_IF_ERROR(DecodeResultBatch(reply->payload, config_.limits,
-                                        config_.protocol_version, &lists,
-                                        &epochs, &coord, &tiers));
+                                        &lists, &epochs, &coord, &tiers));
   if (lists.size() != queries.size()) {
     return util::Status::Internal(
         "server answered " + std::to_string(lists.size()) + " lists for " +
@@ -325,13 +321,8 @@ util::Result<std::vector<ResultReply>> Client::RecommendBatchEx(
 
 util::Result<PartialReply> Client::RecommendPartial(
     const RecommendRequest& req) {
-  if (config_.protocol_version < 4) {
-    return util::Status::FailedPrecondition(
-        "RECOMMEND_PARTIAL requires protocol v4; this client speaks v" +
-        std::to_string(config_.protocol_version));
-  }
-  auto reply = RoundTrip(MessageKind::kRecommendPartial,
-                         EncodeRecommend(req, config_.protocol_version));
+  auto reply =
+      RoundTrip(MessageKind::kRecommendPartial, EncodeRecommend(req));
   if (!reply.ok()) return reply.status();
   if (reply->header.kind != MessageKind::kPartialResult) {
     return util::Status::Internal(
@@ -346,11 +337,6 @@ util::Result<PartialReply> Client::RecommendPartial(
 
 util::Result<LandmarkVectorsReply> Client::FetchLandmarks(
     uint32_t topic, const std::vector<uint32_t>& landmarks) {
-  if (config_.protocol_version < 4) {
-    return util::Status::FailedPrecondition(
-        "LANDMARK_FETCH requires protocol v4; this client speaks v" +
-        std::to_string(config_.protocol_version));
-  }
   LandmarkFetchRequest req;
   req.topic = topic;
   req.landmarks = landmarks;
@@ -372,11 +358,6 @@ util::Result<MutateAck> Client::Mutate(
     MessageKind kind, const std::vector<MutationRecord>& records) {
   if (!IsMutationKind(kind)) {
     return util::Status::InvalidArgument("not a mutation kind");
-  }
-  if (config_.protocol_version < 3) {
-    return util::Status::FailedPrecondition(
-        "mutation ops require protocol v3; this client speaks v" +
-        std::to_string(config_.protocol_version));
   }
   auto reply = RoundTrip(kind, EncodeMutation(kind, records));
   if (!reply.ok()) return reply.status();
@@ -414,17 +395,11 @@ util::Result<service::StatsSnapshot> Client::Stats() {
         MessageKindName(reply->header.kind));
   }
   service::StatsSnapshot s;
-  MBR_RETURN_IF_ERROR(
-      DecodeStats(reply->payload, config_.protocol_version, &s));
+  MBR_RETURN_IF_ERROR(DecodeStats(reply->payload, &s));
   return s;
 }
 
 util::Result<std::string> Client::Metrics() {
-  if (config_.protocol_version < 2) {
-    return util::Status::FailedPrecondition(
-        "METRICS requires protocol v2; this client speaks v" +
-        std::to_string(config_.protocol_version));
-  }
   auto reply = RoundTrip(MessageKind::kMetrics, {});
   if (!reply.ok()) return reply.status();
   if (reply->header.kind != MessageKind::kMetricsResult) {

@@ -28,10 +28,6 @@ struct ClientConfig {
   uint16_t port = 0;
   uint32_t connect_timeout_ms = 2000;
   uint32_t request_timeout_ms = 10000;
-  // Protocol version to speak, in [kMinProtocolVersion, kProtocolVersion].
-  // Drop to 1 to talk like a pre-v2 client (no deadline_ms/exclude on the
-  // wire, no METRICS op); the server echoes whichever version we send.
-  uint16_t protocol_version = kProtocolVersion;
   WireLimits limits;
 
   // Connect retry policy: up to `connect_attempts` tries, re-attempted only
@@ -67,12 +63,10 @@ class Client {
   // The ranked top-n for (user, topic); empty list is a valid answer.
   util::Result<RankedList> Recommend(uint32_t user, uint32_t topic,
                                      uint32_t top_n);
-  // Full request form: deadline_ms and exclude travel on the wire when the
-  // client speaks v2 (they are silently dropped at v1).
+  // Full request form: deadline_ms and exclude travel on the wire.
   util::Result<RankedList> Recommend(const RecommendRequest& req);
   // Like Recommend, but also surfaces the graph epoch the ranking was
-  // computed under (v3 field; 0 when the client speaks v1/v2) and the
-  // coordinator trailer (v4 field; defaults when speaking v1-v3).
+  // computed under, the tier that served it and the coordinator trailer.
   util::Result<ResultReply> RecommendEx(const RecommendRequest& req);
   // Order-preserving batched variant (one RECOMMEND_BATCH frame).
   util::Result<std::vector<RankedList>> RecommendBatch(
@@ -80,7 +74,7 @@ class Client {
   // Epoch-carrying batched variant.
   util::Result<std::vector<ResultReply>> RecommendBatchEx(
       const std::vector<RecommendRequest>& queries);
-  // One mutation batch (v3+ only; kind selects FOLLOW/UNFOLLOW/RELABEL).
+  // One mutation batch (kind selects FOLLOW/UNFOLLOW/RELABEL).
   // The ack counts applied vs rejected records and carries the graph epoch
   // after the batch.
   util::Result<MutateAck> Mutate(MessageKind kind,
@@ -89,16 +83,16 @@ class Client {
   util::Result<MutateAck> Unfollow(
       const std::vector<MutationRecord>& records);
   util::Result<MutateAck> Relabel(const std::vector<MutationRecord>& records);
-  // Shard-scoped half of a coordinator query (v4+ only): the decomposed
-  // exploration records for req.user plus the inline stored lists of the
-  // landmarks homed on the answering shard.
+  // Shard-scoped half of a coordinator query: the decomposed exploration
+  // records for req.user plus the inline stored lists of the landmarks
+  // homed on the answering shard.
   util::Result<PartialReply> RecommendPartial(const RecommendRequest& req);
-  // Stored lists of the given landmarks for one topic (v4+ only). The
-  // answering shard returns lists only for landmarks it homes.
+  // Stored lists of the given landmarks for one topic. The answering
+  // shard returns lists only for landmarks it homes.
   util::Result<LandmarkVectorsReply> FetchLandmarks(
       uint32_t topic, const std::vector<uint32_t>& landmarks);
   util::Result<service::StatsSnapshot> Stats();
-  // Prometheus text exposition of the server's registry (v2+ only).
+  // Prometheus text exposition of the server's registry.
   util::Result<std::string> Metrics();
   util::Status Ping();
   // Asks the server to drain and waits for the acknowledgement.

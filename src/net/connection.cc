@@ -41,10 +41,9 @@ util::Status Connection::Ingest(const uint8_t* data, size_t size,
 }
 
 bool Connection::QueueReply(MessageKind kind, uint64_t request_id,
-                            std::span<const uint8_t> payload,
-                            uint16_t version) {
+                            std::span<const uint8_t> payload) {
   std::vector<uint8_t> frame;
-  AppendFrame(kind, request_id, payload, &frame, version);
+  AppendFrame(kind, request_id, payload, &frame);
   return QueueEncoded(frame);
 }
 

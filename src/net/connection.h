@@ -49,12 +49,10 @@ class Connection {
   util::Status Ingest(const uint8_t* data, size_t size,
                       std::vector<Frame>* out);
 
-  // Queues one encoded reply frame, stamped with `version` (the server
-  // echoes each request's protocol version). Returns false when the write
-  // buffer cap is exceeded (slow consumer): the caller should close.
+  // Frames and queues one reply. Returns false when the write buffer cap
+  // is exceeded (slow consumer): the caller should close.
   bool QueueReply(MessageKind kind, uint64_t request_id,
-                  std::span<const uint8_t> payload,
-                  uint16_t version = kProtocolVersion);
+                  std::span<const uint8_t> payload);
   bool QueueEncoded(std::span<const uint8_t> frame_bytes);
 
   // Bytes waiting to be written (starting at the unflushed offset).

@@ -128,11 +128,10 @@ void AppendPod(T v, std::vector<uint8_t>* out) {
 }  // namespace
 
 void AppendFrame(MessageKind kind, uint64_t request_id,
-                 std::span<const uint8_t> payload, std::vector<uint8_t>* out,
-                 uint16_t version) {
+                 std::span<const uint8_t> payload, std::vector<uint8_t>* out) {
   out->reserve(out->size() + kFrameHeaderBytes + payload.size());
   AppendPod(kFrameMagic, out);
-  AppendPod(version, out);
+  AppendPod(kProtocolVersion, out);
   AppendPod(static_cast<uint16_t>(kind), out);
   AppendPod(request_id, out);
   AppendPod(static_cast<uint32_t>(payload.size()), out);
@@ -213,49 +212,42 @@ util::Status PayloadReader::ExpectEnd() const {
 
 namespace {
 
-void PutQuery(const RecommendRequest& req, uint16_t version,
-              PayloadWriter* w) {
+void PutQuery(const RecommendRequest& req, PayloadWriter* w) {
   w->PutU32(req.user);
   w->PutU32(req.topic);
   w->PutU32(req.top_n);
-  if (version >= 2) {
-    w->PutU32(req.deadline_ms);
-    w->PutU32(static_cast<uint32_t>(req.exclude.size()));
-    for (uint32_t id : req.exclude) w->PutU32(id);
-  }
+  w->PutU32(req.deadline_ms);
+  w->PutU32(static_cast<uint32_t>(req.exclude.size()));
+  for (uint32_t id : req.exclude) w->PutU32(id);
 }
 
 util::Status ReadQuery(PayloadReader* r, const WireLimits& limits,
-                       uint16_t version, RecommendRequest* out) {
+                       RecommendRequest* out) {
   MBR_RETURN_IF_ERROR(r->ReadU32(&out->user));
   MBR_RETURN_IF_ERROR(r->ReadU32(&out->topic));
   MBR_RETURN_IF_ERROR(r->ReadU32(&out->top_n));
-  out->deadline_ms = 0;
-  out->exclude.clear();
-  if (version >= 2) {
-    MBR_RETURN_IF_ERROR(r->ReadU32(&out->deadline_ms));
-    uint32_t n = 0;
-    MBR_RETURN_IF_ERROR(r->ReadU32(&n));
-    if (n > limits.max_exclude) {
-      return util::Status::InvalidArgument(
-          "exclude list length " + std::to_string(n) + " exceeds bound " +
-          std::to_string(limits.max_exclude));
-    }
-    if (n > r->remaining() / 4) {
-      return util::Status::InvalidArgument(
-          "exclude list length exceeds remaining payload bytes");
-    }
-    out->exclude.resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      MBR_RETURN_IF_ERROR(r->ReadU32(&out->exclude[i]));
-    }
+  MBR_RETURN_IF_ERROR(r->ReadU32(&out->deadline_ms));
+  uint32_t n = 0;
+  MBR_RETURN_IF_ERROR(r->ReadU32(&n));
+  if (n > limits.max_exclude) {
+    return util::Status::InvalidArgument(
+        "exclude list length " + std::to_string(n) + " exceeds bound " +
+        std::to_string(limits.max_exclude));
+  }
+  if (n > r->remaining() / 4) {
+    return util::Status::InvalidArgument(
+        "exclude list length exceeds remaining payload bytes");
+  }
+  out->exclude.resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    MBR_RETURN_IF_ERROR(r->ReadU32(&out->exclude[i]));
   }
   return util::Status::Ok();
 }
 
-// Fixed prefix of a query (user/topic/top_n); v2 queries append a
-// variable-length tail on top of this.
-constexpr size_t kQueryBytes = 12;
+// Smallest query: user/topic/top_n/deadline_ms and an empty exclusion
+// list's count.
+constexpr size_t kQueryBytes = 20;
 constexpr size_t kEntryBytes = kResultEntryBytes;  // id:u32 + score:f64
 
 void PutList(const RankedList& list, PayloadWriter* w) {
@@ -290,18 +282,17 @@ util::Status ReadList(PayloadReader* r, const WireLimits& limits,
 
 }  // namespace
 
-std::vector<uint8_t> EncodeRecommend(const RecommendRequest& req,
-                                     uint16_t version) {
+std::vector<uint8_t> EncodeRecommend(const RecommendRequest& req) {
   PayloadWriter w;
-  PutQuery(req, version, &w);
+  PutQuery(req, &w);
   return w.Take();
 }
 
 util::Status DecodeRecommend(std::span<const uint8_t> payload,
-                             const WireLimits& limits, uint16_t version,
+                             const WireLimits& limits, uint16_t,
                              RecommendRequest* out) {
   PayloadReader r(payload);
-  MBR_RETURN_IF_ERROR(ReadQuery(&r, limits, version, out));
+  MBR_RETURN_IF_ERROR(ReadQuery(&r, limits, out));
   MBR_RETURN_IF_ERROR(r.ExpectEnd());
   if (out->top_n == 0 || out->top_n > limits.max_list) {
     return util::Status::InvalidArgument(
@@ -311,15 +302,15 @@ util::Status DecodeRecommend(std::span<const uint8_t> payload,
 }
 
 std::vector<uint8_t> EncodeRecommendBatch(
-    const std::vector<RecommendRequest>& reqs, uint16_t version) {
+    const std::vector<RecommendRequest>& reqs) {
   PayloadWriter w;
   w.PutU32(static_cast<uint32_t>(reqs.size()));
-  for (const RecommendRequest& q : reqs) PutQuery(q, version, &w);
+  for (const RecommendRequest& q : reqs) PutQuery(q, &w);
   return w.Take();
 }
 
 util::Status DecodeRecommendBatch(std::span<const uint8_t> payload,
-                                  const WireLimits& limits, uint16_t version,
+                                  const WireLimits& limits,
                                   std::vector<RecommendRequest>* out) {
   PayloadReader r(payload);
   uint32_t n = 0;
@@ -335,7 +326,7 @@ util::Status DecodeRecommendBatch(std::span<const uint8_t> payload,
   }
   out->resize(n);
   for (uint32_t i = 0; i < n; ++i) {
-    MBR_RETURN_IF_ERROR(ReadQuery(&r, limits, version, &(*out)[i]));
+    MBR_RETURN_IF_ERROR(ReadQuery(&r, limits, &(*out)[i]));
     if ((*out)[i].top_n == 0 || (*out)[i].top_n > limits.max_list) {
       return util::Status::InvalidArgument(
           "top_n must be in [1, " + std::to_string(limits.max_list) + "]");
@@ -346,7 +337,7 @@ util::Status DecodeRecommendBatch(std::span<const uint8_t> payload,
 
 namespace {
 
-// v5 served_tier byte: read + range-check (core::Tier has 3 values; an
+// served_tier byte: read + range-check (core::Tier has 3 values; an
 // out-of-range byte is a corrupt or hostile frame, not a future tier —
 // new tiers mean a new protocol version).
 util::Status ReadServedTier(PayloadReader* r, uint8_t* out) {
@@ -361,67 +352,65 @@ util::Status ReadServedTier(PayloadReader* r, uint8_t* out) {
   return util::Status::Ok();
 }
 
+void PutCoordTrailer(const CoordTrailer& coord, PayloadWriter* w) {
+  w->PutU8(coord.partial);
+  w->PutU16(coord.shards_answered);
+  w->PutU16(coord.shards_total);
+}
+
+util::Status ReadCoordTrailer(PayloadReader* r, CoordTrailer* out) {
+  CoordTrailer c;
+  MBR_RETURN_IF_ERROR(r->ReadU8(&c.partial));
+  MBR_RETURN_IF_ERROR(r->ReadU16(&c.shards_answered));
+  MBR_RETURN_IF_ERROR(r->ReadU16(&c.shards_total));
+  if (out != nullptr) *out = c;
+  return util::Status::Ok();
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeResult(const RankedList& list, uint64_t graph_epoch,
-                                  uint16_t version, const CoordTrailer& coord,
+                                  uint16_t, const CoordTrailer& coord,
                                   uint8_t served_tier) {
   PayloadWriter w;
-  if (version >= 3) w.PutU64(graph_epoch);
-  if (version >= 5) w.PutU8(served_tier);
+  w.PutU64(graph_epoch);
+  w.PutU8(served_tier);
   PutList(list, &w);
-  if (version >= 4) {
-    w.PutU8(coord.partial);
-    w.PutU16(coord.shards_answered);
-    w.PutU16(coord.shards_total);
-  }
+  PutCoordTrailer(coord, &w);
   return w.Take();
 }
 
 util::Status DecodeResult(std::span<const uint8_t> payload,
-                          const WireLimits& limits, uint16_t version,
+                          const WireLimits& limits, uint16_t,
                           RankedList* out, uint64_t* graph_epoch,
                           CoordTrailer* coord, uint8_t* served_tier) {
   PayloadReader r(payload);
   uint64_t epoch = 0;
-  if (version >= 3) MBR_RETURN_IF_ERROR(r.ReadU64(&epoch));
+  MBR_RETURN_IF_ERROR(r.ReadU64(&epoch));
   if (graph_epoch != nullptr) *graph_epoch = epoch;
-  uint8_t tier = 0;
-  if (version >= 5) MBR_RETURN_IF_ERROR(ReadServedTier(&r, &tier));
-  if (served_tier != nullptr) *served_tier = tier;
+  MBR_RETURN_IF_ERROR(ReadServedTier(&r, served_tier));
   MBR_RETURN_IF_ERROR(ReadList(&r, limits, out));
-  CoordTrailer c;
-  if (version >= 4) {
-    MBR_RETURN_IF_ERROR(r.ReadU8(&c.partial));
-    MBR_RETURN_IF_ERROR(r.ReadU16(&c.shards_answered));
-    MBR_RETURN_IF_ERROR(r.ReadU16(&c.shards_total));
-  }
-  if (coord != nullptr) *coord = c;
+  MBR_RETURN_IF_ERROR(ReadCoordTrailer(&r, coord));
   return r.ExpectEnd();
 }
 
 std::vector<uint8_t> EncodeResultBatch(const std::vector<RankedList>& lists,
                                        std::span<const uint64_t> epochs,
-                                       uint16_t version,
                                        const CoordTrailer& coord,
                                        std::span<const uint8_t> tiers) {
   PayloadWriter w;
   w.PutU32(static_cast<uint32_t>(lists.size()));
   for (size_t i = 0; i < lists.size(); ++i) {
-    if (version >= 3) w.PutU64(epochs.empty() ? 0 : epochs[i]);
-    if (version >= 5) w.PutU8(tiers.empty() ? 0 : tiers[i]);
+    w.PutU64(epochs.empty() ? 0 : epochs[i]);
+    w.PutU8(tiers.empty() ? 0 : tiers[i]);
     PutList(lists[i], &w);
   }
-  if (version >= 4) {
-    w.PutU8(coord.partial);
-    w.PutU16(coord.shards_answered);
-    w.PutU16(coord.shards_total);
-  }
+  PutCoordTrailer(coord, &w);
   return w.Take();
 }
 
 util::Status DecodeResultBatch(std::span<const uint8_t> payload,
-                               const WireLimits& limits, uint16_t version,
+                               const WireLimits& limits,
                                std::vector<RankedList>* out,
                                std::vector<uint64_t>* epochs,
                                CoordTrailer* coord,
@@ -435,10 +424,7 @@ util::Status DecodeResultBatch(std::span<const uint8_t> payload,
                                          " exceeds bound " +
                                          std::to_string(limits.max_batch));
   }
-  // Each list costs at least its 4-byte length prefix (plus the 8-byte
-  // epoch at v3 and the tier byte at v5).
-  const size_t per_list_min = version >= 5 ? 13 : version >= 3 ? 12 : 4;
-  if (n > r.remaining() / per_list_min) {
+  if (n > r.remaining() / kResultListBytes) {
     return util::Status::InvalidArgument(
         "result batch length exceeds remaining payload bytes");
   }
@@ -446,31 +432,21 @@ util::Status DecodeResultBatch(std::span<const uint8_t> payload,
   if (epochs != nullptr) epochs->assign(n, 0);
   if (tiers != nullptr) tiers->assign(n, 0);
   for (uint32_t i = 0; i < n; ++i) {
-    if (version >= 3) {
-      uint64_t e = 0;
-      MBR_RETURN_IF_ERROR(r.ReadU64(&e));
-      if (epochs != nullptr) (*epochs)[i] = e;
-    }
-    if (version >= 5) {
-      uint8_t t = 0;
-      MBR_RETURN_IF_ERROR(ReadServedTier(&r, &t));
-      if (tiers != nullptr) (*tiers)[i] = t;
-    }
+    uint64_t e = 0;
+    MBR_RETURN_IF_ERROR(r.ReadU64(&e));
+    if (epochs != nullptr) (*epochs)[i] = e;
+    uint8_t t = 0;
+    MBR_RETURN_IF_ERROR(ReadServedTier(&r, &t));
+    if (tiers != nullptr) (*tiers)[i] = t;
     MBR_RETURN_IF_ERROR(ReadList(&r, limits, &(*out)[i]));
   }
-  CoordTrailer c;
-  if (version >= 4) {
-    MBR_RETURN_IF_ERROR(r.ReadU8(&c.partial));
-    MBR_RETURN_IF_ERROR(r.ReadU16(&c.shards_answered));
-    MBR_RETURN_IF_ERROR(r.ReadU16(&c.shards_total));
-  }
-  if (coord != nullptr) *coord = c;
+  MBR_RETURN_IF_ERROR(ReadCoordTrailer(&r, coord));
   return r.ExpectEnd();
 }
 
 namespace {
 
-// Wire sizes of the v4 shard payload pieces: a non-landmark record is
+// Wire sizes of the shard payload pieces: a non-landmark record is
 // node:u32 + flags:u8 + sigma:f64, a landmark record appends topo_αβ:f64,
 // a landmark-list entry is node:u32 + sigma:f64 + topo_β:f64.
 constexpr size_t kPartialRecordMinBytes = 13;
@@ -702,15 +678,14 @@ util::Status DecodeMutateAck(std::span<const uint8_t> payload, MutateAck* out) {
   return r.ExpectEnd();
 }
 
-std::vector<uint8_t> EncodeStats(const service::StatsSnapshot& s,
-                                 uint16_t version) {
+std::vector<uint8_t> EncodeStats(const service::StatsSnapshot& s) {
   PayloadWriter w;
   w.PutU64(s.queries);
   w.PutU64(s.batches);
   w.PutU64(s.cache_hits);
   w.PutU64(s.cache_misses);
   w.PutU64(s.invalidations);
-  if (version >= 2) w.PutU64(s.deadline_exceeded);
+  w.PutU64(s.deadline_exceeded);
   w.PutU64(s.params_epoch);
   w.PutU64(s.shed_overload);
   w.PutU64(s.shed_deadline);
@@ -719,20 +694,16 @@ std::vector<uint8_t> EncodeStats(const service::StatsSnapshot& s,
   w.PutDouble(s.p50_us);
   w.PutDouble(s.p90_us);
   w.PutDouble(s.p99_us);
-  if (version >= 4) {
-    w.PutU32(s.shards_total);
-    w.PutU32(s.shards_up);
-  }
-  if (version >= 5) {
-    w.PutU64(s.tier_exact);
-    w.PutU64(s.tier_approx);
-    w.PutU64(s.tier_stale);
-    w.PutU64(s.degraded);
-  }
+  w.PutU32(s.shards_total);
+  w.PutU32(s.shards_up);
+  w.PutU64(s.tier_exact);
+  w.PutU64(s.tier_approx);
+  w.PutU64(s.tier_stale);
+  w.PutU64(s.degraded);
   return w.Take();
 }
 
-util::Status DecodeStats(std::span<const uint8_t> payload, uint16_t version,
+util::Status DecodeStats(std::span<const uint8_t> payload,
                          service::StatsSnapshot* out) {
   PayloadReader r(payload);
   MBR_RETURN_IF_ERROR(r.ReadU64(&out->queries));
@@ -740,10 +711,7 @@ util::Status DecodeStats(std::span<const uint8_t> payload, uint16_t version,
   MBR_RETURN_IF_ERROR(r.ReadU64(&out->cache_hits));
   MBR_RETURN_IF_ERROR(r.ReadU64(&out->cache_misses));
   MBR_RETURN_IF_ERROR(r.ReadU64(&out->invalidations));
-  out->deadline_exceeded = 0;
-  if (version >= 2) {
-    MBR_RETURN_IF_ERROR(r.ReadU64(&out->deadline_exceeded));
-  }
+  MBR_RETURN_IF_ERROR(r.ReadU64(&out->deadline_exceeded));
   MBR_RETURN_IF_ERROR(r.ReadU64(&out->params_epoch));
   MBR_RETURN_IF_ERROR(r.ReadU64(&out->shed_overload));
   MBR_RETURN_IF_ERROR(r.ReadU64(&out->shed_deadline));
@@ -752,22 +720,12 @@ util::Status DecodeStats(std::span<const uint8_t> payload, uint16_t version,
   MBR_RETURN_IF_ERROR(r.ReadDouble(&out->p50_us));
   MBR_RETURN_IF_ERROR(r.ReadDouble(&out->p90_us));
   MBR_RETURN_IF_ERROR(r.ReadDouble(&out->p99_us));
-  out->shards_total = 0;
-  out->shards_up = 0;
-  if (version >= 4) {
-    MBR_RETURN_IF_ERROR(r.ReadU32(&out->shards_total));
-    MBR_RETURN_IF_ERROR(r.ReadU32(&out->shards_up));
-  }
-  out->tier_exact = 0;
-  out->tier_approx = 0;
-  out->tier_stale = 0;
-  out->degraded = 0;
-  if (version >= 5) {
-    MBR_RETURN_IF_ERROR(r.ReadU64(&out->tier_exact));
-    MBR_RETURN_IF_ERROR(r.ReadU64(&out->tier_approx));
-    MBR_RETURN_IF_ERROR(r.ReadU64(&out->tier_stale));
-    MBR_RETURN_IF_ERROR(r.ReadU64(&out->degraded));
-  }
+  MBR_RETURN_IF_ERROR(r.ReadU32(&out->shards_total));
+  MBR_RETURN_IF_ERROR(r.ReadU32(&out->shards_up));
+  MBR_RETURN_IF_ERROR(r.ReadU64(&out->tier_exact));
+  MBR_RETURN_IF_ERROR(r.ReadU64(&out->tier_approx));
+  MBR_RETURN_IF_ERROR(r.ReadU64(&out->tier_stale));
+  MBR_RETURN_IF_ERROR(r.ReadU64(&out->degraded));
   return r.ExpectEnd();
 }
 

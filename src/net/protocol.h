@@ -1,7 +1,7 @@
 #ifndef MBR_NET_PROTOCOL_H_
 #define MBR_NET_PROTOCOL_H_
 
-// Versioned length-prefixed binary wire protocol for the serving subsystem.
+// Length-prefixed binary wire protocol for the serving subsystem.
 //
 // Every message on the wire is one frame:
 //
@@ -11,10 +11,12 @@
 //
 // 24 header bytes, little-endian throughout (same host assumption as
 // util/serde, statically asserted there). The CRC32 (util::serde::Crc32)
-// covers the payload only; the header fields are each individually
-// validated, so a flipped header byte is caught by the magic/version/kind/
-// length checks and a flipped payload byte by the CRC — before any payload
-// field is interpreted.
+// covers the payload only. Of the header fields, the magic, the payload
+// length and the version are checked, so a flipped byte in one of them is
+// refused, and a flipped payload byte fails the CRC — before any payload
+// field is interpreted. The kind and the request id are not covered: a
+// flipped kind is answered as the kind it now names (FOLLOW can turn into
+// SHUTDOWN).
 //
 // Decoding follows the util/serde bounded-read discipline: a PayloadReader
 // never reads past the frame's declared payload, every array length is
@@ -24,37 +26,13 @@
 // error reply or connection close, never UB
 // (tests/net_corruption_test.cc holds a live server to that).
 //
-// Versioning/compat: kProtocolVersion is bumped on any layout change and
-// the frame header carries the version its payload was encoded with.
-// Version history:
-//   v1 — initial protocol (PR 3): RECOMMEND = user/topic/top_n.
-//   v2 — RECOMMEND/RECOMMEND_BATCH gain deadline_ms + exclude list, STATS
-//        gains deadline_exceeded, new METRICS op (Prometheus exposition).
-//   v3 — live graph mutation: new FOLLOW/UNFOLLOW/RELABEL ops answered by
-//        MUTATE_ACK (applied/rejected counts + the graph epoch after the
-//        batch), and RESULT/RESULT_BATCH carry the graph epoch each ranking
-//        was computed under (per-list in the batch: two queries of one
-//        batch may legitimately observe different epochs).
-//   v4 — partitioned serving (DESIGN.md §6.7): shard-scoped
-//        RECOMMEND_PARTIAL answered by PARTIAL_RESULT (the home shard's
-//        exploration records plus the stored lists of locally-homed
-//        landmarks, per Prop. 4's decomposition), LANDMARK_FETCH answered
-//        by LANDMARK_VECTORS (stored lists by landmark id, so only
-//        landmark contributions cross shard boundaries), RESULT/
-//        RESULT_BATCH gain a coordinator trailer (partial flag +
-//        shards answered/total), and STATS gains the coordinator rollup
-//        (shards_total/shards_up).
-//   v5 — degradation ladder (DESIGN.md §6.8): RESULT/RESULT_BATCH carry a
-//        served_tier byte right after the graph epoch (per-list in the
-//        batch — queries of one batch may serve at different tiers), and
-//        STATS appends the per-tier serving counters
-//        (tier_exact/tier_approx/tier_stale/degraded).
-// Servers accept any version in [kMinProtocolVersion, kProtocolVersion],
-// decode payloads by the frame's declared version, and echo that version
-// on the reply — a v1 client keeps working against a v5 server. Versions
-// outside the window get ERROR (UNSUPPORTED_VERSION) naming both; ops
-// newer than the frame's version (METRICS below v2, mutations below v3,
-// shard ops below v4) get ERROR (UNKNOWN_KIND).
+// Versioning: there is one layout, stamped kProtocolVersion in every
+// frame. Any layout change bumps kProtocolVersion; there is no
+// compatibility window, because every peer is built from this tree. A
+// server answers a frame stamped with any other version with
+// ERROR(UNSUPPORTED_VERSION), echoing its request id, and closes the
+// connection once that reply is flushed; a client refuses a reply stamped
+// with any other version.
 
 #include <cstdint>
 #include <cstring>
@@ -71,9 +49,6 @@ namespace mbr::net {
 // "MBW1" when the little-endian u32 is viewed as bytes.
 inline constexpr uint32_t kFrameMagic = 0x3157424DU;
 inline constexpr uint16_t kProtocolVersion = 5;
-// Oldest version still decoded; replies are encoded with the request's
-// version so old clients never see fields they don't know.
-inline constexpr uint16_t kMinProtocolVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class MessageKind : uint16_t {
@@ -83,14 +58,14 @@ enum class MessageKind : uint16_t {
   kRecommendBatch = 3,
   kStats = 4,
   kShutdown = 5,
-  kMetrics = 6,  // v2+: Prometheus text exposition of the server registry
-  // v3+: live graph mutations; each frame is one ordered batch of records,
+  kMetrics = 6,  // Prometheus text exposition of the server registry
+  // Live graph mutations; each frame is one ordered batch of records,
   // answered with MUTATE_ACK after the batch has been applied (or ERROR if
   // the payload is malformed — a malformed frame never mutates the graph).
   kFollow = 7,
   kUnfollow = 8,
   kRelabel = 9,
-  // v4+: shard-scoped ops used by the coordinator tier (src/coord). A
+  // Shard-scoped ops used by the coordinator tier (src/coord). A
   // RECOMMEND_PARTIAL carries an ordinary RECOMMEND payload and asks the
   // user's home shard for the Prop.-4 decomposition of the query instead
   // of a merged ranking; LANDMARK_FETCH asks a shard for the stored lists
@@ -105,10 +80,10 @@ enum class MessageKind : uint16_t {
   kShutdownAck = 68,
   kError = 69,
   kOverloaded = 70,
-  kMetricsResult = 71,  // v2+
-  kMutateAck = 72,      // v3+
-  kPartialResult = 73,     // v4+
-  kLandmarkVectors = 74,   // v4+
+  kMetricsResult = 71,
+  kMutateAck = 72,
+  kPartialResult = 73,
+  kLandmarkVectors = 74,
 };
 
 const char* MessageKindName(MessageKind kind);
@@ -124,9 +99,9 @@ struct WireLimits {
   uint32_t max_batch = 4096;              // queries per RECOMMEND_BATCH
   uint32_t max_list = 4096;               // entries per ranked list / top_n
   uint32_t max_error_msg = 1024;          // bytes of ERROR message text
-  uint32_t max_exclude = 4096;            // v2: ids per exclusion list
-  uint32_t max_mutations = 4096;          // v3: records per mutation frame
-  uint32_t max_partial = 1u << 16;        // v4: records per PARTIAL_RESULT
+  uint32_t max_exclude = 4096;            // ids per exclusion list
+  uint32_t max_mutations = 4096;          // records per mutation frame
+  uint32_t max_partial = 1u << 16;        // records per PARTIAL_RESULT
 };
 
 struct FrameHeader {
@@ -137,11 +112,10 @@ struct FrameHeader {
   uint32_t payload_crc = 0;
 };
 
-// Appends one complete frame (header + payload) to `out`. `version` is
-// stamped into the header and must match how `payload` was encoded.
+// Appends one complete frame (header + payload) to `out`, stamped with
+// kProtocolVersion.
 void AppendFrame(MessageKind kind, uint64_t request_id,
-                 std::span<const uint8_t> payload, std::vector<uint8_t>* out,
-                 uint16_t version = kProtocolVersion);
+                 std::span<const uint8_t> payload, std::vector<uint8_t>* out);
 
 // Incremental header parse over a receive buffer.
 enum class HeaderParse {
@@ -222,22 +196,24 @@ struct RecommendRequest {
   uint32_t user = 0;
   uint32_t topic = 0;
   uint32_t top_n = 10;
-  // v2 fields; a v1 peer neither sends nor receives them. deadline_ms = 0
-  // means "no client deadline" (the server still applies its own).
+  // 0 means "no client deadline" (the server still applies its own).
   uint32_t deadline_ms = 0;
   std::vector<uint32_t> exclude;
 };
 
-// Wire size of one ranked-list entry (id:u32 + score:f64); used to bound a
-// request's worst-case reply against max_payload_bytes at admission.
+// Wire size of one ranked-list entry (id:u32 + score:f64), and of what
+// precedes each list's entries in RESULT / RESULT_BATCH (epoch:u64 +
+// served_tier:u8 + count:u32); used to bound a request's worst-case reply
+// against max_payload_bytes at admission.
 inline constexpr size_t kResultEntryBytes = 12;
+inline constexpr size_t kResultListBytes = 13;
 
 using RankedList = std::vector<util::ScoredId>;
 
-// v4 coordinator trailer on RESULT / RESULT_BATCH: whether the reply was
+// Coordinator trailer on RESULT / RESULT_BATCH: whether the reply was
 // degraded to a partial merge (a shard was down/overloaded/late) and how
 // many shards answered. The defaults describe a single-node reply, which
-// is exactly what a plain server stamps when a v4 client asks it directly.
+// is exactly what a plain server stamps.
 struct CoordTrailer {
   uint8_t partial = 0;
   uint16_t shards_answered = 1;
@@ -247,10 +223,8 @@ struct CoordTrailer {
 inline constexpr size_t kCoordTrailerBytes = 5;
 
 // A decoded RESULT: the ranked list plus the graph epoch it was computed
-// under (v3 field; 0 when decoded at v1/v2), the degradation-ladder tier
-// that served it (v5 field, core::Tier numeric; 0 = exact when decoded
-// below v5), and the coordinator trailer (v4 field; defaults when decoded
-// at v1–v3).
+// under, the degradation-ladder tier that served it (core::Tier numeric;
+// 0 = exact), and the coordinator trailer.
 struct ResultReply {
   RankedList entries;
   uint64_t graph_epoch = 0;
@@ -258,7 +232,7 @@ struct ResultReply {
   CoordTrailer coord;
 };
 
-// Highest core::Tier numeric value a v5 served_tier byte may carry;
+// Highest core::Tier numeric value a served_tier byte may carry;
 // decoders reject anything above it.
 inline constexpr uint8_t kMaxServedTier = 2;
 
@@ -280,36 +254,36 @@ struct ErrorReply {
   std::string message;
 };
 
-// RECOMMEND / RECOMMEND_BATCH are version-gated: v1 payloads carry
-// user/topic/top_n only, v2 appends deadline_ms and the exclusion list.
-// Encoding at v1 drops the v2 fields (callers that need them must speak
-// v2); decoding fills defaults for them.
-std::vector<uint8_t> EncodeRecommend(const RecommendRequest& req,
-                                     uint16_t version = kProtocolVersion);
+// DecodeRecommend, EncodeResult and DecodeResult take an unnamed uint16_t
+// third parameter and ignore it: perfbench passes one, and its reply gate
+// compares EncodeResult(a, 0, 1) with EncodeResult(b, 0, 1), a byte
+// comparison that stays exactly as strict because both sides encode the
+// one layout.
+
+// RECOMMEND: user, topic, top_n, deadline_ms, then the exclusion list
+// (count-prefixed). RECOMMEND_BATCH: a count, then that many RECOMMEND
+// payloads.
+std::vector<uint8_t> EncodeRecommend(const RecommendRequest& req);
 util::Status DecodeRecommend(std::span<const uint8_t> payload,
-                             const WireLimits& limits, uint16_t version,
+                             const WireLimits& limits, uint16_t,
                              RecommendRequest* out);
 
 std::vector<uint8_t> EncodeRecommendBatch(
-    const std::vector<RecommendRequest>& reqs,
-    uint16_t version = kProtocolVersion);
+    const std::vector<RecommendRequest>& reqs);
 util::Status DecodeRecommendBatch(std::span<const uint8_t> payload,
-                                  const WireLimits& limits, uint16_t version,
+                                  const WireLimits& limits,
                                   std::vector<RecommendRequest>* out);
 
-// RESULT / RESULT_BATCH are version-gated: v3 prepends the graph epoch the
-// ranking was computed under (per-list in the batch), v4 appends the
-// coordinator trailer after the list(s), v5 inserts the served_tier byte
-// between the epoch and the list (per-list in the batch). Encoding at
-// v1/v2 drops the epoch (and below v5 the tier); decoding fills 0 for
-// them (and defaults for the trailer below v4).
+// RESULT: graph epoch, served_tier byte, the ranked list, then the
+// coordinator trailer. RESULT_BATCH: a count, then per list its epoch,
+// tier byte and entries, then one coordinator trailer for the frame.
 std::vector<uint8_t> EncodeResult(const RankedList& list,
                                   uint64_t graph_epoch = 0,
-                                  uint16_t version = kProtocolVersion,
+                                  uint16_t = kProtocolVersion,
                                   const CoordTrailer& coord = {},
                                   uint8_t served_tier = 0);
 util::Status DecodeResult(std::span<const uint8_t> payload,
-                          const WireLimits& limits, uint16_t version,
+                          const WireLimits& limits, uint16_t,
                           RankedList* out, uint64_t* graph_epoch = nullptr,
                           CoordTrailer* coord = nullptr,
                           uint8_t* served_tier = nullptr);
@@ -319,18 +293,17 @@ util::Status DecodeResult(std::span<const uint8_t> payload,
 // whole frame.
 std::vector<uint8_t> EncodeResultBatch(const std::vector<RankedList>& lists,
                                        std::span<const uint64_t> epochs = {},
-                                       uint16_t version = kProtocolVersion,
                                        const CoordTrailer& coord = {},
                                        std::span<const uint8_t> tiers = {});
 util::Status DecodeResultBatch(std::span<const uint8_t> payload,
-                               const WireLimits& limits, uint16_t version,
+                               const WireLimits& limits,
                                std::vector<RankedList>* out,
                                std::vector<uint64_t>* epochs = nullptr,
                                CoordTrailer* coord = nullptr,
                                std::vector<uint8_t>* tiers = nullptr);
 
 // ---------------------------------------------------------------------------
-// v4 shard payloads (coordinator tier, DESIGN.md §6.7).
+// Shard payloads (coordinator tier, DESIGN.md §6.7).
 //
 // A RECOMMEND_PARTIAL request reuses the RECOMMEND payload (user / topic /
 // top_n / deadline / exclude; the shard only interprets user, topic and
@@ -398,7 +371,7 @@ util::Status DecodeLandmarkVectors(std::span<const uint8_t> payload,
                                    LandmarkVectorsReply* out);
 
 // ---------------------------------------------------------------------------
-// v3 mutation payloads.
+// Mutation payloads.
 //
 // FOLLOW / RELABEL record: src:u32 dst:u32 labels:u64 (TopicSet bits).
 // UNFOLLOW record:         src:u32 dst:u32 (labels omitted on the wire).
@@ -426,15 +399,15 @@ util::Status DecodeMutation(std::span<const uint8_t> payload,
 std::vector<uint8_t> EncodeMutateAck(const MutateAck& ack);
 util::Status DecodeMutateAck(std::span<const uint8_t> payload, MutateAck* out);
 
-// STATS is version-gated: v2 appends deadline_exceeded, v4 appends the
-// coordinator rollup (shards_total / shards_up), v5 appends the per-tier
-// serving counters (tier_exact / tier_approx / tier_stale / degraded).
-std::vector<uint8_t> EncodeStats(const service::StatsSnapshot& s,
-                                 uint16_t version = kProtocolVersion);
-util::Status DecodeStats(std::span<const uint8_t> payload, uint16_t version,
+// STATS_RESULT: the engine and server counters, the latency percentile
+// floors, the coordinator rollup (shards_total / shards_up), then the
+// per-tier serving counters (tier_exact / tier_approx / tier_stale /
+// degraded).
+std::vector<uint8_t> EncodeStats(const service::StatsSnapshot& s);
+util::Status DecodeStats(std::span<const uint8_t> payload,
                          service::StatsSnapshot* out);
 
-// METRICS_RESULT carries the Prometheus exposition text (v2+). The text
+// METRICS_RESULT carries the Prometheus exposition text. The text
 // is bounded by max_payload_bytes like any other payload.
 std::vector<uint8_t> EncodeMetricsResult(const std::string& text);
 util::Status DecodeMetricsResult(std::span<const uint8_t> payload,

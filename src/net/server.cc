@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -51,9 +52,37 @@ Reply MakeErrorReply(const util::Status& status) {
                         status.message());
 }
 
+Reply MakeResultReply(MessageKind request, std::vector<ResultReply> results) {
+  CoordTrailer coord = results.front().coord;
+  for (const ResultReply& r : results) {
+    if (r.coord.partial != 0) coord.partial = 1;
+    coord.shards_answered =
+        std::min(coord.shards_answered, r.coord.shards_answered);
+  }
+  if (request == MessageKind::kRecommend) {
+    const ResultReply& r = results.front();
+    return {MessageKind::kResult, EncodeResult(r.entries, r.graph_epoch,
+                                               kProtocolVersion, coord,
+                                               r.served_tier)};
+  }
+  std::vector<RankedList> lists;
+  std::vector<uint64_t> epochs;
+  std::vector<uint8_t> tiers;
+  lists.reserve(results.size());
+  epochs.reserve(results.size());
+  tiers.reserve(results.size());
+  for (ResultReply& r : results) {
+    epochs.push_back(r.graph_epoch);
+    tiers.push_back(r.served_tier);
+    lists.push_back(std::move(r.entries));
+  }
+  return {MessageKind::kResultBatch,
+          EncodeResultBatch(lists, epochs, coord, tiers)};
+}
+
 // ---------------------------------------------------------------------------
 // The engine handler: QueryEngine reads, plus the mutation applier and the
-// v4 shard ops when ServerConfig names them.
+// shard ops when ServerConfig names them.
 
 class Server::EngineHandler final : public Handler {
  public:
@@ -83,8 +112,7 @@ class Server::EngineHandler final : public Handler {
   Reply Handle(const Request& req) override {
     switch (req.kind) {
       case MessageKind::kStats:
-        return {MessageKind::kStatsResult,
-                EncodeStats(server_.StatsNow(), req.version)};
+        return {MessageKind::kStatsResult, EncodeStats(server_.StatsNow())};
       case MessageKind::kLandmarkFetch:
         return Fetch(req);
       case MessageKind::kRecommendPartial:
@@ -130,29 +158,15 @@ class Server::EngineHandler final : public Handler {
     // RESULT/RESULT_BATCH have no per-item error channel; the whole
     // request shares one deadline, so the first failure speaks for the
     // batch.
-    for (const util::Result<service::Response>& r : results) {
-      if (!r.ok()) return MakeErrorReply(r.status());
+    std::vector<ResultReply> replies(results.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      if (!results[i].ok()) return MakeErrorReply(results[i].status());
+      service::Response& resp = results[i].value();
+      replies[i].entries = std::move(resp.ranking.entries);
+      replies[i].graph_epoch = resp.meta.graph_epoch;
+      replies[i].served_tier = static_cast<uint8_t>(resp.meta.served_tier);
     }
-    if (req.kind == MessageKind::kRecommend) {
-      const service::Response& resp = results.front().value();
-      return {MessageKind::kResult,
-              EncodeResult(resp.ranking.entries, resp.meta.graph_epoch,
-                           req.version, {},
-                           static_cast<uint8_t>(resp.meta.served_tier))};
-    }
-    std::vector<RankedList> lists;
-    std::vector<uint64_t> epochs;
-    std::vector<uint8_t> tiers;
-    lists.reserve(results.size());
-    epochs.reserve(results.size());
-    tiers.reserve(results.size());
-    for (util::Result<service::Response>& r : results) {
-      epochs.push_back(r.value().meta.graph_epoch);
-      tiers.push_back(static_cast<uint8_t>(r.value().meta.served_tier));
-      lists.push_back(std::move(r.value().ranking.entries));
-    }
-    return {MessageKind::kResultBatch,
-            EncodeResultBatch(lists, epochs, req.version, {}, tiers)};
+    return MakeResultReply(req.kind, std::move(replies));
   }
 
   // The batch was fully decoded before admission, so a malformed frame
@@ -561,11 +575,10 @@ void Server::HandleConnectionEvent(int fd, uint32_t events) {
 }
 
 bool Server::QueueError(Connection* conn, uint64_t request_id,
-                        uint16_t version, WireError code,
-                        const std::string& message) {
+                        WireError code, const std::string& message) {
   metrics_.protocol_errors->Increment();
   std::vector<uint8_t> payload = EncodeError({code, message});
-  if (!conn->QueueReply(MessageKind::kError, request_id, payload, version)) {
+  if (!conn->QueueReply(MessageKind::kError, request_id, payload)) {
     CloseConnection(conn->fd());
     return false;
   }
@@ -574,18 +587,18 @@ bool Server::QueueError(Connection* conn, uint64_t request_id,
 
 void Server::QueueReply(Connection* conn, const FrameHeader& h,
                         MessageKind kind, std::span<const uint8_t> payload) {
-  if (!conn->QueueReply(kind, h.request_id, payload, h.version)) {
+  if (!conn->QueueReply(kind, h.request_id, payload)) {
     CloseConnection(conn->fd());
   }
 }
 
 void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
   const FrameHeader& h = frame.header;
-  if (h.version < kMinProtocolVersion || h.version > kProtocolVersion) {
-    if (QueueError(conn, h.request_id, kProtocolVersion,
-                   WireError::kUnsupportedVersion,
+  // The version is outside the CRC: a frame stamped with any other one is
+  // refused, never parsed under a layout it was not written in.
+  if (h.version != kProtocolVersion) {
+    if (QueueError(conn, h.request_id, WireError::kUnsupportedVersion,
                    "server speaks protocol v" +
-                       std::to_string(kMinProtocolVersion) + "-v" +
                        std::to_string(kProtocolVersion) + ", client sent v" +
                        std::to_string(h.version))) {
       conn->set_close_after_flush();
@@ -594,23 +607,7 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
     return;
   }
   if (util::Status st = VerifyPayloadCrc(h, frame.payload); !st.ok()) {
-    QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
-               st.message());
-    return;
-  }
-  // An op newer than the frame's version gets the error an old peer would
-  // see for any kind it never learned.
-  const uint16_t since =
-      h.kind == MessageKind::kMetrics ? 2
-      : IsMutationKind(h.kind)        ? 3
-      : h.kind == MessageKind::kRecommendPartial ||
-              h.kind == MessageKind::kLandmarkFetch
-          ? 4
-          : 1;
-  if (h.version < since) {
-    QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
-               std::string(MessageKindName(h.kind)) + " requires protocol v" +
-                   std::to_string(since));
+    QueueError(conn, h.request_id, WireError::kBadFrame, st.message());
     return;
   }
 
@@ -636,8 +633,7 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
       return;
     }
     case MessageKind::kShutdown:
-      if (!conn->QueueReply(MessageKind::kShutdownAck, h.request_id, {},
-                            h.version)) {
+      if (!conn->QueueReply(MessageKind::kShutdownAck, h.request_id, {})) {
         CloseConnection(conn->fd());
         return;
       }
@@ -660,7 +656,7 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
     return;
   }
   if (draining_) {
-    QueueError(conn, h.request_id, h.version, WireError::kShuttingDown,
+    QueueError(conn, h.request_id, WireError::kShuttingDown,
                "server is draining");
     return;
   }
@@ -684,7 +680,6 @@ bool Server::DecodeRequest(Connection* conn, const Connection::Frame& frame,
                            Request* req) {
   const FrameHeader& h = frame.header;
   req->request_id = h.request_id;
-  req->version = h.version;
   req->kind = h.kind;
   util::Status st;
   switch (h.kind) {
@@ -701,22 +696,21 @@ bool Server::DecodeRequest(Connection* conn, const Connection::Frame& frame,
       break;
     case MessageKind::kRecommend:
     case MessageKind::kRecommendPartial:
-      st = DecodeRecommend(frame.payload, config_.limits, h.version,
+      st = DecodeRecommend(frame.payload, config_.limits, kProtocolVersion,
                            &req->queries.emplace_back());
       break;
     case MessageKind::kRecommendBatch:
-      st = DecodeRecommendBatch(frame.payload, config_.limits, h.version,
+      st = DecodeRecommendBatch(frame.payload, config_.limits,
                                 &req->queries);
       break;
     default:
-      QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
+      QueueError(conn, h.request_id, WireError::kUnknownKind,
                  "unhandled message kind " +
                      std::to_string(static_cast<uint16_t>(h.kind)));
       return false;
   }
   if (!st.ok()) {
-    QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
-               st.message());
+    QueueError(conn, h.request_id, WireError::kBadFrame, st.message());
     return false;
   }
 
@@ -724,21 +718,19 @@ bool Server::DecodeRequest(Connection* conn, const Connection::Frame& frame,
   // treats out-of-range queries as hard precondition violations, the wire
   // layer must make them soft errors. A reply the client's own frame cap
   // would reject must never be produced, so the worst-case result payload
-  // is bounded up front: v3 adds the 8-byte per-list epoch, v4 one
-  // coordinator trailer per frame, v5 the per-list tier byte. A PARTIAL
+  // is bounded up front: a list count, one coordinator trailer per frame,
+  // and per list its epoch, tier byte, length and top_n entries. A PARTIAL
   // reply's size depends on the exploration, not top_n — it is bounded
   // after execution instead.
   const uint32_t num_nodes = handler_->num_nodes();
   const uint32_t num_topics = handler_->num_topics();
-  const size_t per_list_overhead =
-      h.version >= 5 ? 13 : h.version >= 3 ? 12 : 4;
-  size_t reply_bytes = 4 + (h.version >= 4 ? kCoordTrailerBytes : 0);
+  size_t reply_bytes = 4 + kCoordTrailerBytes;
   // The effective deadline is the tighter of the server-wide bound and the
-  // client's per-request deadline_ms (v2 field; 0 = none either way).
+  // client's per-request deadline_ms (0 = none either way).
   uint32_t deadline_ms = config_.request_deadline_ms;
   for (const RecommendRequest& r : req->queries) {
     if (r.user >= num_nodes || r.topic >= num_topics) {
-      QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+      QueueError(conn, h.request_id, WireError::kInvalidArgument,
                  "query out of range: user " + std::to_string(r.user) +
                      " (nodes " + std::to_string(num_nodes) + "), topic " +
                      std::to_string(r.topic) + " (topics " +
@@ -746,7 +738,7 @@ bool Server::DecodeRequest(Connection* conn, const Connection::Frame& frame,
       return false;
     }
     reply_bytes +=
-        per_list_overhead + static_cast<size_t>(r.top_n) * kResultEntryBytes;
+        kResultListBytes + static_cast<size_t>(r.top_n) * kResultEntryBytes;
     if (r.deadline_ms > 0 &&
         (deadline_ms == 0 || r.deadline_ms < deadline_ms)) {
       deadline_ms = r.deadline_ms;
@@ -754,7 +746,7 @@ bool Server::DecodeRequest(Connection* conn, const Connection::Frame& frame,
   }
   if (h.kind != MessageKind::kRecommendPartial &&
       reply_bytes > config_.limits.max_payload_bytes) {
-    QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+    QueueError(conn, h.request_id, WireError::kInvalidArgument,
                "reply would exceed the " +
                    std::to_string(config_.limits.max_payload_bytes) +
                    "-byte frame payload cap");
@@ -918,8 +910,7 @@ void Server::DispatchLoop() {
       }
     }
     std::vector<uint8_t> frame;
-    AppendFrame(reply.kind, req.request_id, reply.payload, &frame,
-                req.version);
+    AppendFrame(reply.kind, req.request_id, reply.payload, &frame);
 
     {
       std::lock_guard<std::mutex> lock(completion_mu_);

@@ -78,13 +78,13 @@ struct ServerConfig {
   // handler. Must outlive the server.
   obs::Registry* registry = nullptr;
   // The fields below configure the engine handler only.
-  // v3 mutation ops (FOLLOW/UNFOLLOW/RELABEL) apply through this. nullptr
+  // Mutation ops (FOLLOW/UNFOLLOW/RELABEL) apply through this. nullptr
   // = read-only serving: well-formed mutation frames are answered with
   // ERROR(INVALID_ARGUMENT) and never touch the graph. Must outlive the
   // server.
   service::MutationApplier* applier = nullptr;
   // Shard serving (coordinator tier, DESIGN.md §6.7). When `shard_owned`
-  // and `shard_index` are both set the server answers the v4 shard ops:
+  // and `shard_index` are both set the server answers the shard ops:
   // RECOMMEND_PARTIAL for users it owns (decomposed exploration records
   // plus the inline stored lists of locally-homed landmarks) and
   // LANDMARK_FETCH for the stored lists of landmarks it homes.
@@ -104,7 +104,6 @@ struct ServerConfig {
 // for RECOMMEND_PARTIAL, bounded against the frame cap).
 struct Request {
   uint64_t request_id = 0;
-  uint16_t version = kProtocolVersion;  // echoed on the reply
   MessageKind kind = MessageKind::kRecommend;
   // RECOMMEND and RECOMMEND_PARTIAL carry one query, RECOMMEND_BATCH many.
   std::vector<RecommendRequest> queries;
@@ -114,8 +113,7 @@ struct Request {
   std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
-// A handler's answer; the server frames it with the request's id and
-// version.
+// A handler's answer; the server frames it with the request's id.
 struct Reply {
   MessageKind kind = MessageKind::kError;
   std::vector<uint8_t> payload;
@@ -124,6 +122,11 @@ Reply MakeErrorReply(WireError code, const std::string& message);
 // A failed status as ERROR: DEADLINE_EXCEEDED and INVALID_ARGUMENT keep
 // their code, anything else is INTERNAL.
 Reply MakeErrorReply(const util::Status& status);
+// The answer to a RECOMMEND (RESULT, from `results`' one entry) or a
+// RECOMMEND_BATCH (RESULT_BATCH, in query order). The frame's coordinator
+// trailer is partial if any query was partial and names the fewest shards
+// any query heard from; replies that carry the default trailer keep it.
+Reply MakeResultReply(MessageKind request, std::vector<ResultReply> results);
 
 // What a Server serves: STATS and every work op (RECOMMEND,
 // RECOMMEND_BATCH, mutations, shard ops). The server answers PING,
@@ -220,8 +223,8 @@ class Server {
                      Request* req);
   // Returns false when the connection had to be closed (write overflow) —
   // `conn` is dangling in that case.
-  bool QueueError(Connection* conn, uint64_t request_id, uint16_t version,
-                  WireError code, const std::string& message);
+  bool QueueError(Connection* conn, uint64_t request_id, WireError code,
+                  const std::string& message);
   void QueueReply(Connection* conn, const FrameHeader& h,
                   MessageKind kind, std::span<const uint8_t> payload);
   void ProcessCompletions();

@@ -36,14 +36,12 @@ struct StatsSnapshot {
   double p50_us = 0.0;
   double p90_us = 0.0;
   double p99_us = 0.0;
-  // Coordinator rollup (protocol v4): a coord::Router answers STATS with
-  // the sum of its shards' snapshots plus these; single-node replicas
-  // leave them zero.
+  // Coordinator rollup: a coord::Router answers STATS with the sum of its
+  // shards' snapshots plus these; single-node replicas leave them zero.
   uint32_t shards_total = 0;
   uint32_t shards_up = 0;
-  // Degradation ladder (protocol v5): replies served per tier, indexed by
-  // core::Tier's numeric value, and replies served below the engine's
-  // best tier.
+  // Degradation ladder: replies served per tier, indexed by core::Tier's
+  // numeric value, and replies served below the engine's best tier.
   uint64_t tier_exact = 0;
   uint64_t tier_approx = 0;
   uint64_t tier_stale = 0;

@@ -149,6 +149,9 @@ util::Status Reader::ReadBytes(void* out, size_t size) {
   if (size > limit - pos_) {
     return util::Status::InvalidArgument("truncated container");
   }
+  // An empty array's destination may be null, which memcpy forbids even
+  // for zero bytes.
+  if (size == 0) return util::Status::Ok();
   std::memcpy(out, bytes_.data() + pos_, size);
   pos_ += size;
   return util::Status::Ok();

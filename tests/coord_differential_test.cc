@@ -4,7 +4,8 @@
 // every PartitionStrategy and shard count, in both landmark (scatter-
 // gather RECOMMEND_PARTIAL + LANDMARK_FETCH merge) and exact (home-shard
 // forwarding) modes. "Byte-identical" is literal: both ranked lists are
-// re-encoded with the v1 RESULT codec and the encodings must be equal.
+// re-encoded with the RESULT codec at fixed epoch, tier and trailer, and
+// the encodings must be equal.
 //
 // A second suite kills a shard out from under the router and checks the
 // partial-result policy end to end: the reply degrades (v4 trailer
@@ -176,10 +177,11 @@ util::Result<net::Client> Dial(const Stack& stack) {
   return net::Client::Connect(cc);
 }
 
-// Canonical byte encoding of a ranked list: the v1 RESULT codec (no epoch,
-// no trailer), so only ids, order, and raw f64 score bits are compared.
+// Canonical byte encoding of a ranked list: the RESULT codec with the
+// epoch, tier and trailer left at their defaults, so only ids, order, and
+// raw f64 score bits can differ.
 std::vector<uint8_t> CanonicalBytes(const net::RankedList& list) {
-  return net::EncodeResult(list, /*graph_epoch=*/0, /*version=*/1);
+  return net::EncodeResult(list);
 }
 
 std::vector<net::RecommendRequest> ProbePanel(uint64_t seed, int count) {

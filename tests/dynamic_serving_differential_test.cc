@@ -3,8 +3,8 @@
 // every checkpoint compare its exact-path answers, byte for byte, with a
 // reference engine freshly rebuilt from a shadow DeltaGraph that replayed
 // the same trace in-process. "Byte for byte" is literal: both ranked
-// lists are re-encoded with the v1 RESULT codec (which carries no epoch)
-// and the encodings must be identical — ids, order, and raw score bits.
+// lists are re-encoded with the RESULT codec at a fixed epoch (0) and the
+// encodings must be identical — ids, order, and raw score bits.
 //
 // The shadow also mirrors the applier's per-record validation, so every
 // MUTATE_ACK's applied/rejected counts and graph_epoch are cross-checked
@@ -132,11 +132,11 @@ core::ScoreParams OracleParams() {
   return p;
 }
 
-// Canonical byte encoding of a ranked list: the v1 RESULT codec, which has
-// no epoch field, so two replies computed at different epochs but over the
-// same graph still compare equal.
+// Canonical byte encoding of a ranked list: the RESULT codec with the
+// epoch left at 0, so two replies computed at different epochs but over
+// the same graph still compare equal.
 std::vector<uint8_t> CanonicalBytes(const net::RankedList& list) {
-  return net::EncodeResult(list, /*graph_epoch=*/0, /*version=*/1);
+  return net::EncodeResult(list);
 }
 
 // ---------- exact-path wire oracle ----------

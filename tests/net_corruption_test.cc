@@ -138,7 +138,7 @@ class NetCorruptionTest : public ::testing::Test {
     return frame;
   }
 
-  // A v2 frame that actually uses the v2 tail: deadline + exclusion list.
+  // A frame that fills the query's tail: deadline + exclusion list.
   std::vector<uint8_t> RichV2Frame() {
     RecommendRequest req{2, 1, 5};
     req.deadline_ms = 60'000;
@@ -242,23 +242,11 @@ TEST_F(NetCorruptionTest, EveryBitFlipYieldsErrorOrClose) {
 }
 
 TEST_F(NetCorruptionTest, V2DeadlineExcludeFrameSurvivesCorruption) {
-  // The v2 tail (deadline_ms + exclude list) adds length-prefixed content
-  // whose counts can be corrupted independently of the CRC-protected
-  // payload; the whole frame gets the same truncation + bit-flip treatment
-  // as the v1-shaped frame above.
+  // The query's tail (deadline_ms + exclude list) adds length-prefixed
+  // content whose counts can be corrupted independently of the
+  // CRC-protected payload; the whole frame gets the same truncation +
+  // bit-flip treatment as the plain frame above.
   const std::vector<uint8_t> frame = RichV2Frame();
-  SweepTruncations(frame);
-  SweepBitFlips(frame);
-  ExpectServerStillAlive();
-}
-
-TEST_F(NetCorruptionTest, V1StampedFrameSurvivesCorruption) {
-  // A v1 client's frame (12-byte fixed payload, version 1 header) against
-  // the v2 server: corruption must never be misread as a v2 tail.
-  RecommendRequest req{1, 0, 5};
-  std::vector<uint8_t> frame;
-  AppendFrame(MessageKind::kRecommend, 79, EncodeRecommend(req, /*version=*/1),
-              &frame, /*version=*/1);
   SweepTruncations(frame);
   SweepBitFlips(frame);
   ExpectServerStillAlive();
@@ -279,7 +267,7 @@ TEST_F(NetCorruptionTest, RandomGarbageIsSurvivable) {
 
 // ---------- Mutation ops (ISSUE 6 satellite) ----------
 //
-// Same hostile-bytes treatment for the v3 write path, with one extra
+// Same hostile-bytes treatment for the write path, with one extra
 // invariant: a malformed mutation frame must NEVER bump the graph epoch.
 // The server enforces this by fully decoding the batch before the applier
 // is touched, so a frame that fails CRC, bounds, or record validation

@@ -1,8 +1,10 @@
 // The serving front end's transport guards, held for both of its
 // handlers: a single-node QueryEngine server and a coord::Router over two
-// shards. A peer that pipelines work and never reads must not wedge
-// shutdown past drain_grace_ms; the router must shed past its admission
-// bound and count the connections it refuses, like any net::Server.
+// shards. A frame stamped with any protocol version but kProtocolVersion is
+// refused and its connection closed. A peer that pipelines work and never
+// reads overflows the write cap and is closed, and must not wedge shutdown
+// past drain_grace_ms; the router must shed past its admission bound and
+// count the connections it refuses, like any net::Server.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +14,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -71,8 +75,8 @@ int DialRaw(uint16_t port, int rcvbuf_bytes) {
   return fd;
 }
 
-// `frames` RECOMMEND_BATCH frames of 64 queries at top_n 1000, one buffer.
-std::vector<uint8_t> PipelinedBatches(int frames) {
+// The 64 queries of one pipelined frame, each at top_n 1000.
+std::vector<RecommendRequest> HeavyBatch() {
   std::vector<RecommendRequest> batch;
   for (uint32_t i = 0; i < kQueriesPerFrame; ++i) {
     RecommendRequest r;
@@ -80,7 +84,12 @@ std::vector<uint8_t> PipelinedBatches(int frames) {
     r.top_n = 1000;
     batch.push_back(r);
   }
-  const std::vector<uint8_t> payload = EncodeRecommendBatch(batch);
+  return batch;
+}
+
+// `frames` RECOMMEND_BATCH frames of HeavyBatch(), one buffer.
+std::vector<uint8_t> PipelinedBatches(int frames) {
+  const std::vector<uint8_t> payload = EncodeRecommendBatch(HeavyBatch());
   std::vector<uint8_t> wire;
   for (int f = 0; f < frames; ++f) {
     AppendFrame(MessageKind::kRecommendBatch, static_cast<uint64_t>(f + 1),
@@ -107,6 +116,10 @@ bool WaitFor(const std::function<bool()>& done, std::chrono::seconds limit) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return true;
+}
+
+uint64_t ClosedConnections(obs::Registry& registry) {
+  return registry.GetCounter("mbr_net_connections_closed_total", "")->Value();
 }
 
 uint64_t BatchesAnswered(obs::Registry& registry) {
@@ -163,6 +176,73 @@ void ExpectStalledReaderCannotWedgeShutdown(uint16_t port,
   EXPECT_LT(took, deadline) << "shutdown waited on a peer that never reads";
 }
 
+// Reads from `fd` until the peer closes it (EOF or ECONNRESET), appending
+// to `got`. False when the peer neither closes nor sends for 5 s.
+bool ReadUntilClosed(int fd, std::vector<uint8_t>* got) {
+  uint8_t buf[65536];
+  for (;;) {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, 5000) <= 0) return false;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      got->insert(got->end(), buf, buf + n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n == 0 || errno == ECONNRESET;
+  }
+}
+
+// Sends one RECOMMEND frame stamped with each version but kProtocolVersion,
+// each on its own connection that the test never half-closes: the front end
+// must answer ERROR(UNSUPPORTED_VERSION) with the frame's request id, stamped
+// kProtocolVersion, and then close the connection itself. A client speaking
+// kProtocolVersion is still served afterwards.
+void ExpectOtherVersionsRefused(uint16_t port) {
+  std::vector<uint16_t> versions = {0, 1, 2, 3, 4, 6, 0xFFFF};
+  for (int bit = 0; bit < 16; ++bit) {
+    versions.push_back(static_cast<uint16_t>(kProtocolVersion ^ (1u << bit)));
+  }
+  RecommendRequest req;
+  req.user = 3;
+  req.top_n = 5;
+  const std::vector<uint8_t> payload = EncodeRecommend(req);
+  const WireLimits limits;
+  uint64_t request_id = 500;
+  for (uint16_t version : versions) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    ++request_id;
+    std::vector<uint8_t> frame;
+    AppendFrame(MessageKind::kRecommend, request_id, payload, &frame);
+    std::memcpy(frame.data() + 4, &version, sizeof(version));  // header field
+    const int fd = DialRaw(port, 0);
+    ASSERT_TRUE(SendAll(fd, frame));
+    std::vector<uint8_t> got;
+    const bool closed = ReadUntilClosed(fd, &got);
+    ::close(fd);
+    EXPECT_TRUE(closed) << "connection left open after the refusal";
+
+    FrameHeader h;
+    ASSERT_EQ(ParseFrameHeader(got, limits, &h), HeaderParse::kOk);
+    ASSERT_EQ(got.size(), kFrameHeaderBytes + h.payload_len)
+        << "anything but exactly one reply frame";
+    const std::span<const uint8_t> body(got.data() + kFrameHeaderBytes,
+                                        h.payload_len);
+    ASSERT_TRUE(VerifyPayloadCrc(h, body).ok());
+    EXPECT_EQ(h.version, kProtocolVersion);
+    EXPECT_EQ(h.request_id, request_id);
+    ASSERT_EQ(h.kind, MessageKind::kError) << MessageKindName(h.kind);
+    ErrorReply err;
+    ASSERT_TRUE(DecodeError(body, limits, &err).ok());
+    EXPECT_EQ(err.code, WireError::kUnsupportedVersion) << err.message;
+  }
+  ClientConfig cc;
+  cc.port = port;
+  auto client = Client::Connect(cc);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_TRUE(client->Recommend(req).ok());
+}
+
 class FrontEndTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -179,6 +259,61 @@ class FrontEndTest : public ::testing::Test {
   std::unique_ptr<core::AuthorityIndex> auth_;
   std::unique_ptr<service::QueryEngine> engine_;
 };
+
+TEST_F(FrontEndTest, ServerRefusesEveryOtherProtocolVersion) {
+  Server server(*engine_, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  ExpectOtherVersionsRefused(server.port());
+}
+
+TEST_F(FrontEndTest, RouterRefusesEveryOtherProtocolVersion) {
+  coord::RoutedStack stack(*graph_, coord::RouterConfig{});
+  ASSERT_NE(stack.router, nullptr);
+  ExpectOtherVersionsRefused(stack.router->port());
+}
+
+TEST_F(FrontEndTest, ReaderThatNeverReadsOverflowsTheWriteCapAndIsClosed) {
+  // The write cap is 4 x (header + max_payload_bytes), about 4 MB here.
+  // kOverflowFrames replies of ~150 KB total about 18 MB: more than the cap
+  // plus what the kernel buffers for a peer that never reads (at most
+  // Linux's default 4 MB tcp_wmem maximum, about 3 MB in practice).
+  constexpr int kOverflowFrames = 120;
+  ServerConfig cfg;
+  cfg.request_deadline_ms = 0;          // every batch is answered
+  cfg.max_inflight = kOverflowFrames;  // and none is shed OVERLOADED
+  Server server(*engine_, cfg);
+  ASSERT_TRUE(server.Start().ok());
+  obs::Registry& registry = engine_->registry();
+
+  // One reply's size on the wire, from a client that reads (the layout's
+  // size does not depend on the epoch, tier or trailer values).
+  ClientConfig cc;
+  cc.port = server.port();
+  auto reader = Client::Connect(cc);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto lists = reader->RecommendBatch(HeavyBatch());
+  ASSERT_TRUE(lists.ok()) << lists.status().ToString();
+  const uint64_t replies_total =
+      (kFrameHeaderBytes + EncodeResultBatch(*lists).size()) * kOverflowFrames;
+  const uint64_t write_cap =
+      4 * (kFrameHeaderBytes + uint64_t{cfg.limits.max_payload_bytes});
+  ASSERT_GT(replies_total, 2 * write_cap);  // the cap, and as much again
+
+  const uint64_t closed_before = ClosedConnections(registry);
+  const int fd = DialRaw(server.port(), 4096);
+  ASSERT_TRUE(SendAll(fd, PipelinedBatches(kOverflowFrames)));
+  // No RequestStop: the front end closes the peer on its own.
+  EXPECT_TRUE(WaitFor(
+      [&] { return ClosedConnections(registry) >= closed_before + 1; },
+      std::chrono::seconds(30)))
+      << "a peer that never reads was not closed";
+  std::vector<uint8_t> got;
+  EXPECT_TRUE(ReadUntilClosed(fd, &got)) << "no EOF or reset after the close";
+  ::close(fd);
+  EXPECT_LT(got.size(), replies_total);
+  EXPECT_EQ(ClosedConnections(registry), closed_before + 1);
+  EXPECT_TRUE(reader->Ping().ok());
+}
 
 TEST_F(FrontEndTest, StalledReaderCannotWedgeServerShutdown) {
   ServerConfig cfg;

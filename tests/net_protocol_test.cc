@@ -96,15 +96,6 @@ TEST(NetProtocolTest, UnknownVersionStillParsesHeader) {
   EXPECT_EQ(h.request_id, 5u);
 }
 
-TEST(NetProtocolTest, AppendFrameStampsRequestedVersion) {
-  std::vector<uint8_t> frame;
-  AppendFrame(MessageKind::kPing, 5, {}, &frame, 1);
-  FrameHeader h;
-  WireLimits limits;
-  ASSERT_EQ(ParseFrameHeader(frame, limits, &h), HeaderParse::kOk);
-  EXPECT_EQ(h.version, 1u);
-}
-
 TEST(NetProtocolTest, RecommendRejectsZeroAndOversizedTopN) {
   WireLimits limits;
   RecommendRequest out;
@@ -131,23 +122,20 @@ TEST(NetProtocolTest, BatchRoundTripAndBounds) {
   WireLimits limits;
   std::vector<RecommendRequest> reqs = {{1, 0, 5}, {2, 1, 3}};
   std::vector<RecommendRequest> back;
-  ASSERT_TRUE(DecodeRecommendBatch(EncodeRecommendBatch(reqs), limits,
-                                   kProtocolVersion, &back)
-                  .ok());
+  ASSERT_TRUE(
+      DecodeRecommendBatch(EncodeRecommendBatch(reqs), limits, &back).ok());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[1].user, 2u);
   EXPECT_EQ(back[1].top_n, 3u);
 
   // Empty batches and batches over the cap are rejected.
-  EXPECT_FALSE(DecodeRecommendBatch(EncodeRecommendBatch({}), limits,
-                                    kProtocolVersion, &back)
-                   .ok());
+  EXPECT_FALSE(
+      DecodeRecommendBatch(EncodeRecommendBatch({}), limits, &back).ok());
   // A declared count far beyond the bytes present must fail before any
   // allocation: craft count=max_batch with a single query's bytes.
   std::vector<uint8_t> lying = EncodeRecommendBatch({{1, 0, 5}});
   std::memcpy(lying.data(), &limits.max_batch, sizeof(uint32_t));
-  EXPECT_FALSE(
-      DecodeRecommendBatch(lying, limits, kProtocolVersion, &back).ok());
+  EXPECT_FALSE(DecodeRecommendBatch(lying, limits, &back).ok());
 }
 
 TEST(NetProtocolTest, ResultRoundTripPreservesScores) {
@@ -165,9 +153,8 @@ TEST(NetProtocolTest, ResultRoundTripPreservesScores) {
 
   std::vector<RankedList> lists = {list, {}, {{1, 1.0}}};
   std::vector<RankedList> lists_back;
-  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists), limits,
-                                kProtocolVersion, &lists_back)
-                  .ok());
+  ASSERT_TRUE(
+      DecodeResultBatch(EncodeResultBatch(lists), limits, &lists_back).ok());
   ASSERT_EQ(lists_back.size(), 3u);
   EXPECT_TRUE(lists_back[1].empty());
   EXPECT_EQ(lists_back[2][0].id, 1u);
@@ -185,29 +172,19 @@ TEST(NetProtocolTest, V3ResultCarriesGraphEpoch) {
   RankedList list = {{11, 0.5}, {22, 0.25}};
   RankedList back;
   uint64_t epoch = 0;
-  ASSERT_TRUE(
-      DecodeResult(EncodeResult(list, 7, 3), limits, 3, &back, &epoch).ok());
+  ASSERT_TRUE(DecodeResult(EncodeResult(list, 7), limits, kProtocolVersion,
+                           &back, &epoch)
+                  .ok());
   EXPECT_EQ(epoch, 7u);
   ASSERT_EQ(back.size(), 2u);
-
-  // v2 encoding drops the epoch — the payload is 8 bytes shorter and
-  // decodes to epoch 0.
-  EXPECT_EQ(EncodeResult(list, 7, 3).size() - EncodeResult(list, 7, 2).size(),
-            8u);
-  ASSERT_TRUE(
-      DecodeResult(EncodeResult(list, 7, 2), limits, 2, &back, &epoch).ok());
-  EXPECT_EQ(epoch, 0u);
-  // Cross-version decode must fail cleanly, not misalign.
-  RankedList junk;
-  EXPECT_FALSE(DecodeResult(EncodeResult(list, 7, 3), limits, 2, &junk).ok());
 
   // Batch: per-list epochs round-trip.
   std::vector<RankedList> lists = {list, {}};
   std::vector<uint64_t> epochs = {4, 9};
   std::vector<RankedList> lists_back;
   std::vector<uint64_t> epochs_back;
-  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs, 3), limits,
-                                3, &lists_back, &epochs_back)
+  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs), limits,
+                                &lists_back, &epochs_back)
                   .ok());
   ASSERT_EQ(lists_back.size(), 2u);
   EXPECT_EQ(epochs_back, (std::vector<uint64_t>{4, 9}));
@@ -276,23 +253,13 @@ TEST(NetProtocolTest, StatsRoundTrip) {
   s.deadline_exceeded = 5;
   s.p99_us = 1024.0;
   service::StatsSnapshot back;
-  ASSERT_TRUE(DecodeStats(EncodeStats(s), kProtocolVersion, &back).ok());
+  ASSERT_TRUE(DecodeStats(EncodeStats(s), &back).ok());
   EXPECT_EQ(back.queries, 100u);
   EXPECT_EQ(back.shed_overload, 3u);
   EXPECT_EQ(back.connections_accepted, 17u);
   EXPECT_DOUBLE_EQ(back.p99_us, 1024.0);
   EXPECT_DOUBLE_EQ(back.HitRate(), 0.4);
   EXPECT_EQ(back.deadline_exceeded, 5u);
-
-  // v1 layout omits deadline_exceeded but keeps every other field.
-  service::StatsSnapshot v1;
-  ASSERT_TRUE(DecodeStats(EncodeStats(s, 1), 1, &v1).ok());
-  EXPECT_EQ(v1.queries, 100u);
-  EXPECT_EQ(v1.deadline_exceeded, 0u);
-  EXPECT_DOUBLE_EQ(v1.p99_us, 1024.0);
-  // Cross-version decode must fail cleanly, not misalign.
-  EXPECT_FALSE(DecodeStats(EncodeStats(s, 1), 2, &v1).ok());
-  EXPECT_FALSE(DecodeStats(EncodeStats(s, 2), 1, &v1).ok());
 }
 
 TEST(NetProtocolTest, ErrorRoundTripAndStatusMapping) {
@@ -325,9 +292,7 @@ TEST(NetProtocolTest, PayloadReaderStopsAtTruncation) {
       EncodeRecommendBatch({{1, 0, 5}, {2, 1, 3}, {3, 2, 7}});
   std::vector<RecommendRequest> out;
   for (size_t n = 0; n < payload.size(); ++n) {
-    EXPECT_FALSE(DecodeRecommendBatch({payload.data(), n}, limits,
-                                      kProtocolVersion, &out)
-                     .ok())
+    EXPECT_FALSE(DecodeRecommendBatch({payload.data(), n}, limits, &out).ok())
         << "prefix length " << n;
   }
 }
@@ -341,19 +306,12 @@ TEST(NetProtocolTest, V2RecommendCarriesDeadlineAndExclude) {
   req.deadline_ms = 250;
   req.exclude = {3, 14, 15};
   RecommendRequest back;
-  ASSERT_TRUE(
-      DecodeRecommend(EncodeRecommend(req, 2), limits, 2, &back).ok());
+  ASSERT_TRUE(DecodeRecommend(EncodeRecommend(req), limits, kProtocolVersion,
+                              &back)
+                  .ok());
   EXPECT_EQ(back.user, 9u);
   EXPECT_EQ(back.deadline_ms, 250u);
   EXPECT_EQ(back.exclude, (std::vector<uint32_t>{3, 14, 15}));
-
-  // Encoding at v1 drops the v2 fields entirely.
-  std::vector<uint8_t> v1_payload = EncodeRecommend(req, 1);
-  EXPECT_EQ(v1_payload.size(), 12u);
-  ASSERT_TRUE(DecodeRecommend(v1_payload, limits, 1, &back).ok());
-  EXPECT_EQ(back.user, 9u);
-  EXPECT_EQ(back.deadline_ms, 0u);
-  EXPECT_TRUE(back.exclude.empty());
 }
 
 TEST(NetProtocolTest, V2RecommendRejectsOversizedExclude) {
@@ -365,11 +323,13 @@ TEST(NetProtocolTest, V2RecommendRejectsOversizedExclude) {
   req.top_n = 5;
   req.exclude = {1, 2, 3, 4, 5};
   RecommendRequest back;
-  EXPECT_FALSE(
-      DecodeRecommend(EncodeRecommend(req, 2), limits, 2, &back).ok());
+  EXPECT_FALSE(DecodeRecommend(EncodeRecommend(req), limits, kProtocolVersion,
+                               &back)
+                   .ok());
   req.exclude = {1, 2, 3, 4};
-  EXPECT_TRUE(
-      DecodeRecommend(EncodeRecommend(req, 2), limits, 2, &back).ok());
+  EXPECT_TRUE(DecodeRecommend(EncodeRecommend(req), limits, kProtocolVersion,
+                              &back)
+                  .ok());
 }
 
 TEST(NetProtocolTest, V2BatchRoundTripsPerQueryTails) {
@@ -385,9 +345,8 @@ TEST(NetProtocolTest, V2BatchRoundTripsPerQueryTails) {
   b.top_n = 3;
   b.deadline_ms = 100;
   std::vector<RecommendRequest> back;
-  ASSERT_TRUE(DecodeRecommendBatch(EncodeRecommendBatch({a, b}, 2), limits,
-                                   2, &back)
-                  .ok());
+  ASSERT_TRUE(
+      DecodeRecommendBatch(EncodeRecommendBatch({a, b}), limits, &back).ok());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].exclude, std::vector<uint32_t>{7});
   EXPECT_EQ(back[0].deadline_ms, 0u);
@@ -403,10 +362,12 @@ TEST(NetProtocolTest, V2PayloadTruncationFailsCleanly) {
   req.top_n = 5;
   req.deadline_ms = 9;
   req.exclude = {1, 2, 3};
-  std::vector<uint8_t> payload = EncodeRecommend(req, 2);
+  std::vector<uint8_t> payload = EncodeRecommend(req);
   RecommendRequest out;
   for (size_t n = 0; n < payload.size(); ++n) {
-    EXPECT_FALSE(DecodeRecommend({payload.data(), n}, limits, 2, &out).ok())
+    EXPECT_FALSE(DecodeRecommend({payload.data(), n}, limits,
+                                 kProtocolVersion, &out)
+                     .ok())
         << "prefix length " << n;
   }
 }
@@ -447,7 +408,7 @@ TEST(NetProtocolTest, KindNamesAndClasses) {
   EXPECT_FALSE(IsMutationKind(MessageKind::kRecommend));
 }
 
-// ---- Protocol v5: the served_tier byte (degradation ladder). ----
+// ---- The served_tier byte (degradation ladder). ----
 
 TEST(NetProtocolTest, V5ResultCarriesServedTier) {
   WireLimits limits;
@@ -461,8 +422,9 @@ TEST(NetProtocolTest, V5ResultCarriesServedTier) {
   uint64_t epoch = 0;
   CoordTrailer tback;
   uint8_t tier = 0;
-  ASSERT_TRUE(DecodeResult(EncodeResult(list, 7, 5, trailer, 2), limits, 5,
-                           &back, &epoch, &tback, &tier)
+  ASSERT_TRUE(DecodeResult(EncodeResult(list, 7, kProtocolVersion, trailer, 2),
+                           limits, kProtocolVersion, &back, &epoch, &tback,
+                           &tier)
                   .ok());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(epoch, 7u);
@@ -470,68 +432,58 @@ TEST(NetProtocolTest, V5ResultCarriesServedTier) {
   EXPECT_EQ(tback.partial, 1u);
   EXPECT_EQ(tback.shards_answered, 3u);
 
-  // A v5 encode defaults the tier to 0 (exact) when the caller omits it.
-  ASSERT_TRUE(
-      DecodeResult(EncodeResult(list, 7, 5), limits, 5, &back, &epoch,
-                   nullptr, &tier)
-          .ok());
+  // An encode defaults the tier to 0 (exact) when the caller omits it.
+  ASSERT_TRUE(DecodeResult(EncodeResult(list, 7), limits, kProtocolVersion,
+                           &back, &epoch, nullptr, &tier)
+                  .ok());
   EXPECT_EQ(tier, 0u);
 }
 
 TEST(NetProtocolTest, V5InteropPinsV1ThroughV4Layouts) {
-  WireLimits limits;
   RankedList list = {{11, 0.5}, {22, 0.25}};
   const size_t n = list.size();
+  CoordTrailer trailer;
+  trailer.partial = 1;
+  trailer.shards_answered = 2;
+  trailer.shards_total = 3;
 
-  // Layout pins: [epoch u64 (v3+)][served_tier u8 (v5+)][count u32 +
-  // 12B/entry][coord trailer (v4+)]. A v5 reply is exactly one byte
-  // longer than v4; the pre-v5 layouts are frozen.
-  const std::vector<uint8_t> v1 = EncodeResult(list, 7, 1);
-  const std::vector<uint8_t> v2 = EncodeResult(list, 7, 2);
-  const std::vector<uint8_t> v3 = EncodeResult(list, 7, 3);
-  const std::vector<uint8_t> v4 = EncodeResult(list, 7, 4);
-  const std::vector<uint8_t> v5 = EncodeResult(list, 7, 5, {}, 1);
-  EXPECT_EQ(v1.size(), 4 + n * kResultEntryBytes);
-  EXPECT_EQ(v2, v1);  // v2 changed requests only, not RESULT
-  EXPECT_EQ(v3.size(), 8 + 4 + n * kResultEntryBytes);
-  EXPECT_EQ(v4.size(), v3.size() + kCoordTrailerBytes);
-  EXPECT_EQ(v5.size(), v4.size() + 1);
-
-  // Byte-level compatibility: v5 is the v4 layout with one byte spliced
-  // in after the epoch.
-  EXPECT_TRUE(std::equal(v4.begin(), v4.begin() + 8, v5.begin()));
+  // Layout pin: [epoch u64][served_tier u8][count u32 + 12B/entry]
+  // [coord trailer: partial u8, answered u16, total u16].
+  const std::vector<uint8_t> v5 =
+      EncodeResult(list, 7, kProtocolVersion, trailer, 1);
+  ASSERT_EQ(v5.size(), 8 + 1 + 4 + n * kResultEntryBytes + kCoordTrailerBytes);
+  uint64_t epoch = 0;
+  std::memcpy(&epoch, v5.data(), sizeof(epoch));
+  EXPECT_EQ(epoch, 7u);
   EXPECT_EQ(v5[8], 1u);  // the served_tier byte
-  EXPECT_TRUE(std::equal(v4.begin() + 8, v4.end(), v5.begin() + 9));
-
-  // Every historical version still decodes its own bytes.
-  for (uint16_t v = 1; v <= 4; ++v) {
-    RankedList back;
-    uint64_t epoch = 0;
-    uint8_t tier = 77;
-    ASSERT_TRUE(DecodeResult(EncodeResult(list, 7, v), limits, v, &back,
-                             &epoch, nullptr, &tier)
-                    .ok())
-        << "version " << v;
-    ASSERT_EQ(back.size(), 2u) << "version " << v;
-    EXPECT_EQ(tier, 0u) << "pre-v5 decode must default the tier";
-  }
-  // Cross-version decode fails cleanly, not misaligned.
-  RankedList junk;
-  EXPECT_FALSE(DecodeResult(v5, limits, 4, &junk).ok());
-  EXPECT_FALSE(DecodeResult(v4, limits, 5, &junk).ok());
+  uint32_t count = 0;
+  std::memcpy(&count, v5.data() + 9, sizeof(count));
+  EXPECT_EQ(count, n);
+  uint32_t first_id = 0;
+  std::memcpy(&first_id, v5.data() + 13, sizeof(first_id));
+  EXPECT_EQ(first_id, 11u);
+  const size_t tail = v5.size() - kCoordTrailerBytes;
+  uint16_t answered = 0;
+  uint16_t total = 0;
+  std::memcpy(&answered, v5.data() + tail + 1, sizeof(answered));
+  std::memcpy(&total, v5.data() + tail + 3, sizeof(total));
+  EXPECT_EQ(v5[tail], 1u);  // partial
+  EXPECT_EQ(answered, 2u);
+  EXPECT_EQ(total, 3u);
 }
 
 TEST(NetProtocolTest, V5ServedTierOutOfRangeIsRejected) {
   WireLimits limits;
   RankedList list = {{11, 0.5}};
-  std::vector<uint8_t> payload = EncodeResult(list, 7, 5, {}, 2);
+  std::vector<uint8_t> payload =
+      EncodeResult(list, 7, kProtocolVersion, {}, 2);
   payload[8] = 3;  // one past kMaxServedTier
   RankedList back;
-  util::Status st = DecodeResult(payload, limits, 5, &back);
+  util::Status st = DecodeResult(payload, limits, kProtocolVersion, &back);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument);
   payload[8] = 255;
-  EXPECT_FALSE(DecodeResult(payload, limits, 5, &back).ok());
+  EXPECT_FALSE(DecodeResult(payload, limits, kProtocolVersion, &back).ok());
 }
 
 TEST(NetProtocolTest, V5BatchCarriesPerListTiers) {
@@ -543,29 +495,24 @@ TEST(NetProtocolTest, V5BatchCarriesPerListTiers) {
   std::vector<RankedList> lists_back;
   std::vector<uint64_t> epochs_back;
   std::vector<uint8_t> tiers_back;
-  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs, 5, {}, tiers),
-                                limits, 5, &lists_back, &epochs_back, nullptr,
+  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs, {}, tiers),
+                                limits, &lists_back, &epochs_back, nullptr,
                                 &tiers_back)
                   .ok());
   ASSERT_EQ(lists_back.size(), 3u);
   EXPECT_EQ(epochs_back, epochs);
   EXPECT_EQ(tiers_back, tiers);
 
-  // Omitted tiers encode as 0; pre-v5 decodes report all-zero tiers.
-  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs, 5), limits,
-                                5, &lists_back, nullptr, nullptr, &tiers_back)
-                  .ok());
-  EXPECT_EQ(tiers_back, (std::vector<uint8_t>{0, 0, 0}));
-  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs, 4), limits,
-                                4, &lists_back, nullptr, nullptr, &tiers_back)
+  // Omitted tiers encode as 0.
+  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs), limits,
+                                &lists_back, nullptr, nullptr, &tiers_back)
                   .ok());
   EXPECT_EQ(tiers_back, (std::vector<uint8_t>{0, 0, 0}));
 
   // A batch with one out-of-range tier byte fails as a whole.
   const std::vector<uint8_t> bad_tiers = {0, 3, 1};
-  std::vector<uint8_t> bad =
-      EncodeResultBatch(lists, epochs, 5, {}, bad_tiers);
-  EXPECT_FALSE(DecodeResultBatch(bad, limits, 5, &lists_back).ok());
+  std::vector<uint8_t> bad = EncodeResultBatch(lists, epochs, {}, bad_tiers);
+  EXPECT_FALSE(DecodeResultBatch(bad, limits, &lists_back).ok());
 }
 
 TEST(NetProtocolTest, V5StatsCarriesTierCounters) {
@@ -576,25 +523,14 @@ TEST(NetProtocolTest, V5StatsCarriesTierCounters) {
   s.tier_stale = 1;
   s.degraded = 4;
   service::StatsSnapshot back;
-  ASSERT_TRUE(DecodeStats(EncodeStats(s, 5), 5, &back).ok());
+  ASSERT_TRUE(DecodeStats(EncodeStats(s), &back).ok());
   EXPECT_EQ(back.tier_exact, 6u);
   EXPECT_EQ(back.tier_approx, 3u);
   EXPECT_EQ(back.tier_stale, 1u);
   EXPECT_EQ(back.degraded, 4u);
-
-  // The v4 layout has no tier fields; decoding it must zero them.
-  service::StatsSnapshot v4;
-  v4.tier_exact = 99;
-  ASSERT_TRUE(DecodeStats(EncodeStats(s, 4), 4, &v4).ok());
-  EXPECT_EQ(v4.queries, 10u);
-  EXPECT_EQ(v4.tier_exact, 0u);
-  EXPECT_EQ(v4.degraded, 0u);
-  // Cross-version decode must fail cleanly, not misalign.
-  EXPECT_FALSE(DecodeStats(EncodeStats(s, 4), 5, &v4).ok());
-  EXPECT_FALSE(DecodeStats(EncodeStats(s, 5), 4, &v4).ok());
 }
 
-// Hostile-bytes sweep over the v5 RESULT codecs: every single-byte
+// Hostile-bytes sweep over the RESULT codecs: every single-byte
 // truncation and every single-bit flip of a valid payload must either
 // decode to in-range values or fail with a clean Status — never crash,
 // and never hand back a served_tier outside the enum.
@@ -605,22 +541,22 @@ TEST(NetProtocolTest, V5ResultSurvivesTruncationAndBitFlips) {
   trailer.shards_total = 2;
   trailer.shards_answered = 2;
   const std::vector<uint8_t> single =
-      EncodeResult(lists[0], 7, 5, trailer, 1);
+      EncodeResult(lists[0], 7, kProtocolVersion, trailer, 1);
   const std::vector<uint64_t> sweep_epochs = {7, 8};
   const std::vector<uint8_t> sweep_tiers = {1, 2};
   const std::vector<uint8_t> batch =
-      EncodeResultBatch(lists, sweep_epochs, 5, trailer, sweep_tiers);
+      EncodeResultBatch(lists, sweep_epochs, trailer, sweep_tiers);
 
   for (size_t keep = 0; keep < single.size(); ++keep) {
     RankedList back;
     std::vector<uint8_t> cut(single.begin(), single.begin() + keep);
-    EXPECT_FALSE(DecodeResult(cut, limits, 5, &back).ok())
+    EXPECT_FALSE(DecodeResult(cut, limits, kProtocolVersion, &back).ok())
         << "truncated to " << keep << " bytes";
   }
   for (size_t keep = 0; keep < batch.size(); ++keep) {
     std::vector<RankedList> back;
     std::vector<uint8_t> cut(batch.begin(), batch.begin() + keep);
-    EXPECT_FALSE(DecodeResultBatch(cut, limits, 5, &back).ok())
+    EXPECT_FALSE(DecodeResultBatch(cut, limits, &back).ok())
         << "batch truncated to " << keep << " bytes";
   }
   for (size_t byte = 0; byte < batch.size(); ++byte) {
@@ -630,8 +566,7 @@ TEST(NetProtocolTest, V5ResultSurvivesTruncationAndBitFlips) {
       std::vector<RankedList> back;
       std::vector<uint8_t> tiers;
       util::Status st =
-          DecodeResultBatch(flipped, limits, 5, &back, nullptr, nullptr,
-                            &tiers);
+          DecodeResultBatch(flipped, limits, &back, nullptr, nullptr, &tiers);
       if (st.ok()) {
         for (uint8_t t : tiers) {
           EXPECT_LE(t, kMaxServedTier)

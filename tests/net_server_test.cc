@@ -299,78 +299,6 @@ TEST_F(NetServerTest, MetricsOpReturnsPrometheusText) {
             std::string::npos);
 }
 
-TEST_F(NetServerTest, V1ClientStillWorksAgainstV2Server) {
-  StartServer({});
-  ClientConfig cc;
-  cc.port = server_->port();
-  cc.protocol_version = 1;
-  auto v1 = Client::Connect(cc);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-
-  auto remote = v1->Recommend(3, 0, 8);
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  RankedList direct = engine_->TopN(3, 0, 8).value();
-  ASSERT_EQ(remote->size(), direct.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ((*remote)[i].id, direct[i].id);
-    EXPECT_EQ((*remote)[i].score, direct[i].score);
-  }
-
-  // The v1 STATS layout still decodes (deadline_exceeded defaults to 0).
-  // Two engine queries so far: the remote one and the direct oracle call.
-  auto stats = v1->Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->queries, 2u);
-  EXPECT_EQ(stats->deadline_exceeded, 0u);
-
-  // METRICS is v2-only; the client refuses before touching the wire.
-  auto metrics = v1->Metrics();
-  ASSERT_FALSE(metrics.ok());
-  EXPECT_EQ(metrics.status().code(), util::StatusCode::kFailedPrecondition);
-}
-
-TEST_F(NetServerTest, MetricsFrameFromV1PeerGetsUnknownKind) {
-  StartServer({});
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-
-  std::vector<uint8_t> wire;
-  AppendFrame(MessageKind::kMetrics, 9, {}, &wire, /*version=*/1);
-  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(wire.size()));
-
-  std::vector<uint8_t> got;
-  uint8_t buf[4096];
-  WireLimits limits;
-  FrameHeader h;
-  for (;;) {
-    pollfd p{fd, POLLIN, 0};
-    ASSERT_GT(::poll(&p, 1, 5000), 0) << "no reply to v1 METRICS";
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0);
-    got.insert(got.end(), buf, buf + n);
-    if (ParseFrameHeader({got.data(), got.size()}, limits, &h) ==
-            HeaderParse::kOk &&
-        got.size() >= kFrameHeaderBytes + h.payload_len) {
-      break;
-    }
-  }
-  ::close(fd);
-  EXPECT_EQ(h.kind, MessageKind::kError);
-  ErrorReply err;
-  ASSERT_TRUE(
-      DecodeError({got.data() + kFrameHeaderBytes, h.payload_len}, limits,
-                  &err)
-          .ok());
-  EXPECT_EQ(err.code, WireError::kUnknownKind);
-}
-
 TEST_F(NetServerTest, ShutdownDrainsInFlightAndRefusesNewConnections) {
   StartServer({});
 
@@ -422,7 +350,7 @@ TEST_F(NetServerTest, ShutdownDrainsInFlightAndRefusesNewConnections) {
     if (h.request_id == 1) {
       EXPECT_EQ(h.kind, MessageKind::kResult);
       RankedList list;
-      ASSERT_TRUE(DecodeResult(body, limits, h.version, &list).ok());
+      ASSERT_TRUE(DecodeResult(body, limits, kProtocolVersion, &list).ok());
       RankedList direct = engine_->TopN(3, 0, 5).value();
       ASSERT_EQ(list.size(), direct.size());
       for (size_t i = 0; i < direct.size(); ++i) {
@@ -483,7 +411,7 @@ TEST_F(NetServerTest, ConnectionCapRefusesExtraClients) {
   EXPECT_GE(server_->counters().refused, 1u);
 }
 
-// ---- Protocol v5 over a live server: the served_tier byte. ----
+// ---- The served_tier byte over a live server. ----
 
 TEST_F(NetServerTest, ServedTierTravelsTheWireAndV4PeersStillDecode) {
   StartServer({});  // exact engine: every reply is tier 0
@@ -497,27 +425,11 @@ TEST_F(NetServerTest, ServedTierTravelsTheWireAndV4PeersStillDecode) {
   auto batch = client->RecommendBatchEx(reqs);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   for (const ResultReply& r : *batch) EXPECT_EQ(r.served_tier, 0u);
-
-  // A v4 peer gets the frozen v4 layout (no tier byte) and still decodes
-  // byte-identical entries.
-  ClientConfig cc;
-  cc.port = server_->port();
-  cc.protocol_version = 4;
-  auto v4 = Client::Connect(cc);
-  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
-  auto old = v4->RecommendEx({3, 0, 8});
-  ASSERT_TRUE(old.ok()) << old.status().ToString();
-  EXPECT_EQ(old->served_tier, 0u);
-  ASSERT_EQ(old->entries.size(), one->entries.size());
-  for (size_t i = 0; i < old->entries.size(); ++i) {
-    EXPECT_EQ(old->entries[i].id, one->entries[i].id);
-    EXPECT_EQ(old->entries[i].score, one->entries[i].score);
-  }
 }
 
 TEST_F(NetServerTest, LadderEngineStampsItsTierOnWireReplies) {
   // A ladder engine pinned at the approx rung (approx_at = 0): every wire
-  // reply must say kApprox, and the v5 STATS projection must count it.
+  // reply must say kApprox, and the STATS projection must count it.
   graph_ = std::make_unique<LabeledGraph>(TestGraph());
   auth_ = std::make_unique<core::AuthorityIndex>(*graph_);
   landmark::SelectionConfig scfg;

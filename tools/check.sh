@@ -4,7 +4,7 @@
 #   2. ASan:   full ctest suite                    (build-asan/)
 #   3. TSan:   obs + service + net + dynamic + coord + slo
 #              + incremental                         (build-tsan/)
-#   4. UBSan:  full ctest suite                    (build-ubsan/)
+#   4. UBSan:  full ctest suite, fatal             (build-ubsan/)
 #   5. bench-smoke: micro_benchmarks --smoke + ext_slo_ladder --smoke
 #                   + ext_mutation_apply --smoke     (build/)
 #
@@ -14,13 +14,14 @@
 # name), and ASan and UBSan run all of them: out-of-bounds reads in the
 # byte-level parsers and arena/flat-map scratch reuse, undefined behaviour
 # in the floating-point scoring kernels and serving arithmetic, anywhere in
-# the library. TSan runs the labels that exercise concurrency: the metrics
-# registry (`obs`), the concurrent engine and the ladder's lock-free
-# PressureMonitor (`service`, `slo`), the epoll server (`net`), mutators
-# racing readers and the background repair thread (`dynamic`), the apply/
-# rebind lock split against concurrent generation readers (`incremental`),
-# and the router's dispatchers blocking on shard RPCs against the shard
-# servers (`coord`).
+# the library. UBSan is built with -fno-sanitize-recover=undefined, so a
+# report aborts the test that hit it instead of printing and passing. TSan
+# runs the labels that exercise concurrency: the metrics registry (`obs`),
+# the concurrent engine and the ladder's lock-free PressureMonitor
+# (`service`, `slo`), the epoll server (`net`), mutators racing readers and
+# the background repair thread (`dynamic`), the apply/rebind lock split
+# against concurrent generation readers (`incremental`), and the router's
+# dispatchers blocking on shard RPCs against the shard servers (`coord`).
 #
 # bench-smoke runs the allocation-counting smoke gate of the zero-allocation
 # hot path (DESIGN.md §6.6): a warm exact query and a warm landmark query

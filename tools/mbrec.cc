@@ -38,13 +38,13 @@
 //   mbrec serve     --plan plan.bin --shard I --graph snapshot.bin
 //                   [--index index.bin] [--port P] ... (shard replica:
 //                   warm-starts only shard I's halo subgraph + locally
-//                   homed landmark lists; read-only, v4 shard ops)
+//                   homed landmark lists; read-only, shard ops)
 //   mbrec route     --plan plan.bin [--endpoints h:p,...] [--port P]
 //                   [--mode landmark|exact] [--degrade partial|off]
 //                   [--timeout-ms T] [--max-connections K] (coordinator:
-//                   clients speak ordinary v1-v5 to it through the same
-//                   front end as serve; replies are byte-identical to
-//                   single-node serving; --degrade off turns shard loss
+//                   clients speak the ordinary protocol to it through
+//                   the same front end as serve; replies are byte-identical
+//                   to single-node serving; --degrade off turns shard loss
 //                   into an ERROR instead of a partial merge; K is also the
 //                   admission bound past which requests get OVERLOADED)
 //
@@ -58,7 +58,7 @@
 // `metrics` (Prometheus text exposition of the server registry) and
 // `shutdown-remote` talk to a running server over the wire protocol.
 // `serve --mutable 1` additionally accepts FOLLOW/UNFOLLOW/RELABEL frames
-// (protocol v3): each applied batch materializes a new graph generation,
+// as well: each applied batch materializes a new graph generation,
 // rebinds the engine and bumps the graph epoch; with a landmark index
 // loaded, a background LandmarkRepairer lazily refreshes stale landmark
 // lists (--repair touched|all). `mutate` sends one mutation record to a
@@ -603,7 +603,7 @@ int ApplyDegradeFlags(const Args& args, service::EngineConfig* ecfg) {
 }
 
 // `mbrec serve --plan P --shard i`: warm-start only shard i's slice (halo
-// subgraph + locally-homed landmark lists) and serve the v5 shard ops.
+// subgraph + locally-homed landmark lists) and serve the shard ops.
 int CmdServeShard(const Args& args) {
   const auto& vocab = VocabFor(args.Get("vocab", "twitter"));
   const auto& sim = SimFor(args.Get("vocab", "twitter"));
@@ -835,7 +835,7 @@ int CmdServe(const Args& args) {
   }
   service::ServingReplica& rep = **replica;
 
-  // --mutable 1 turns on the protocol-v3 mutation path: an applier that
+  // --mutable 1 turns on the mutation path: an applier that
   // materializes a new graph generation per applied batch, plus (when a
   // landmark index is loaded) a background repairer that lazily refreshes
   // stale landmark lists. Declared before the server so the server (which
