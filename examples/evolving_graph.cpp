@@ -1,6 +1,8 @@
 // Evolving-graph scenario: keep serving landmark-based recommendations
-// while the follow graph churns, refreshing landmarks with a small budget
-// (the §6 "updating strategies" extension, end to end).
+// while the follow graph churns. Each day's churn is one mutation batch on
+// the serving path, and the landmark repairer recomputes a small budget of
+// stale landmarks per day (the §6 "updating strategies" extension, end to
+// end).
 //
 //   ./build/examples/evolving_graph [num_nodes] [rounds]
 
@@ -11,11 +13,11 @@
 #include "datagen/twitter_generator.h"
 #include "dynamic/churn.h"
 #include "dynamic/delta_graph.h"
-#include "dynamic/incremental_authority.h"
-#include "dynamic/refresh.h"
-#include "landmark/approx.h"
 #include "landmark/index.h"
 #include "landmark/selection.h"
+#include "service/landmark_repair.h"
+#include "service/mutation.h"
+#include "service/query_engine.h"
 #include "topics/similarity_matrix.h"
 #include "topics/vocabulary.h"
 
@@ -42,58 +44,53 @@ int main(int argc, char** argv) {
   icfg.top_n = 100;
   landmark::LandmarkIndex index(ds.graph, auth0, sim, sel.landmarks, icfg);
 
-  // The serving stack: a churn-aware refresher (8 landmark recomputes per
-  // day, most-churned first) + incrementally maintained authority.
-  dynamic::LandmarkRefresher refresher(std::move(index),
-                                       dynamic::RefreshPolicy::kMostChurned,
-                                       8);
+  // The serving stack: a landmark engine, the applier that turns each
+  // day's churn into a new graph generation (authority kept exact), and a
+  // repairer that recomputes at most 8 stale landmarks per day, oldest
+  // lists first.
+  service::EngineConfig ec;
+  ec.num_threads = 1;
+  ec.landmarks = &index;
+  service::QueryEngine engine(ds.graph, auth0, sim, ec);
+  service::MutationApplier applier(ds.graph, auth0, engine);
+  service::LandmarkRepairer repairer(index, engine, sim,
+                                     applier.current_graph(),
+                                     applier.current_authority());
+  applier.SetRepairer(&repairer);
+
+  // The churn workload reads its own view of the evolving graph.
   dynamic::DeltaGraph overlay(&ds.graph);
-  dynamic::IncrementalAuthority inc_auth(ds.graph);
   util::Rng rng(2026);
   dynamic::ChurnConfig churn;  // 5% unfollows + 5% follows per "day"
 
   const topics::TopicId tech = topics::TwitterVocabulary().Id("technology");
   const graph::NodeId user = 42;
 
-  size_t add_cursor = 0, rem_cursor = 0;
   for (int day = 1; day <= rounds; ++day) {
-    auto stats = ApplyChurnRound(&overlay, &inc_auth, churn, &rng);
-    graph::LabeledGraph today = overlay.Materialize();
-    core::AuthorityIndex fresh_auth(today);
+    dynamic::ChurnRound changes =
+        ApplyChurnRound(&overlay, nullptr, churn, &rng);
+    service::MutationOutcome out =
+        applier.Apply(service::ChurnBatch(changes));
+    std::vector<graph::NodeId> repaired = repairer.RepairStale(8);
 
-    // Hand the refresher the day's change log.
-    std::vector<dynamic::EdgeChange> changes;
-    for (size_t i = add_cursor; i < overlay.additions().size(); ++i) {
-      changes.push_back(overlay.additions()[i]);
-    }
-    for (size_t i = rem_cursor; i < overlay.removals().size(); ++i) {
-      changes.push_back(overlay.removals()[i]);
-    }
-    add_cursor = overlay.additions().size();
-    rem_cursor = overlay.removals().size();
-    auto refreshed =
-        refresher.RefreshRound(today, fresh_auth, sim, changes);
-
-    // Periodic max refresh, as §3.2 prescribes.
-    if (inc_auth.updates_since_refresh() > today.num_edges() / 10) {
-      inc_auth.RefreshMax();
-    }
-
-    landmark::ApproxRecommender approx(today, fresh_auth, sim,
-                                       refresher.index(), {});
-    auto recs = approx.TopN(user, tech, 3);
     std::printf(
-        "day %d: -%llu/+%llu edges, refreshed %zu landmarks; top tech "
+        "day %d: -%zu/+%zu edges (%u applied, %u rejected, epoch %llu), "
+        "repaired %zu landmarks (%zu still stale); top tech "
         "recommendations for user %u:",
-        day, static_cast<unsigned long long>(stats.edges_removed),
-        static_cast<unsigned long long>(stats.edges_added),
-        refreshed.size(), user);
-    for (const auto& r : recs) std::printf("  #%u", r.id);
+        day, changes.removed.size(), changes.added.size(), out.applied,
+        out.rejected, static_cast<unsigned long long>(out.graph_epoch),
+        repaired.size(), repairer.stale_count(), user);
+    auto recs = engine.TopN(user, tech, 3);
+    if (!recs.ok()) {
+      std::printf(" %s\n", recs.status().ToString().c_str());
+      return 1;
+    }
+    for (const auto& r : recs.value()) std::printf("  #%u", r.id);
     std::printf("\n");
   }
   std::printf("total landmark recomputations: %llu (vs %zu x %d for full "
               "rebuilds)\n",
-              static_cast<unsigned long long>(refresher.total_refreshed()),
+              static_cast<unsigned long long>(repairer.repairs_done()),
               sel.landmarks.size(), rounds);
   return 0;
 }

@@ -1,7 +1,5 @@
 #include "dynamic/churn.h"
 
-#include <vector>
-
 #include "util/logging.h"
 
 namespace mbr::dynamic {
@@ -23,23 +21,25 @@ TopicId RandomTopicOf(TopicSet s, util::Rng* rng) {
 
 }  // namespace
 
-ChurnStats ApplyChurnRound(DeltaGraph* overlay,
+ChurnRound ApplyChurnRound(DeltaGraph* overlay,
                            IncrementalAuthority* authority,
                            const ChurnConfig& config, util::Rng* rng) {
   MBR_CHECK(overlay != nullptr);
   const graph::LabeledGraph& base = overlay->base();
   const NodeId n = overlay->num_nodes();
-  ChurnStats stats;
+  ChurnRound round;
 
   uint64_t to_remove = static_cast<uint64_t>(config.unfollow_fraction *
                                              static_cast<double>(overlay->num_edges()));
   uint64_t to_add = static_cast<uint64_t>(config.follow_fraction *
                                           static_cast<double>(overlay->num_edges()));
+  round.removed.reserve(to_remove);
+  round.added.reserve(to_add);
 
   // ---- Unfollows: sample random live edges via random (node, position)
   // probes on the base graph (the overlay additions are a small minority).
   uint64_t guard = 0;
-  while (stats.edges_removed < to_remove && guard < to_remove * 50 + 100) {
+  while (round.removed.size() < to_remove && guard < to_remove * 50 + 100) {
     ++guard;
     NodeId u = static_cast<NodeId>(rng->UniformU64(n));
     auto nbrs = base.OutNeighbors(u);
@@ -48,14 +48,14 @@ ChurnStats ApplyChurnRound(DeltaGraph* overlay,
     TopicSet labels = overlay->EdgeLabels(u, v);
     if (!overlay->RemoveEdge(u, v)) continue;
     if (authority != nullptr) authority->OnEdgeRemoved(u, v, labels);
-    ++stats.edges_removed;
+    round.removed.push_back({u, v, labels});
   }
 
   // ---- New follows: popularity-weighted target among the follower's
   // topical peers (sample two random nodes publishing the topic, keep the
   // more followed).
   guard = 0;
-  while (stats.edges_added < to_add && guard < to_add * 50 + 100) {
+  while (round.added.size() < to_add && guard < to_add * 50 + 100) {
     ++guard;
     NodeId u = static_cast<NodeId>(rng->UniformU64(n));
     TopicSet interests = base.NodeLabels(u);
@@ -75,9 +75,9 @@ ChurnStats ApplyChurnRound(DeltaGraph* overlay,
     }
     if (!overlay->AddEdge(u, v, label)) continue;
     if (authority != nullptr) authority->OnEdgeAdded(u, v, label);
-    ++stats.edges_added;
+    round.added.push_back({u, v, label});
   }
-  return stats;
+  return round;
 }
 
 }  // namespace mbr::dynamic

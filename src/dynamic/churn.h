@@ -8,6 +8,7 @@
 // distributionally faithful).
 
 #include <cstdint>
+#include <vector>
 
 #include "dynamic/delta_graph.h"
 #include "dynamic/incremental_authority.h"
@@ -20,17 +21,29 @@ struct ChurnConfig {
   // (e.g. 0.05 -> 5% unfollows + 5% new follows).
   double unfollow_fraction = 0.05;
   double follow_fraction = 0.05;
-  uint64_t seed = 33;
 };
 
-struct ChurnStats {
-  uint64_t edges_removed = 0;
-  uint64_t edges_added = 0;
+// One applied edge change. A removal carries the labels the edge had.
+struct EdgeChange {
+  graph::NodeId src = 0;
+  graph::NodeId dst = 0;
+  topics::TopicSet labels;
+
+  bool operator==(const EdgeChange&) const = default;
+};
+
+// The changes one churn round applied, each list in application order;
+// every removal was applied before every addition.
+struct ChurnRound {
+  std::vector<EdgeChange> removed;
+  std::vector<EdgeChange> added;
 };
 
 // Applies one churn round to `overlay` and (if non-null) keeps `authority`
-// in sync edge by edge. Returns what was done.
-ChurnStats ApplyChurnRound(DeltaGraph* overlay,
+// in sync edge by edge. Returns what was done, so a caller can replay the
+// round elsewhere (e.g. as a service::MutationApplier batch of UNFOLLOWs
+// then FOLLOWs).
+ChurnRound ApplyChurnRound(DeltaGraph* overlay,
                            IncrementalAuthority* authority,
                            const ChurnConfig& config, util::Rng* rng);
 

@@ -1,6 +1,7 @@
 #include "dynamic/delta_graph.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/logging.h"
 
@@ -59,8 +60,6 @@ bool DeltaGraph::AddEdge(NodeId u, NodeId v, TopicSet labels) {
   rlist.insert(rit, {u, labels});
   ++num_edges_;
   ++in_degree_delta_pos_[v];
-  additions_.push_back({u, v, labels});
-  if (on_change_) on_change_();
   return true;
 }
 
@@ -70,7 +69,6 @@ bool DeltaGraph::RemoveEdge(NodeId u, NodeId v) {
   auto& list = added_[u];
   auto it = FindIn(list, v);
   if (it != list.end()) {
-    removals_.push_back({u, v, it->second});
     list.erase(list.begin() + (it - list.cbegin()));
     auto& rlist = added_in_[v];
     auto rit = FindIn(rlist, u);
@@ -79,16 +77,13 @@ bool DeltaGraph::RemoveEdge(NodeId u, NodeId v) {
     --num_edges_;
     MBR_CHECK(in_degree_delta_pos_[v] > 0);
     --in_degree_delta_pos_[v];
-    if (on_change_) on_change_();
     return true;
   }
   // Base edge not yet tombstoned?
   if (base_->HasEdge(u, v) && !IsRemoved(u, v)) {
-    removals_.push_back({u, v, base_->EdgeLabels(u, v)});
     removed_.insert(Key(u, v));
     --num_edges_;
     ++in_degree_delta_neg_[v];
-    if (on_change_) on_change_();
     return true;
   }
   return false;
@@ -97,15 +92,10 @@ bool DeltaGraph::RemoveEdge(NodeId u, NodeId v) {
 bool DeltaGraph::RelabelEdge(NodeId u, NodeId v, TopicSet labels) {
   MBR_CHECK(u < num_nodes() && v < num_nodes());
   if (!HasEdge(u, v)) return false;
-  // Remove + re-add with the listener suppressed: all degree counters,
-  // tombstones, and the change log evolve exactly as for the two primitive
-  // mutations, and the listener observes one logical change.
-  std::function<void()> listener = std::move(on_change_);
-  on_change_ = nullptr;
+  // Remove + re-add: all degree counters and tombstones evolve exactly as
+  // for the two primitive mutations.
   MBR_CHECK(RemoveEdge(u, v));
   MBR_CHECK(AddEdge(u, v, labels));
-  on_change_ = std::move(listener);
-  if (on_change_) on_change_();
   return true;
 }
 

@@ -10,7 +10,6 @@
 // Materialize() compacts everything into a fresh CSR graph when a batch of
 // churn has been applied (the paper's "re-computed periodically" model).
 
-#include <functional>
 #include <span>
 #include <unordered_set>
 #include <utility>
@@ -20,12 +19,6 @@
 #include "topics/topic.h"
 
 namespace mbr::dynamic {
-
-struct EdgeChange {
-  graph::NodeId src = 0;
-  graph::NodeId dst = 0;
-  topics::TopicSet labels;  // empty for removals
-};
 
 class DeltaGraph {
  public:
@@ -46,9 +39,8 @@ class DeltaGraph {
   bool RemoveEdge(graph::NodeId u, graph::NodeId v);
 
   // Replaces the labels of the live edge u -> v (the wire RELABEL op).
-  // Returns false if the edge is not currently present. Implemented as a
-  // listener-suppressed RemoveEdge + AddEdge so every degree counter and
-  // the change log stay consistent; the change listener fires once.
+  // Returns false if the edge is not currently present. Implemented as
+  // RemoveEdge + AddEdge so every degree counter stays consistent.
   bool RelabelEdge(graph::NodeId u, graph::NodeId v, topics::TopicSet labels);
 
   bool HasEdge(graph::NodeId u, graph::NodeId v) const;
@@ -86,21 +78,6 @@ class DeltaGraph {
       const graph::LabeledGraph& prev,
       std::span<const graph::NodeId> touched) const;
 
-  // Applied change log (in application order; useful for incremental
-  // index maintenance and tests).
-  const std::vector<EdgeChange>& additions() const { return additions_; }
-  const std::vector<EdgeChange>& removals() const { return removals_; }
-
-  // Invalidation hook: `fn` runs after every successful AddEdge/RemoveEdge
-  // (the mutation is already visible when it fires; no-op mutations do not
-  // fire). The serving layer registers an epoch bump here so cached query
-  // results keyed on the pre-change graph become unreachable
-  // (service::QueryEngine::Invalidate). The callback runs on the mutating
-  // thread and must not re-enter this DeltaGraph.
-  void SetChangeListener(std::function<void()> fn) {
-    on_change_ = std::move(fn);
-  }
-
  private:
   static uint64_t Key(graph::NodeId u, graph::NodeId v) {
     return (static_cast<uint64_t>(u) << 32) | v;
@@ -122,9 +99,6 @@ class DeltaGraph {
   std::unordered_set<uint64_t> removed_;
   std::vector<uint32_t> in_degree_delta_pos_;  // added in-edges per node
   std::vector<uint32_t> in_degree_delta_neg_;  // removed in-edges per node
-  std::vector<EdgeChange> additions_;
-  std::vector<EdgeChange> removals_;
-  std::function<void()> on_change_;
 };
 
 }  // namespace mbr::dynamic

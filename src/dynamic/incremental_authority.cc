@@ -47,7 +47,6 @@ void IncrementalAuthority::OnEdgeAdded(graph::NodeId /*u*/, graph::NodeId v,
     }
   }
   ++in_degree_[v];
-  ++updates_since_refresh_;
 }
 
 void IncrementalAuthority::OnEdgeRemoved(graph::NodeId /*u*/,
@@ -70,7 +69,6 @@ void IncrementalAuthority::OnEdgeRemoved(graph::NodeId /*u*/,
   }
   MBR_CHECK(in_degree_[v] > 0);
   --in_degree_[v];
-  ++updates_since_refresh_;
 }
 
 double IncrementalAuthority::Authority(graph::NodeId v,
@@ -99,7 +97,6 @@ void IncrementalAuthority::RefreshMax() {
   }
   std::fill(max_dirty_.begin(), max_dirty_.end(), 0);
   dirty_count_ = 0;
-  updates_since_refresh_ = 0;
 }
 
 int IncrementalAuthority::RefreshDirtyMax() {

@@ -65,8 +65,6 @@ class IncrementalAuthority {
         num_topics_, followers_on_topic_, in_degree_, max_followers_};
   }
 
-  // Edge changes applied since the last RefreshMax() / construction.
-  uint64_t updates_since_refresh() const { return updates_since_refresh_; }
   int num_topics() const { return num_topics_; }
 
  private:
@@ -77,7 +75,6 @@ class IncrementalAuthority {
   std::vector<uint32_t> max_followers_;       // per topic (upper bound)
   std::vector<uint8_t> max_dirty_;            // per topic: bound unverified
   int dirty_count_ = 0;
-  uint64_t updates_since_refresh_ = 0;
 };
 
 }  // namespace mbr::dynamic

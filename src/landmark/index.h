@@ -87,7 +87,7 @@ class LandmarkIndex {
 
   // Re-runs Algorithm 1 for one landmark against `g` (typically the graph
   // after a batch of updates) and replaces its stored lists in place — the
-  // unit of work of the §6 refresh policies. Preconditions: IsLandmark(lm);
+  // unit of work of service::LandmarkRepairer. Preconditions: IsLandmark(lm);
   // g has the node/topic counts this index was built with.
   void RefreshLandmark(graph::NodeId lm, const graph::LabeledGraph& g,
                        const core::AuthorityIndex& authority,

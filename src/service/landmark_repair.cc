@@ -1,14 +1,11 @@
 #include "service/landmark_repair.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.h"
 
 namespace mbr::service {
-
-namespace {
-constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
-}  // namespace
 
 LandmarkRepairer::LandmarkRepairer(
     landmark::LandmarkIndex& index, QueryEngine& engine,
@@ -143,15 +140,16 @@ void LandmarkRepairer::OnBatchApplied(
   cv_.notify_all();
 }
 
-bool LandmarkRepairer::RepairOneLocked(std::unique_lock<std::mutex>& lock) {
+uint32_t LandmarkRepairer::RepairOneLocked(
+    std::unique_lock<std::mutex>& lock) {
   uint32_t slot = kNoSlot;
   for (uint32_t s = 0; s < marked_seq_.size(); ++s) {
-    if (marked_seq_[s] > repaired_seq_[s]) {
+    if (marked_seq_[s] > repaired_seq_[s] &&
+        (slot == kNoSlot || repaired_seq_[s] < repaired_seq_[slot])) {
       slot = s;
-      break;
     }
   }
-  if (slot == kNoSlot) return false;
+  if (slot == kNoSlot) return kNoSlot;
   const uint64_t mark = marked_seq_[slot];
   // Snapshot the generation to refresh against, then release the lock for
   // the expensive part: markings that land during the refresh keep the
@@ -171,7 +169,24 @@ bool LandmarkRepairer::RepairOneLocked(std::unique_lock<std::mutex>& lock) {
   RecomputeStaleLocked();
   repair_in_flight_ = false;
   cv_.notify_all();
-  return true;
+  return slot;
+}
+
+std::vector<graph::NodeId> LandmarkRepairer::RepairStaleLocked(
+    size_t budget, std::unique_lock<std::mutex>& lock) {
+  std::vector<graph::NodeId> repaired;
+  while (repaired.size() < budget) {
+    const uint32_t slot = RepairOneLocked(lock);
+    if (slot == kNoSlot) break;
+    repaired.push_back(index_->landmarks()[slot]);
+  }
+  return repaired;
+}
+
+std::vector<graph::NodeId> LandmarkRepairer::RepairStale(size_t budget) {
+  std::unique_lock<std::mutex> lock(mu_);
+  MBR_CHECK(!running_);
+  return RepairStaleLocked(budget, lock);
 }
 
 void LandmarkRepairer::RepairLoop() {
@@ -193,8 +208,7 @@ void LandmarkRepairer::Quiesce() {
              !repair_in_flight_;
     });
   } else {
-    while (RepairOneLocked(lock)) {
-    }
+    RepairStaleLocked(std::numeric_limits<size_t>::max(), lock);
   }
 }
 

@@ -36,6 +36,14 @@
 // kAll marks every slot on every batch (an upper bound used by the
 // differential oracle: after Quiesce() the index is byte-identical to a
 // fresh build, because RefreshLandmark is deterministic).
+//
+// Schedule (the paper's §6 "updating strategies"): the next repair takes
+// the stale slot with the smallest repaired_seq — the oldest stored lists
+// — ties broken by slot id. While churn touches every slot each batch this
+// is round-robin over the landmarks; a slot nobody touched is never
+// repaired. RepairStale(budget) runs that order under a per-round budget
+// on the calling thread, which is how bench/ext_dynamic_updates runs the
+// §6 refresh study on the serving path.
 
 #include <atomic>
 #include <condition_variable>
@@ -78,8 +86,8 @@ class LandmarkRepairer {
   LandmarkRepairer& operator=(const LandmarkRepairer&) = delete;
 
   // Starts / stops the background repair thread. Without Start(),
-  // Quiesce() drains the stale set synchronously on the calling thread
-  // (deterministic single-threaded tests).
+  // RepairStale() and Quiesce() repair synchronously on the calling thread
+  // (deterministic single-threaded tests and benches).
   void Start();
   void Stop();
 
@@ -88,6 +96,11 @@ class LandmarkRepairer {
   void OnBatchApplied(std::shared_ptr<const graph::LabeledGraph> graph,
                       std::shared_ptr<const core::AuthorityIndex> authority,
                       std::span<const graph::NodeId> touched);
+
+  // Repairs up to `budget` stale slots, oldest lists first, on the
+  // calling thread and returns their landmarks in repair order. Only
+  // without Start(): the repair thread owns the schedule once running.
+  std::vector<graph::NodeId> RepairStale(size_t budget);
 
   // Blocks until no slot is stale and no repair is in flight. With the
   // thread running this waits; otherwise it repairs inline.
@@ -104,14 +117,19 @@ class LandmarkRepairer {
   std::function<bool()> MakeStaleProbe();
 
  private:
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+
   void MarkSlotLocked(uint32_t slot);
   void RecomputeStaleLocked();
   // Rebuilds the node -> slots reverse index entry set for `slot` from its
   // current stored lists.
   void ReindexSlotLocked(uint32_t slot);
-  // Repairs one stale slot (the lowest). Returns false if none was stale.
+  // Repairs the stale slot with the oldest lists (smallest repaired_seq,
+  // then lowest slot id) and returns it, or kNoSlot if none was stale.
   // Caller must hold `lock` (it is released around the refresh).
-  bool RepairOneLocked(std::unique_lock<std::mutex>& lock);
+  uint32_t RepairOneLocked(std::unique_lock<std::mutex>& lock);
+  std::vector<graph::NodeId> RepairStaleLocked(
+      size_t budget, std::unique_lock<std::mutex>& lock);
   void RepairLoop();
 
   landmark::LandmarkIndex* index_;

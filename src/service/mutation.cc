@@ -27,6 +27,18 @@ const char* MutationOpName(MutationOp op) {
   return "unknown";
 }
 
+std::vector<Mutation> ChurnBatch(const dynamic::ChurnRound& round) {
+  std::vector<Mutation> batch;
+  batch.reserve(round.removed.size() + round.added.size());
+  for (const dynamic::EdgeChange& e : round.removed) {
+    batch.push_back({MutationOp::kUnfollow, e.src, e.dst, {}});
+  }
+  for (const dynamic::EdgeChange& e : round.added) {
+    batch.push_back({MutationOp::kFollow, e.src, e.dst, e.labels});
+  }
+  return batch;
+}
+
 MutationApplier::MutationApplier(const graph::LabeledGraph& base,
                                  const core::AuthorityIndex& base_authority,
                                  QueryEngine& engine,
@@ -85,8 +97,8 @@ bool MutationApplier::ApplyOne(const Mutation& m) {
       const topics::TopicSet old = delta_.EdgeLabels(m.src, m.dst);
       if (!delta_.RelabelEdge(m.src, m.dst, m.labels)) return false;
       if (incremental) {
-        // Mirror the delta's listener-suppressed remove + re-add so the
-        // counters replay the exact op order.
+        // Mirror the delta's remove + re-add so the counters replay the
+        // exact op order.
         inc_auth_.OnEdgeRemoved(m.src, m.dst, old);
         inc_auth_.OnEdgeAdded(m.src, m.dst, m.labels);
       }

@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "core/authority.h"
+#include "dynamic/churn.h"
 #include "dynamic/delta_graph.h"
 #include "dynamic/incremental_authority.h"
 #include "graph/labeled_graph.h"
@@ -78,6 +79,10 @@ struct Mutation {
   graph::NodeId dst = 0;
   topics::TopicSet labels;  // ignored for kUnfollow
 };
+
+// One churn round (dynamic::ApplyChurnRound) as one batch: its UNFOLLOWs,
+// then its FOLLOWs, in the order the round applied them.
+std::vector<Mutation> ChurnBatch(const dynamic::ChurnRound& round);
 
 struct MutationOutcome {
   uint32_t applied = 0;

@@ -14,9 +14,9 @@
 //     (user, topic, top_n, params_epoch) and storing the ranked top-n
 //     list. Invalidate() bumps the epoch, which makes every cached entry
 //     unreachable in O(1) — stale entries are then evicted by ordinary LRU
-//     pressure. The dynamic-update path wires
-//     dynamic::DeltaGraph::SetChangeListener to Invalidate() so serving
-//     never returns results from before an edge change. Queries carrying
+//     pressure. The dynamic-update path (service::MutationApplier) Rebinds
+//     once per applied batch, which implies Invalidate(), so serving never
+//     returns results from before an edge change. Queries carrying
 //     an exclusion list bypass the cache entirely (the key space is
 //     (user, topic, top_n) only);
 //   * serving counters and the per-query log2 latency histogram live in an
@@ -214,9 +214,9 @@ class QueryEngine {
   // occupying capacity (they are unreachable by fresh-lookup key equality
   // the moment the epoch moves). With the degradation ladder enabled the
   // sweep retains the newest `stale_keep_epochs` dead generations — the
-  // stale tier's inventory — and only purges older ones. Wire this to
-  // dynamic::DeltaGraph::SetChangeListener so edge churn can never serve
-  // stale lists as fresh.
+  // stale tier's inventory — and only purges older ones. Rebind and
+  // RunExclusive call it, so an applied mutation batch or a landmark
+  // repair never serves stale lists as fresh.
   void Invalidate();
 
   // Points the engine at a new graph snapshot (e.g. a materialised

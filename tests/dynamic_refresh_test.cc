@@ -1,17 +1,24 @@
-#include "dynamic/refresh.h"
-
-#include <algorithm>
+// Landmark maintenance under churn: LandmarkIndex::RefreshLandmark (the
+// repair unit) and service::LandmarkRepairer's schedule — the stale slot
+// with the oldest lists is repaired first, ties by slot id.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "core/authority.h"
 #include "datagen/twitter_generator.h"
-#include "dynamic/churn.h"
 #include "dynamic/delta_graph.h"
+#include "landmark/index.h"
 #include "landmark/selection.h"
+#include "service/landmark_repair.h"
+#include "service/mutation.h"
+#include "service/query_engine.h"
 #include "topics/similarity_matrix.h"
 
-namespace mbr::dynamic {
+namespace mbr {
 namespace {
 
 using graph::NodeId;
@@ -45,7 +52,7 @@ TEST(RefreshLandmarkTest, RecomputesOnUpdatedGraph) {
   NodeId lm = f.sel.landmarks[0];
 
   // Heavy local churn around the landmark: remove all its out-edges.
-  DeltaGraph overlay(&f.ds.graph);
+  dynamic::DeltaGraph overlay(&f.ds.graph);
   for (NodeId v : f.ds.graph.OutNeighbors(lm)) overlay.RemoveEdge(lm, v);
   graph::LabeledGraph current = overlay.Materialize();
   core::AuthorityIndex fresh_auth(current);
@@ -70,128 +77,152 @@ TEST(RefreshLandmarkTest, RecomputesOnUpdatedGraph) {
   EXPECT_TRUE(any_nonempty);
 }
 
-TEST(RefresherTest, NonePolicyRefreshesNothing) {
-  Fixture f;
-  LandmarkRefresher refresher(f.MakeIndex(), RefreshPolicy::kNone, 5);
-  auto refreshed = refresher.RefreshRound(f.ds.graph, f.auth,
-                                          topics::TwitterSimilarity(), {});
-  EXPECT_TRUE(refreshed.empty());
-  EXPECT_EQ(refresher.total_refreshed(), 0u);
-}
-
-TEST(RefresherTest, RoundRobinCyclesThroughAllLandmarks) {
-  Fixture f;
-  LandmarkRefresher refresher(f.MakeIndex(), RefreshPolicy::kRoundRobin, 7);
-  std::vector<NodeId> seen;
-  for (int round = 0; round < 3; ++round) {
-    auto r = refresher.RefreshRound(f.ds.graph, f.auth,
-                                    topics::TwitterSimilarity(), {});
-    EXPECT_EQ(r.size(), 7u);
-    seen.insert(seen.end(), r.begin(), r.end());
+// A serving stack over a fresh copy of the fixture's index. The repairer
+// is never started, so RepairStale() and Quiesce() run on the test thread.
+class RepairStack {
+ public:
+  RepairStack(Fixture& f, service::RepairConfig::Mode mode)
+      : f_(f),
+        index_(f.MakeIndex()),
+        engine_(f.ds.graph, f.auth, topics::TwitterSimilarity(),
+                MakeEngineConfig(&index_)),
+        applier_(f.ds.graph, f.auth, engine_),
+        repairer_(index_, engine_, topics::TwitterSimilarity(),
+                  applier_.current_graph(), applier_.current_authority(),
+                  service::RepairConfig{mode}) {
+    applier_.SetRepairer(&repairer_);
   }
-  EXPECT_EQ(refresher.total_refreshed(), 21u);
-  // 21 refreshes over 20 landmarks: the first landmark came around again.
-  EXPECT_EQ(seen.front(), seen.back());
-}
 
-TEST(RefresherTest, ChurnExposureCountsTouchedLandmarks) {
-  Fixture f;
-  LandmarkRefresher refresher(f.MakeIndex(), RefreshPolicy::kMostChurned, 5);
-  NodeId lm0 = f.sel.landmarks[0];
-  std::vector<EdgeChange> changes = {
-      {lm0, 1, topics::TopicSet::Single(0)},  // touches landmark 0 directly
-  };
-  auto exposure = refresher.ChurnExposure(changes);
-  ASSERT_EQ(exposure.size(), f.sel.landmarks.size());
-  EXPECT_GE(exposure[0], 1u);
-}
-
-TEST(RefresherTest, MostChurnedPrefersExposedLandmarks) {
-  Fixture f;
-  LandmarkRefresher refresher(f.MakeIndex(), RefreshPolicy::kMostChurned, 5);
-  NodeId hot = f.sel.landmarks[3];
-  std::vector<EdgeChange> changes;
-  for (int i = 0; i < 10; ++i) {
-    changes.push_back({hot, static_cast<NodeId>(i), topics::TopicSet()});
+  // Applies FOLLOW src -> dst as a one-record batch.
+  bool Follow(NodeId src, NodeId dst) {
+    const service::Mutation m{service::MutationOp::kFollow, src, dst,
+                              topics::TopicSet::Single(0)};
+    return applier_.Apply(std::span<const service::Mutation>(&m, 1))
+               .applied == 1;
   }
-  // The refresher must pick exactly the landmarks with the highest
-  // exposure to these changes (`hot` gets +1 per change as the source, but
-  // landmarks whose stored lists watch the changed endpoints can
-  // legitimately accumulate more).
-  auto exposure = refresher.ChurnExposure(changes);
-  auto refreshed = refresher.RefreshRound(f.ds.graph, f.auth,
-                                          topics::TwitterSimilarity(),
-                                          changes);
-  ASSERT_FALSE(refreshed.empty());
-  EXPECT_GE(exposure[3], 10u);  // `hot` is slot 3, touched by every change
-  uint64_t min_refreshed = ~0ull;
-  for (NodeId lm : refreshed) {
-    for (size_t i = 0; i < f.sel.landmarks.size(); ++i) {
-      if (f.sel.landmarks[i] == lm) {
-        min_refreshed = std::min(min_refreshed, exposure[i]);
+
+  // Applies one FOLLOW from `src` the live graph does not have yet.
+  void FollowSomeone(NodeId src) {
+    for (NodeId dst = 0; dst < f_.ds.graph.num_nodes(); ++dst) {
+      if (dst != src && Follow(src, dst)) return;
+    }
+    FAIL() << "node " << src << " already follows everyone";
+  }
+
+  const std::vector<NodeId>& landmarks() const { return index_.landmarks(); }
+  service::LandmarkRepairer& repairer() { return repairer_; }
+
+  // Nodes that are neither landmarks nor on any stored list: a mutation
+  // touching only these can change no stored list.
+  std::vector<NodeId> UnwatchedNodes() const {
+    std::vector<bool> watched(f_.ds.graph.num_nodes(), false);
+    for (NodeId lm : landmarks()) {
+      watched[lm] = true;
+      for (int t = 0; t < index_.num_topics(); ++t) {
+        for (const landmark::StoredRec& rec : index_.Recommendations(
+                 lm, static_cast<topics::TopicId>(t))) {
+          watched[rec.node] = true;
+        }
       }
     }
-  }
-  // Nobody skipped: every unrefreshed landmark has exposure <= the worst
-  // refreshed one.
-  for (size_t i = 0; i < f.sel.landmarks.size(); ++i) {
-    if (std::find(refreshed.begin(), refreshed.end(), f.sel.landmarks[i]) ==
-        refreshed.end()) {
-      EXPECT_LE(exposure[i], min_refreshed);
+    std::vector<NodeId> out;
+    for (NodeId v = 0; v < watched.size(); ++v) {
+      if (!watched[v]) out.push_back(v);
     }
+    return out;
   }
-}
 
-TEST(RefresherTest, MostChurnedSkipsUntouchedLandmarks) {
-  Fixture f;
-  LandmarkRefresher refresher(f.MakeIndex(), RefreshPolicy::kMostChurned, 5);
-  // No changes at all: nothing is worth refreshing.
-  auto refreshed = refresher.RefreshRound(f.ds.graph, f.auth,
-                                          topics::TwitterSimilarity(), {});
-  EXPECT_TRUE(refreshed.empty());
-}
-
-TEST(RefresherTest, RefreshConvergesToFreshIndexUnderFullBudget) {
-  Fixture f;
-  landmark::LandmarkIndex stale = f.MakeIndex();
-
-  // Churn the graph.
-  DeltaGraph overlay(&f.ds.graph);
-  util::Rng rng(5);
-  ChurnConfig churn;
-  churn.unfollow_fraction = 0.10;
-  churn.follow_fraction = 0.10;
-  ApplyChurnRound(&overlay, nullptr, churn, &rng);
-  graph::LabeledGraph current = overlay.Materialize();
-  core::AuthorityIndex fresh_auth(current);
-
-  // Full-budget round-robin refresh = rebuild.
-  LandmarkRefresher refresher(std::move(stale), RefreshPolicy::kRoundRobin,
-                              static_cast<uint32_t>(f.sel.landmarks.size()));
-  std::vector<EdgeChange> changes = overlay.additions();
-  for (const auto& r : overlay.removals()) changes.push_back(r);
-  refresher.RefreshRound(current, fresh_auth, topics::TwitterSimilarity(),
-                         changes);
-
-  landmark::LandmarkIndexConfig icfg;
-  icfg.top_n = 30;
-  landmark::LandmarkIndex rebuilt(current, fresh_auth,
-                                  topics::TwitterSimilarity(),
-                                  f.sel.landmarks, icfg);
-  for (NodeId lm : f.sel.landmarks) {
-    for (int t = 0; t < current.num_topics(); ++t) {
-      const auto& a = refresher.index().Recommendations(
-          lm, static_cast<topics::TopicId>(t));
-      const auto& b =
-          rebuilt.Recommendations(lm, static_cast<topics::TopicId>(t));
-      ASSERT_EQ(a.size(), b.size());
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].node, b[i].node);
-        EXPECT_DOUBLE_EQ(a[i].sigma, b[i].sigma);
+  // Whether `node` is on a stored list of some landmark other than `lm`.
+  bool OnOtherLists(NodeId node, NodeId lm) const {
+    for (NodeId other : landmarks()) {
+      if (other == lm) continue;
+      for (int t = 0; t < index_.num_topics(); ++t) {
+        for (const landmark::StoredRec& rec : index_.Recommendations(
+                 other, static_cast<topics::TopicId>(t))) {
+          if (rec.node == node) return true;
+        }
       }
     }
+    return false;
   }
+
+ private:
+  static service::EngineConfig MakeEngineConfig(
+      const landmark::LandmarkIndex* index) {
+    service::EngineConfig ec;
+    ec.num_threads = 1;
+    ec.landmarks = index;
+    return ec;
+  }
+
+  Fixture& f_;
+  landmark::LandmarkIndex index_;
+  service::QueryEngine engine_;
+  service::MutationApplier applier_;
+  service::LandmarkRepairer repairer_;
+};
+
+// kAll marks every slot on every batch, so the oldest lists are always
+// those of the slots not yet repaired: one repair per round walks the
+// landmarks in slot order, each exactly once. Repairing the lowest stale
+// slot instead would pick landmarks[0] every round.
+TEST(LandmarkRepairerScheduleTest, AllModeRoundsRepairEachLandmarkInOrder) {
+  Fixture f;
+  RepairStack stack(f, service::RepairConfig::Mode::kAll);
+  const size_t slots = stack.landmarks().size();
+  std::vector<NodeId> order;
+  for (size_t round = 0; round < slots; ++round) {
+    stack.FollowSomeone(static_cast<NodeId>(round));
+    ASSERT_EQ(stack.repairer().stale_count(), slots);
+    std::vector<NodeId> repaired = stack.repairer().RepairStale(1);
+    ASSERT_EQ(repaired.size(), 1u);
+    order.push_back(repaired[0]);
+  }
+  EXPECT_EQ(order, stack.landmarks());
+}
+
+TEST(LandmarkRepairerScheduleTest, UnwatchedFollowMarksNothing) {
+  Fixture f;
+  RepairStack stack(f, service::RepairConfig::Mode::kTouched);
+  const std::vector<NodeId> unwatched = stack.UnwatchedNodes();
+  ASSERT_GE(unwatched.size(), 2u);
+  ASSERT_TRUE(stack.Follow(unwatched[0], unwatched[1]));
+  EXPECT_EQ(stack.repairer().stale_count(), 0u);
+  EXPECT_TRUE(stack.repairer().RepairStale(stack.landmarks().size()).empty());
+  EXPECT_EQ(stack.repairer().repairs_done(), 0u);
+}
+
+TEST(LandmarkRepairerScheduleTest, FollowFromLandmarkMarksOnlyThatLandmark) {
+  Fixture f;
+  RepairStack stack(f, service::RepairConfig::Mode::kTouched);
+  const std::vector<NodeId> unwatched = stack.UnwatchedNodes();
+  ASSERT_FALSE(unwatched.empty());
+  // A landmark no other landmark's lists mention: touching it can only
+  // invalidate its own exploration.
+  auto lm = std::find_if(
+      stack.landmarks().begin(), stack.landmarks().end(),
+      [&](NodeId l) { return !stack.OnOtherLists(l, l); });
+  ASSERT_NE(lm, stack.landmarks().end());
+  ASSERT_TRUE(stack.Follow(*lm, unwatched[0]));
+  EXPECT_EQ(stack.repairer().stale_count(), 1u);
+  EXPECT_EQ(stack.repairer().RepairStale(stack.landmarks().size()),
+            std::vector<NodeId>{*lm});
+  EXPECT_EQ(stack.repairer().stale_count(), 0u);
+}
+
+TEST(LandmarkRepairerScheduleTest, PartialRepairLeavesTheRestForQuiesce) {
+  Fixture f;
+  RepairStack stack(f, service::RepairConfig::Mode::kAll);
+  const size_t slots = stack.landmarks().size();
+  const size_t k = 7;
+  stack.FollowSomeone(0);
+  ASSERT_EQ(stack.repairer().stale_count(), slots);
+  EXPECT_EQ(stack.repairer().RepairStale(k).size(), k);
+  EXPECT_EQ(stack.repairer().stale_count(), slots - k);
+  stack.repairer().Quiesce();
+  EXPECT_EQ(stack.repairer().stale_count(), 0u);
+  EXPECT_EQ(stack.repairer().repairs_done(), slots);
 }
 
 }  // namespace
-}  // namespace mbr::dynamic
+}  // namespace mbr

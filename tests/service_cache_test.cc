@@ -1,17 +1,19 @@
-// Cache keying / epoch invalidation: a dynamic edge insertion must bump
-// the engine's params epoch (via the DeltaGraph change listener), force the
-// next identical query to miss the cache, and — after rebinding to the
-// materialised graph — serve results that reflect the new edge.
+// Cache keying / epoch invalidation: an applied mutation batch must bump
+// the engine's params epoch (MutationApplier rebinds onto the new
+// generation), force the next identical query to miss the cache, and serve
+// results that reflect the new edge; a batch that applies nothing bumps
+// nothing.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "core/authority.h"
-#include "dynamic/delta_graph.h"
 #include "graph/labeled_graph.h"
+#include "service/mutation.h"
 #include "service/query_engine.h"
 #include "topics/similarity_matrix.h"
 
@@ -73,9 +75,7 @@ TEST(ServiceCacheTest, DynamicInsertionInvalidatesAndNewEdgeIsServed) {
   QueryEngine engine(base, auth, topics::TwitterSimilarity(),
                      CachedConfig());
 
-  // Wire the dynamic-update path to the serving cache.
-  dynamic::DeltaGraph delta(&base);
-  delta.SetChangeListener([&engine] { engine.Invalidate(); });
+  MutationApplier applier(base, auth, engine);
 
   auto before = engine.TopN(0, kTopic, 5).value();
   for (const auto& r : before) EXPECT_NE(r.id, 3u);  // 3 unreachable
@@ -83,15 +83,13 @@ TEST(ServiceCacheTest, DynamicInsertionInvalidatesAndNewEdgeIsServed) {
   ASSERT_EQ(engine.Stats().cache_hits, 1u);
   const uint64_t epoch_before = engine.params_epoch();
 
-  // The churn: 1 -> 3 appears.
-  ASSERT_TRUE(delta.AddEdge(1, 3, TopicSet::Single(kTopic)));
+  // The churn: 1 -> 3 appears, and the engine serves the new generation.
+  const Mutation follow{MutationOp::kFollow, 1, 3, TopicSet::Single(kTopic)};
+  MutationOutcome out = applier.Apply(std::span<const Mutation>(&follow, 1));
+  ASSERT_EQ(out.applied, 1u);
+  EXPECT_EQ(out.graph_epoch, epoch_before + 1);
   EXPECT_EQ(engine.params_epoch(), epoch_before + 1);
   EXPECT_EQ(engine.Stats().invalidations, 1u);
-
-  // Serve from the materialised post-churn snapshot.
-  LabeledGraph current = delta.Materialize();
-  core::AuthorityIndex current_auth(current);
-  engine.Rebind(current, current_auth);
 
   auto after = engine.TopN(0, kTopic, 5).value();
   EngineStats s = engine.Stats();
@@ -157,18 +155,23 @@ TEST(ServiceCacheTest, InvalidatePurgesDeadEpochEntries) {
   EXPECT_EQ(engine.Stats().cache_hits, 1u);
 }
 
-TEST(ServiceCacheTest, RemovalAlsoFiresTheListener) {
+TEST(ServiceCacheTest, RemovalInvalidatesButRejectedBatchDoesNot) {
   LabeledGraph base = BaseGraph();
   core::AuthorityIndex auth(base);
   QueryEngine engine(base, auth, topics::TwitterSimilarity(),
                      CachedConfig());
-  dynamic::DeltaGraph delta(&base);
-  delta.SetChangeListener([&engine] { engine.Invalidate(); });
-  ASSERT_TRUE(delta.RemoveEdge(1, 2));
+  MutationApplier applier(base, auth, engine);
+  const Mutation unfollow{MutationOp::kUnfollow, 1, 2, {}};
+  const std::span<const Mutation> batch(&unfollow, 1);
+  ASSERT_EQ(applier.Apply(batch).applied, 1u);
   EXPECT_EQ(engine.Stats().invalidations, 1u);
-  // No-op mutations must not fire.
-  EXPECT_FALSE(delta.RemoveEdge(1, 2));
+  const uint64_t epoch = engine.params_epoch();
+  // The edge is gone: the same batch is rejected and bumps nothing.
+  MutationOutcome again = applier.Apply(batch);
+  EXPECT_EQ(again.applied, 0u);
+  EXPECT_EQ(again.rejected, 1u);
   EXPECT_EQ(engine.Stats().invalidations, 1u);
+  EXPECT_EQ(engine.params_epoch(), epoch);
 }
 
 // ---------- Epoch-claim integrity (ISSUE 6 satellite regression) ----------

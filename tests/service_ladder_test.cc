@@ -325,6 +325,17 @@ TEST_F(LadderTest, UnrepairedLandmarksStampStaleTier) {
   ASSERT_TRUE(stale.ok()) << stale.status().ToString();
   EXPECT_EQ(stale.value().meta.served_tier, Tier::kStale);
 
+  // A partial repair leaves the other slots stale, so a freshly scored
+  // reply must still claim the stale tier.
+  const size_t stale_before = repairer.stale_count();
+  EXPECT_EQ(repairer.RepairStale(1).size(), 1u);
+  EXPECT_EQ(repairer.stale_count(), stale_before - 1);
+  EXPECT_EQ(repairer.stale_count(), 29u);  // kAll: 30 slots, one repaired
+  auto partial = engine.Recommend(q);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_FALSE(partial.value().meta.cache_hit);  // repair bumped the epoch
+  EXPECT_EQ(partial.value().meta.served_tier, Tier::kStale);
+
   repairer.Quiesce();  // no thread running: repairs inline, deterministic
   EXPECT_EQ(repairer.stale_count(), 0u);
   auto fresh = engine.Recommend(q);

@@ -6,7 +6,8 @@
 #              + incremental                         (build-tsan/)
 #   4. UBSan:  full ctest suite, fatal             (build-ubsan/)
 #   5. bench-smoke: micro_benchmarks --smoke + ext_slo_ladder --smoke
-#                   + ext_mutation_apply --smoke     (build/)
+#                   + ext_mutation_apply --smoke
+#                   + ext_dynamic_updates at 0.2 scale (build/)
 #
 # The sanitizer passes reuse the persistent build-asan/, build-tsan/ and
 # build-ubsan/ trees (configured here on first run). Every test carries at
@@ -28,7 +29,11 @@
 # must report 0 heap allocations, else the step fails. It then runs the SLO
 # ladder harness (DESIGN.md §6.8) in --smoke form: a tiny ramp that still
 # exercises calibration, the exact-tier byte-identity probes (a mismatch
-# fails the binary), and the BENCH_slo.json writer.
+# fails the binary), and the BENCH_slo.json writer. Last, it runs the §6
+# refresh study on a 2 000-node graph: churn rounds go through the
+# MutationApplier and the LandmarkRepairer spends a fixed budget per round;
+# the binary fails if the applier rejects a churn record or the repairer's
+# stored-list drift is not below no refresh at some checkpoint.
 #
 # Usage: tools/check.sh [tier1|asan|tsan|ubsan|bench-smoke|all] (default: all)
 set -e
@@ -63,6 +68,9 @@ run_bench_smoke() {
   echo "==> bench-smoke: ext_mutation_apply --smoke (O(Δ) apply pipeline)"
   cmake --build "$REPO/build" -j "$JOBS" --target ext_mutation_apply
   (cd "$REPO/build/bench" && ./ext_mutation_apply --smoke)
+  echo "==> bench-smoke: ext_dynamic_updates (§6 refresh study on the serving path)"
+  cmake --build "$REPO/build" -j "$JOBS" --target ext_dynamic_updates
+  (cd "$REPO/build/bench" && MBR_SCALE=0.2 MBR_TRIALS=4 ./ext_dynamic_updates)
 }
 
 case "$MODE" in
