@@ -1,12 +1,9 @@
 #include "coord/router.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <chrono>
 #include <utility>
 
-#include "core/recommender_iface.h"
-#include "landmark/compose.h"
-#include "util/flat_map.h"
 #include "util/timer.h"
 
 namespace mbr::coord {
@@ -25,12 +22,9 @@ Router::Router(const ShardPlan& plan, const RouterConfig& config)
       "mbr_coord_fanout_total", "Shard RPCs issued by the coordinator.");
   metrics_.partial = registry_->GetCounter(
       "mbr_coord_partial_total",
-      "Routed replies degraded to a partial merge (shard down/late).");
+      "Routed queries degraded to partial replies (home shard down/late).");
   metrics_.shard_errors = registry_->GetCounter(
       "mbr_coord_shard_errors_total", "Failed shard RPCs.");
-  metrics_.landmark_fetches = registry_->GetCounter(
-      "mbr_coord_landmark_fetches_total",
-      "LANDMARK_FETCH RPCs for lists homed off the query's home shard.");
   metrics_.shard_latency_us = registry_->GetHistogram(
       "mbr_coord_shard_latency_us",
       "Per-shard RPC round-trip latency in microseconds.");
@@ -55,8 +49,9 @@ Router::Router(const ShardPlan& plan, const RouterConfig& config)
   // dispatcher: up to max_connections requests route at once.
   front.max_inflight = config_.max_connections;
   front.dispatch_threads = config_.max_connections;
-  // Shard RPCs carry the client's own deadline (ShardDeadlineMs); the
-  // front end adds none.
+  // The front end adds no deadline of its own, so req.deadline is the
+  // client's (the frame's tightest deadline_ms) and shard RPCs carry what
+  // is left of it (ShardDeadlineMs).
   front.request_deadline_ms = 0;
   front.limits = config_.limits;
   front.registry = registry_;
@@ -88,14 +83,21 @@ net::Reply Router::Handle(const net::Request& req) {
                                  "(mutations are not routed)");
   }
 
-  std::vector<net::ResultReply> routed;
-  routed.reserve(req.queries.size());
-  for (const net::RecommendRequest& r : req.queries) {
-    util::Result<net::ResultReply> one = RouteOne(r);
-    // First failure speaks for the frame, mirroring the single-node batch
-    // contract.
-    if (!one.ok()) return net::MakeErrorReply(one.status());
-    routed.push_back(std::move(*one));
+  // One shard RPC per home shard, in order of each home's first query, so
+  // the first failing home speaks for the frame — the single-node batch
+  // contract.
+  std::vector<std::vector<size_t>> slots(plan_.num_shards());
+  std::vector<uint32_t> homes;
+  for (size_t i = 0; i < req.queries.size(); ++i) {
+    const uint32_t home = plan_.ShardOf(req.queries[i].user);
+    if (slots[home].empty()) homes.push_back(home);
+    slots[home].push_back(i);
+  }
+  metrics_.requests->Increment(req.queries.size());
+  std::vector<net::ResultReply> routed(req.queries.size());
+  for (uint32_t home : homes) {
+    util::Status st = Forward(req, home, slots[home], &routed);
+    if (!st.ok()) return net::MakeErrorReply(st);
   }
   return net::MakeResultReply(req.kind, std::move(routed));
 }
@@ -121,14 +123,19 @@ auto Router::CallShard(uint32_t shard, Fn&& fn)
   return result;
 }
 
-uint32_t Router::ShardDeadlineMs(uint32_t client_deadline_ms) const {
-  if (client_deadline_ms == 0) return config_.shard_timeout_ms;
-  if (config_.shard_timeout_ms == 0) return client_deadline_ms;
-  return std::min(client_deadline_ms, config_.shard_timeout_ms);
+uint32_t Router::ShardDeadlineMs(const net::Request& req) const {
+  if (!req.deadline) return config_.shard_timeout_ms;
+  const int64_t left_ms =
+      std::chrono::ceil<std::chrono::milliseconds>(
+          *req.deadline - std::chrono::steady_clock::now())
+          .count();
+  const auto client_ms = static_cast<uint32_t>(std::max<int64_t>(left_ms, 1));
+  if (config_.shard_timeout_ms == 0) return client_ms;
+  return std::min(client_ms, config_.shard_timeout_ms);
 }
 
 bool Router::IsShardLoss(const util::Status& status,
-                         uint32_t client_deadline_ms) const {
+                         const net::Request& req) const {
   switch (status.code()) {
     case util::StatusCode::kUnavailable:  // refused / shed / clean close
     case util::StatusCode::kIoError:      // EPIPE / ECONNRESET mid-RPC
@@ -137,160 +144,62 @@ bool Router::IsShardLoss(const util::Status& status,
       // Only the router's own shard_timeout_ms backstop expired: the
       // client asked for no deadline, so it must not see an error a
       // single-node server would never have produced.
-      return client_deadline_ms == 0;
+      return !req.deadline;
     default:
       return false;
   }
 }
 
-util::Result<net::ResultReply> Router::RouteOne(
-    const net::RecommendRequest& req) {
-  metrics_.requests->Increment();
-  const uint32_t home = plan_.ShardOf(req.user);
-  return config_.landmark_mode ? RouteLandmark(req, home)
-                               : RouteExact(req, home);
-}
-
-util::Result<net::ResultReply> Router::RouteExact(
-    const net::RecommendRequest& req, uint32_t home) {
-  net::ResultReply out;
-  out.coord.shards_total = static_cast<uint16_t>(plan_.num_shards());
-  net::RecommendRequest sreq = req;
-  sreq.deadline_ms = ShardDeadlineMs(req.deadline_ms);
-  auto reply =
-      CallShard(home, [&](net::Client& c) { return c.RecommendEx(sreq); });
-  if (!reply.ok()) {
-    if (IsShardLoss(reply.status(), req.deadline_ms)) {
-      if (!config_.degrade_partial) {
-        return util::Status::Unavailable("home shard " + std::to_string(home) +
-                                         " lost: " + reply.status().message());
-      }
-      // Home shard down/overloaded: degrade, never hang or fail the client.
-      metrics_.partial->Increment();
-      out.coord.partial = 1;
-      out.coord.shards_answered = 0;
-      return out;
-    }
-    return reply.status();  // relayed unchanged (deadline, invalid, ...)
+util::Status Router::Forward(const net::Request& req, uint32_t home,
+                             const std::vector<size_t>& slots,
+                             std::vector<net::ResultReply>* routed) {
+  // A batch's home shards are asked one after another against the one
+  // frame deadline, which fails the frame once it has run out, as on a
+  // single node.
+  if (req.deadline && std::chrono::steady_clock::now() >= *req.deadline) {
+    return util::Status::DeadlineExceeded("query deadline expired");
   }
-  out.entries = std::move(reply->entries);
-  out.graph_epoch = reply->graph_epoch;
-  out.served_tier = reply->served_tier;  // max over {home} = the home's tier
-  out.coord.shards_answered = 1;
-  return out;
-}
-
-util::Result<net::ResultReply> Router::RouteLandmark(
-    const net::RecommendRequest& req, uint32_t home) {
-  net::ResultReply out;
-  out.coord.shards_total = static_cast<uint16_t>(plan_.num_shards());
-  net::RecommendRequest sreq = req;
-  sreq.deadline_ms = ShardDeadlineMs(req.deadline_ms);
-  auto partial = CallShard(
-      home, [&](net::Client& c) { return c.RecommendPartial(sreq); });
-  if (!partial.ok()) {
-    if (IsShardLoss(partial.status(), req.deadline_ms)) {
-      if (!config_.degrade_partial) {
-        return util::Status::Unavailable("home shard " + std::to_string(home) +
-                                         " lost: " +
-                                         partial.status().message());
-      }
-      metrics_.partial->Increment();
-      out.coord.partial = 1;
-      out.coord.shards_answered = 0;
-      return out;
-    }
-    return partial.status();
+  const uint32_t deadline_ms = ShardDeadlineMs(req);
+  std::vector<net::RecommendRequest> queries;
+  queries.reserve(slots.size());
+  for (size_t i : slots) {
+    queries.push_back(req.queries[i]);
+    queries.back().deadline_ms = deadline_ms;
   }
-  net::PartialReply preply = std::move(*partial);
-  out.graph_epoch = preply.graph_epoch;
-  // The merged ranking is the landmark approximation by construction, so
-  // the routed tier is kApprox regardless of how relaxed the shards were.
-  out.served_tier = static_cast<uint8_t>(core::Tier::kApprox);
-
-  // Gather the stored lists of landmarks homed off the home shard, one
-  // LANDMARK_FETCH per distinct home. A failed fetch degrades those
-  // landmarks' contributions (partial merge), mirroring the shard-down
-  // policy, instead of failing the query.
-  std::vector<std::vector<uint32_t>> want(plan_.num_shards());
-  for (const net::PartialRecord& rec : preply.records) {
-    if ((rec.flags & net::kPartialFlagLandmark) != 0 &&
-        (rec.flags & net::kPartialFlagInline) == 0) {
-      want[plan_.ShardOf(rec.node)].push_back(rec.node);
+  auto replies = CallShard(
+      home, [&](net::Client& c) -> util::Result<std::vector<net::ResultReply>> {
+        if (req.kind == net::MessageKind::kRecommendBatch) {
+          return c.RecommendBatchEx(queries);
+        }
+        auto one = c.RecommendEx(queries.front());
+        if (!one.ok()) return one.status();
+        return std::vector<net::ResultReply>{std::move(*one)};
+      });
+  if (!replies.ok()) {
+    if (!IsShardLoss(replies.status(), req)) {
+      return replies.status();  // relayed unchanged (deadline, invalid, ...)
     }
-  }
-  uint16_t contacted = 1;  // the home shard
-  uint16_t answered = 1;
-  std::vector<net::LandmarkVectorsReply> fetched;
-  for (uint32_t s = 0; s < plan_.num_shards(); ++s) {
-    if (want[s].empty()) continue;
-    ++contacted;
-    metrics_.landmark_fetches->Increment();
-    auto vectors = CallShard(s, [&](net::Client& c) {
-      return c.FetchLandmarks(req.topic, want[s]);
-    });
-    if (!vectors.ok()) {
-      if (!config_.degrade_partial) {
-        return util::Status::Unavailable("landmark shard " +
-                                         std::to_string(s) + " lost: " +
-                                         vectors.status().message());
-      }
-      continue;
-    }
-    ++answered;
-    fetched.push_back(std::move(*vectors));
-  }
-  std::unordered_map<uint32_t, const net::LandmarkList*> lists;
-  for (const net::LandmarkList& l : preply.lists) lists[l.landmark] = &l;
-  for (const net::LandmarkVectorsReply& reply : fetched) {
-    for (const net::LandmarkList& l : reply.lists) lists[l.landmark] = &l;
-  }
-
-  // Replay of ApproxRecommender::ScoresFlat's combine loop over the wire
-  // records: records preserve reached order and each stored list is a
-  // verbatim copy, so every per-key addition happens in the same order,
-  // with the same ComposeViaLandmark expression, as on a single node —
-  // the accumulated doubles are bit-identical.
-  const uint32_t u = req.user;
-  util::FlatMap<graph::NodeId, double> scores(preply.records.size() * 2);
-  bool missing_list = false;
-  for (const net::PartialRecord& rec : preply.records) {
-    scores[rec.node] += rec.sigma;
-    if ((rec.flags & net::kPartialFlagLandmark) == 0) continue;
-    auto it = lists.find(rec.node);
-    if (it == lists.end()) {
-      missing_list = true;  // fetch failed or plan/shard disagreement
-      continue;
-    }
-    for (const net::LandmarkEntry& e : it->second->entries) {
-      if (e.node == u) continue;
-      scores[e.node] += landmark::ComposeViaLandmark(
-          rec.sigma, rec.topo_alphabeta, e.sigma, e.topo_beta);
-    }
-  }
-
-  // Identical ranking semantics to the single-node path: RankingBuilder
-  // drops non-positive scores, the query user, and excluded ids; TopK's
-  // total order (score desc, id asc) makes offer order irrelevant.
-  core::Query q;
-  q.user = req.user;
-  q.topic = static_cast<topics::TopicId>(req.topic);
-  q.top_n = req.top_n;
-  q.exclude.assign(req.exclude.begin(), req.exclude.end());
-  core::RankingBuilder builder(q);
-  for (const auto& [node, score] : scores) builder.Offer(node, score);
-  out.entries = builder.Take().entries;
-
-  out.coord.shards_answered = answered;
-  if (answered < contacted || missing_list) {
     if (!config_.degrade_partial) {
-      return util::Status::Unavailable(
-          "landmark merge incomplete with degrade off");
+      return util::Status::Unavailable("home shard " + std::to_string(home) +
+                                       " lost: " + replies.status().message());
     }
-    metrics_.partial->Increment();
-    out.coord.partial = 1;
+    // Home shard down/overloaded: degrade its queries, never hang or fail
+    // the client.
+    metrics_.partial->Increment(slots.size());
   }
-  return out;
+  for (size_t k = 0; k < slots.size(); ++k) {
+    net::ResultReply& out = (*routed)[slots[k]];
+    if (replies.ok()) {
+      out = std::move((*replies)[k]);
+      out.coord.partial = 0;
+      out.coord.shards_answered = 1;
+    } else {
+      out.coord.partial = 1;
+      out.coord.shards_answered = 0;
+    }
+    out.coord.shards_total = static_cast<uint16_t>(plan_.num_shards());
+  }
+  return util::Status::Ok();
 }
 
 service::StatsSnapshot Router::RollupStats() {

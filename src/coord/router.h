@@ -5,35 +5,28 @@
 // `mbrec serve --shard <i>` processes look like a single recommender.
 //
 // Clients speak the ordinary wire protocol to the router (RECOMMEND,
-// RECOMMEND_BATCH, STATS, METRICS, PING, SHUTDOWN); the router
-// scatter-gathers over the shard fleet through a pooled net::Client set
-// and merges shard answers so the routed reply is **byte-identical** to
-// what a single-node QueryEngine over the full graph would produce:
+// RECOMMEND_BATCH, STATS, METRICS, PING, SHUTDOWN). Every shard answers
+// its own users completely: it holds the halo of its partition and, in
+// landmark mode, the full landmark index, so its ordinary QueryEngine
+// (cache included) replies **byte-identically** to a single-node server
+// over the full graph. The router therefore only forwards: a RECOMMEND
+// goes to the user's home shard, and a RECOMMEND_BATCH is split into one
+// RECOMMEND_BATCH per home shard, reassembled in request order. Each list
+// keeps the home shard's graph epoch and served tier.
 //
-//   * landmark mode: the user's home shard answers RECOMMEND_PARTIAL with
-//     the decomposed exploration records (reached order preserved) plus
-//     the inline stored lists of its own landmarks; lists of landmarks
-//     homed elsewhere are gathered via LANDMARK_FETCH. The router then
-//     replays the exact ScoresFlat combine loop — same per-key addition
-//     order, same landmark::ComposeViaLandmark expression (one inline
-//     definition shared with approx.cc, so compiler contraction cannot
-//     diverge) — and ranks through the same core::RankingBuilder /
-//     util::TopK total order (score desc, id asc). Only landmark
-//     contributions ever cross shard boundaries (Prop. 4).
-//   * exact mode: exploration never leaves the home shard's halo
-//     (halo_depth >= max_depth - 1), so the router simply forwards the
-//     RECOMMEND to the home shard and relays the reply.
-//
-// Partial-result policy: each shard call gets a deadline derived from the
-// client deadline (min with shard_timeout_ms). A shard that is down,
-// overloaded, or times out degrades the reply to a *partial* merge — the
-// coordinator trailer carries partial=1 and the answered/total shard
-// counts, and mbr_coord_partial_total is bumped — rather than failing or
-// hanging the client (`degrade_partial = false` turns that loss into an
-// ERROR instead, for deployments that prefer failing fast over partial
-// answers). Errors a single-node server would return for the same query
-// (DEADLINE_EXCEEDED, INVALID_ARGUMENT) are relayed as ERROR unchanged.
-// Mutations are rejected: the partitioned tier serves read-only.
+// Partial-result policy: each shard call gets what is left of the client
+// deadline (min with shard_timeout_ms), and a batch whose deadline runs
+// out between home shards fails with DEADLINE_EXCEEDED, as on one node.
+// A home shard that is down, overloaded, or times out degrades its
+// queries to *partial* replies — empty lists under a coordinator trailer
+// with partial=1 and the answered/total shard counts, counted in
+// mbr_coord_partial_total — rather than failing or hanging the client
+// (`degrade_partial = false` turns that loss into an ERROR instead, for
+// deployments that prefer failing fast over partial answers). Queries
+// homed on live shards are untouched. Errors a single-node server would
+// return for the same query (DEADLINE_EXCEEDED, INVALID_ARGUMENT) are
+// relayed as ERROR unchanged. Mutations are rejected: the partitioned
+// tier serves read-only.
 //
 // Front end: the router is a net::Server handler, so client connections
 // get the same epoll loop, framing and checks as a shard or single-node
@@ -43,13 +36,6 @@
 // rollup block on shard RPCs, so they run on the server's dispatchers, one
 // per admissible request: max_connections is both the admission bound and
 // the dispatcher count.
-//
-// Tier merge: every shard reply names the degradation-ladder tier that
-// served it, and the routed reply carries the *max* (most degraded) tier
-// over the shard replies that fed it — a pressured shard degrades the
-// whole routed answer, composing with (but orthogonal to) the partial
-// trailer. In landmark mode the merged ranking is the landmark
-// approximation by construction, so the routed tier is at least kApprox.
 
 #include <cstdint>
 #include <memory>
@@ -73,16 +59,13 @@ struct RouterConfig {
   // Client connections; also the admission bound and dispatcher count.
   uint32_t max_connections = 64;
   // Per-shard round-trip budget. The wire deadline sent to a shard is
-  // min(client deadline_ms, shard_timeout_ms); the transport backstop is
-  // shard_timeout_ms so a hung shard can never hang the client.
+  // min(what is left of the client deadline, shard_timeout_ms); the
+  // transport backstop is shard_timeout_ms so a hung shard can never hang
+  // the client.
   uint32_t shard_timeout_ms = 2000;
-  // true: RECOMMEND_PARTIAL + LANDMARK_FETCH merge (landmark engines on
-  // the shards). false: forward RECOMMEND to the home shard (exact
-  // engines; needs plan halo_depth >= max_depth - 1).
-  bool landmark_mode = true;
-  // true (default): a lost shard (down / shed / timed out) degrades the
-  // reply to a partial merge. false: it becomes an ERROR (UNAVAILABLE) —
-  // the `mbrec route --degrade off` policy.
+  // true (default): a lost home shard (down / shed / timed out) degrades
+  // its queries to partial replies. false: it becomes an ERROR
+  // (UNAVAILABLE) — the `mbrec route --degrade off` policy.
   bool degrade_partial = true;
   net::WireLimits limits;
   // Template for the per-shard client connections (connect timeout,
@@ -132,37 +115,36 @@ class Router : private net::Handler {
   bool Inline(const net::Request& req) const override;
   net::Reply Handle(const net::Request& req) override;
 
-  // One routed RECOMMEND: the merged ranked list, the home shard's graph
-  // epoch, the max served tier over contributing shard replies, and the
-  // coordinator trailer. A non-OK result is relayed to the client as
-  // ERROR (the same statuses a single-node server would send).
-  util::Result<net::ResultReply> RouteOne(const net::RecommendRequest& req);
-  util::Result<net::ResultReply> RouteLandmark(
-      const net::RecommendRequest& req, uint32_t home);
-  util::Result<net::ResultReply> RouteExact(const net::RecommendRequest& req,
-                                            uint32_t home);
+  // Forwards the queries of `req` at `slots` (all homed on `home`) in one
+  // shard RPC of req's kind and fills their `routed` replies: the home
+  // shard's lists, epochs and tiers, or partial replies when the shard is
+  // lost. A non-OK status is relayed to the client as ERROR (the same
+  // statuses a single-node server would send).
+  util::Status Forward(const net::Request& req, uint32_t home,
+                       const std::vector<size_t>& slots,
+                       std::vector<net::ResultReply>* routed);
   // Runs `fn(client)` against `shard` through the pool, recording shard
   // latency and errors; the connection returns to the pool only on success.
   template <typename Fn>
   auto CallShard(uint32_t shard, Fn&& fn)
       -> decltype(fn(std::declval<net::Client&>()));
-  // min(client deadline, shard_timeout_ms); 0 only if both are unset.
-  uint32_t ShardDeadlineMs(uint32_t client_deadline_ms) const;
+  // The wire deadline of a shard RPC for `req`: what is left of the
+  // client's deadline (req.deadline, at least 1 ms), capped by
+  // shard_timeout_ms; 0 only if both are unset.
+  uint32_t ShardDeadlineMs(const net::Request& req) const;
   // Is this shard-RPC failure an infrastructure loss (down / shed /
-  // conn-loss / the shard_timeout_ms backstop) — degrade to a partial
-  // merge — or an error a single-node server would also have returned for
-  // this query (relay as ERROR)? A deadline expiry counts as loss only
-  // when the client itself set no deadline (the expired budget was purely
-  // the router's backstop).
-  bool IsShardLoss(const util::Status& status,
-                   uint32_t client_deadline_ms) const;
+  // conn-loss / the shard_timeout_ms backstop) — degrade to partial
+  // replies — or an error a single-node server would also have returned
+  // for these queries (relay as ERROR)? A deadline expiry counts as loss
+  // only when the client itself set no deadline (the expired budget was
+  // purely the router's backstop).
+  bool IsShardLoss(const util::Status& status, const net::Request& req) const;
 
   struct Metrics {
-    obs::Counter* requests = nullptr;          // client RECOMMENDs routed
-    obs::Counter* fanout = nullptr;            // shard RPCs issued
-    obs::Counter* partial = nullptr;           // replies degraded to partial
-    obs::Counter* shard_errors = nullptr;      // failed shard RPCs
-    obs::Counter* landmark_fetches = nullptr;  // LANDMARK_FETCH RPCs
+    obs::Counter* requests = nullptr;      // client queries routed
+    obs::Counter* fanout = nullptr;        // shard RPCs issued
+    obs::Counter* partial = nullptr;       // queries degraded to partial
+    obs::Counter* shard_errors = nullptr;  // failed shard RPCs
     obs::Histogram* shard_latency_us = nullptr;
   };
 

@@ -10,7 +10,7 @@
 // for (how many out-hops beyond owned nodes each shard replicates so a
 // home-shard exploration is byte-identical to single-node, see
 // shard_replica.h), and (c) the per-shard endpoint table the router
-// scatter-gathers over. `mbrec shard-plan` writes one; `mbrec serve
+// forwards to. `mbrec shard-plan` writes one; `mbrec serve
 // --shard <i>` and `mbrec route` consume it.
 //
 // Persistence uses the util::serde container (magic + kind + per-section

@@ -69,12 +69,14 @@ util::Result<std::unique_ptr<ShardContext>> BuildShardContext(
         "shard " + std::to_string(shard) + " outside plan of " +
         std::to_string(plan.num_shards()) + " shards");
   }
-  // Landmark-mode explorations run to query_depth (2); exact engines run
-  // to params.max_depth. Either way the halo must cover depth - 1 hops.
-  const uint32_t needed =
-      global_index != nullptr
-          ? engine_config.approx.query_depth - 1
-          : engine_config.params.max_depth - 1;
+  // Landmark-only engines explore to query_depth (2). An engine with an
+  // exact rung explores to params.max_depth: an exact shard, and a
+  // landmark shard with the degradation ladder on, whose unpressured tier
+  // is exact. Either way the halo must cover depth - 1 hops.
+  const bool exact_rung =
+      global_index == nullptr || engine_config.degrade.enabled;
+  const uint32_t needed = exact_rung ? engine_config.params.max_depth - 1
+                                     : engine_config.approx.query_depth - 1;
   if (plan.halo_depth() < needed) {
     return util::Status::InvalidArgument(
         "plan halo depth " + std::to_string(plan.halo_depth()) +
@@ -90,8 +92,7 @@ util::Result<std::unique_ptr<ShardContext>> BuildShardContext(
   // Authority is a global quantity — always from the full graph.
   ctx->authority = std::make_unique<core::AuthorityIndex>(full);
   if (global_index != nullptr) {
-    ctx->index = std::make_unique<landmark::LandmarkIndex>(
-        global_index->Restricted(ctx->owned));
+    ctx->index = std::make_unique<landmark::LandmarkIndex>(*global_index);
     engine_config.landmarks = ctx->index.get();
   } else {
     engine_config.landmarks = nullptr;

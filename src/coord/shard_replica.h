@@ -17,10 +17,11 @@
 //
 // Authority is global by definition (follower counts over the FULL graph,
 // §3.2), so the shard's AuthorityIndex is built from the full graph, not
-// the halo. The landmark index keeps the global landmark set and mask
-// (pruned exploration must stop at the same nodes everywhere) but stores
-// the inverted lists of locally-homed landmarks only — Restricted() copies
-// kept lists verbatim, so a shard's list is bit-identical to single-node.
+// the halo. A landmark shard holds a verbatim copy of the full landmark
+// index (|L|·|T|·top_n stored entries), so Algorithm 2 over the halo meets
+// the same landmarks and composes the same lists as single-node: the
+// shard's ordinary QueryEngine answers its own users byte-identically and
+// the router only forwards.
 
 #include <cstdint>
 #include <memory>
@@ -52,16 +53,22 @@ struct ShardContext {
   std::vector<bool> owned;  // full node universe
   std::unique_ptr<graph::LabeledGraph> subgraph;
   std::unique_ptr<core::AuthorityIndex> authority;  // from the FULL graph
-  // Restricted landmark index (null for exact-mode shards).
+  // Copy of the full landmark index (null for exact-mode shards). The
+  // next benchmark change shares the caller's index and drops this field.
   std::unique_ptr<landmark::LandmarkIndex> index;
   std::unique_ptr<service::QueryEngine> engine;
 };
 
 // Builds a shard's serving state from the full graph and the plan.
 // `global_index` may be null (exact-mode shard: the engine runs converged
-// scoring over the halo, which needs halo_depth >= params.max_depth - 1).
-// `sim` must outlive the returned context (the engine keeps a pointer);
-// `full` and `global_index` are only read during the build.
+// scoring over the halo, which needs halo_depth >= params.max_depth - 1);
+// otherwise the engine serves Algorithm 2 from a copy of it, which needs
+// halo_depth >= query_depth - 1 — or params.max_depth - 1 with the
+// degradation ladder on, whose unpressured tier is exact scoring. A plan
+// whose halo is too shallow is refused. `sim` must outlive the returned
+// context (the engine keeps a pointer); `full` and `global_index` are
+// only read during the build (the next benchmark change keeps
+// `global_index` instead of copying it).
 util::Result<std::unique_ptr<ShardContext>> BuildShardContext(
     const graph::LabeledGraph& full, const topics::SimilarityMatrix& sim,
     const ShardPlan& plan, uint32_t shard,

@@ -1,6 +1,5 @@
 #include "landmark/approx.h"
 
-#include "landmark/compose.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/timer.h"
@@ -62,13 +61,13 @@ const util::FlatMap<graph::NodeId, double>& ApproxRecommender::ScoresFlat(
     if (v != u) scores[v] += res.Sigma(v, t);
     if (!index_.IsLandmark(v) || v == u) continue;
     ++landmarks_met;
-    // Proposition 4 composition with λ = v's stored lists.
+    // Proposition 4 composition with λ = v's stored lists:
+    // σ̃_λ(u, w, t) = σ(u, λ, t) · topo_β(λ, w) + topo_αβ(u, λ) · σ(λ, w, t).
     const double sigma_ul = res.Sigma(v, t);
     const double topo_ab_ul = res.TopoAlphaBeta(v);
     for (const StoredRec& rec : index_.Recommendations(v, t)) {
       if (rec.node == u) continue;
-      scores[rec.node] +=
-          ComposeViaLandmark(sigma_ul, topo_ab_ul, rec.sigma, rec.topo_beta);
+      scores[rec.node] += sigma_ul * rec.topo_beta + topo_ab_ul * rec.sigma;
     }
   }
 

@@ -66,10 +66,10 @@ struct QueryStats {
   double seconds = 0.0;
 };
 
-// One node of the decomposed exploration (coordinator tier, DESIGN.md
-// §6.7): the exact per-node quantities the combine loop consumes, in
-// first-reached order, so a remote merger can replay the ScoresFlat()
-// accumulation addition-for-addition.
+// One node of the decomposed exploration (the RECOMMEND_PARTIAL shard op,
+// DESIGN.md §6.7): the exact per-node quantities the combine loop
+// consumes, in first-reached order. Only perfbench's routed layer pass
+// still asks for it; the next benchmark change deletes it with the op.
 struct DecomposedRecord {
   graph::NodeId node = 0;
   bool is_landmark = false;
@@ -125,13 +125,12 @@ class ApproxRecommender : public core::Recommender {
     scorer_.Rebind(g, authority);
   }
 
-  // The home shard's half of the coordinator split: runs the same pruned
-  // exploration as ScoresFlat(q.user, q.topic) but exports the ordered
-  // per-node records instead of the merged table — the landmark list
-  // compositions are left to the caller (the router fills them in from
-  // shard-homed lists, see net::PartialReply). Honours q's deadline like
-  // Recommend(). The query user itself is never emitted (the combine loop
-  // skips it on both its terms).
+  // Runs the same pruned exploration as ScoresFlat(q.user, q.topic) but
+  // exports the ordered per-node records instead of the merged table —
+  // the landmark list compositions are left to the caller (see
+  // net::PartialReply). Honours q's deadline like Recommend(). The query
+  // user itself is never emitted (the combine loop skips it on both its
+  // terms). Deleted with RECOMMEND_PARTIAL in the next benchmark change.
   util::Status ExploreDecomposed(const core::Query& q,
                                  std::vector<DecomposedRecord>* out) const;
 

@@ -148,27 +148,6 @@ LandmarkIndex LandmarkIndex::Truncated(uint32_t top_n) const {
   return out;
 }
 
-LandmarkIndex LandmarkIndex::Restricted(const std::vector<bool>& keep) const {
-  MBR_CHECK(keep.size() == landmark_slot_.size());
-  LandmarkIndex out;
-  out.config_ = config_;
-  out.num_topics_ = num_topics_;
-  out.landmarks_ = landmarks_;
-  out.landmark_slot_ = landmark_slot_;
-  out.mask_ = mask_;
-  out.build_seconds_per_landmark_ = build_seconds_per_landmark_;
-  out.build_seconds_total_ = build_seconds_total_;
-  out.recs_.resize(recs_.size());
-  for (size_t slot = 0; slot < landmarks_.size(); ++slot) {
-    if (!keep[landmarks_[slot]]) continue;
-    for (int t = 0; t < num_topics_; ++t) {
-      const size_t i = slot * static_cast<size_t>(num_topics_) + t;
-      out.recs_[i] = recs_[i];
-    }
-  }
-  return out;
-}
-
 size_t LandmarkIndex::StorageBytes() const {
   size_t bytes = 0;
   for (const auto& list : recs_) bytes += list.size() * sizeof(StoredRec);

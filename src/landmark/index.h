@@ -76,15 +76,6 @@ class LandmarkIndex {
   // Algorithm 1 pre-processing pass.
   LandmarkIndex Truncated(uint32_t top_n) const;
 
-  // A copy of this index keeping the global landmark set/mask (so pruned
-  // exploration behaves identically everywhere) but the stored lists of
-  // only the landmarks for which keep[λ] is true — the per-shard
-  // restriction of the coordinator tier (DESIGN.md §6.7). Kept lists are
-  // copied verbatim, so a shard's list is bit-identical to the single-node
-  // one; dropped lists become empty. Preconditions: keep.size() ==
-  // landmark_slot_.size() (the node universe).
-  LandmarkIndex Restricted(const std::vector<bool>& keep) const;
-
   // Re-runs Algorithm 1 for one landmark against `g` (typically the graph
   // after a batch of updates) and replaces its stored lists in place — the
   // unit of work of service::LandmarkRepairer. Preconditions: IsLandmark(lm);

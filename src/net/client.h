@@ -83,12 +83,13 @@ class Client {
   util::Result<MutateAck> Unfollow(
       const std::vector<MutationRecord>& records);
   util::Result<MutateAck> Relabel(const std::vector<MutationRecord>& records);
-  // Shard-scoped half of a coordinator query: the decomposed exploration
-  // records for req.user plus the inline stored lists of the landmarks
-  // homed on the answering shard.
+  // The decomposed exploration records for req.user plus the inline
+  // stored lists of the landmarks homed on the answering shard. Deleted
+  // with the shard op in the next benchmark change.
   util::Result<PartialReply> RecommendPartial(const RecommendRequest& req);
   // Stored lists of the given landmarks for one topic. The answering
-  // shard returns lists only for landmarks it homes.
+  // shard returns lists only for landmarks it homes. Deleted with the
+  // shard op in the next benchmark change.
   util::Result<LandmarkVectorsReply> FetchLandmarks(
       uint32_t topic, const std::vector<uint32_t>& landmarks);
   util::Result<service::StatsSnapshot> Stats();

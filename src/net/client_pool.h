@@ -4,8 +4,8 @@
 // A small per-endpoint connection pool over net::Client.
 //
 // Client is deliberately single-request (one connection, one in-flight
-// round trip); the router fans one client query out to every shard from
-// whichever front-end thread owns it, so it needs a connection per
+// round trip); the router forwards each client request to its home shards
+// from whichever dispatcher thread owns it, so it needs a connection per
 // (shard, concurrent request). The pool keeps an idle stack per endpoint:
 // Checkout() pops an idle connection or dials a new one; Return() pushes
 // it back for reuse. A caller whose round trip failed drops the client

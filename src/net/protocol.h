@@ -65,11 +65,12 @@ enum class MessageKind : uint16_t {
   kFollow = 7,
   kUnfollow = 8,
   kRelabel = 9,
-  // Shard-scoped ops used by the coordinator tier (src/coord). A
-  // RECOMMEND_PARTIAL carries an ordinary RECOMMEND payload and asks the
-  // user's home shard for the Prop.-4 decomposition of the query instead
-  // of a merged ranking; LANDMARK_FETCH asks a shard for the stored lists
-  // of landmarks it homes.
+  // Shard-scoped ops, answered by shard servers. A RECOMMEND_PARTIAL
+  // carries an ordinary RECOMMEND payload and asks the user's home shard
+  // for the Prop.-4 decomposition of the query instead of a merged
+  // ranking; LANDMARK_FETCH asks a shard for the stored lists of landmarks
+  // it homes. The router no longer sends either; the next benchmark
+  // change deletes both with perfbench's routed layer pass.
   kRecommendPartial = 10,
   kLandmarkFetch = 11,
   // Replies.
@@ -303,20 +304,19 @@ util::Status DecodeResultBatch(std::span<const uint8_t> payload,
                                std::vector<uint8_t>* tiers = nullptr);
 
 // ---------------------------------------------------------------------------
-// Shard payloads (coordinator tier, DESIGN.md §6.7).
+// Shard payloads (DESIGN.md §6.7). Deleted with the two shard ops in the
+// next benchmark change.
 //
 // A RECOMMEND_PARTIAL request reuses the RECOMMEND payload (user / topic /
 // top_n / deadline / exclude; the shard only interprets user, topic and
-// deadline — ranking policy stays on the router). The PARTIAL_RESULT reply
-// is the home shard's half of Prop. 4: every node reached by the pruned
-// depth-limited exploration, in first-reached order, with its σ(u,v,t)
-// (and topo_αβ(u,v) when v is a landmark), plus the stored recommendation
-// lists of the landmarks met that this shard homes, inlined in record
-// order. Landmarks met but homed elsewhere carry no list — the router
-// fetches those via LANDMARK_FETCH from their home shards. Replaying the
-// records (and lists) in wire order reproduces the single-node combine
-// loop addition-for-addition, which is what makes routed replies
-// byte-identical to single-node ones.
+// deadline). The PARTIAL_RESULT reply is the home shard's half of Prop. 4:
+// every node reached by the pruned depth-limited exploration, in
+// first-reached order, with its σ(u,v,t) (and topo_αβ(u,v) when v is a
+// landmark), plus the stored recommendation lists of the landmarks met
+// that this shard homes, inlined in record order. Landmarks met but homed
+// elsewhere carry no list — LANDMARK_FETCH gets those from their home
+// shards. Replaying the records (and lists) in wire order reproduces the
+// single-node combine loop addition-for-addition.
 
 // PartialRecord.flags bits.
 inline constexpr uint8_t kPartialFlagLandmark = 1;  // node is a landmark

@@ -97,13 +97,13 @@ class Server::EngineHandler final : public Handler {
       case MessageKind::kStats:
       case MessageKind::kLandmarkFetch:
         // A snapshot, and copies of stored lists: shard serving is
-        // read-only, so the restricted index and the epoch are stable.
+        // read-only, so the shard index and the epoch are stable.
         return true;
       case MessageKind::kRecommendPartial:
         return !Owns(req.queries.front().user);  // rejected by Partial()
       case MessageKind::kRecommend:
       case MessageKind::kRecommendBatch:
-        return false;
+        return NotHomed(req) != nullptr;  // rejected by Recommend()
       default:
         return config().applier == nullptr;  // rejected by Mutate()
     }
@@ -133,6 +133,21 @@ class Server::EngineHandler final : public Handler {
   bool Owns(uint32_t node) const {
     return sharded() && (*config().shard_owned)[node];
   }
+  // The first query of `req` whose user a shard server does not home, or
+  // null (always null off shards).
+  const RecommendRequest* NotHomed(const Request& req) const {
+    if (config().shard_owned == nullptr) return nullptr;
+    for (const RecommendRequest& r : req.queries) {
+      if (!(*config().shard_owned)[r.user]) return &r;
+    }
+    return nullptr;
+  }
+  Reply NotHomedError(uint32_t user) const {
+    return MakeErrorReply(WireError::kInvalidArgument,
+                          "user " + std::to_string(user) +
+                              " is not homed on shard " +
+                              std::to_string(config().shard));
+  }
 
   LandmarkList StoredList(uint32_t landmark, uint32_t topic) const {
     LandmarkList list;
@@ -148,6 +163,9 @@ class Server::EngineHandler final : public Handler {
   }
 
   Reply Recommend(const Request& req) {
+    if (const RecommendRequest* r = NotHomed(req)) {
+      return NotHomedError(r->user);
+    }
     std::vector<service::Query> queries;
     queries.reserve(req.queries.size());
     for (const RecommendRequest& r : req.queries) {
@@ -198,6 +216,8 @@ class Server::EngineHandler final : public Handler {
     return {MessageKind::kMutateAck, EncodeMutateAck(ack)};
   }
 
+  // The two shard ops: only perfbench's routed layer pass still sends
+  // them; the next benchmark change deletes both.
   Reply Partial(const Request& req) {
     if (!sharded()) {
       return MakeErrorReply(
@@ -207,12 +227,7 @@ class Server::EngineHandler final : public Handler {
     // A partial exploration only makes sense on the user's home shard —
     // the halo guarantees byte-identity for owned users and nothing else.
     const RecommendRequest& r = req.queries.front();
-    if (!Owns(r.user)) {
-      return MakeErrorReply(WireError::kInvalidArgument,
-                            "user " + std::to_string(r.user) +
-                                " is not homed on shard " +
-                                std::to_string(config().shard));
-    }
+    if (!Owns(r.user)) return NotHomedError(r.user);
     util::Result<service::QueryEngine::PartialExploration> partial =
         engine_.ExplorePartial(ToQuery(r, req.deadline));
     if (!partial.ok()) return MakeErrorReply(partial.status());
@@ -228,7 +243,7 @@ class Server::EngineHandler final : public Handler {
         pr.topo_alphabeta = dr.topo_alphabeta;
         if (Owns(dr.node)) {
           // Locally-homed landmark: ship its stored list inline so the
-          // router's common case needs no second round trip.
+          // common case needs no LANDMARK_FETCH.
           pr.flags |= kPartialFlagInline;
           reply.lists.push_back(StoredList(dr.node, r.topic));
         }
@@ -273,7 +288,7 @@ class Server::EngineHandler final : public Handler {
             "node " + std::to_string(lm) + " is not a landmark");
       }
       // Landmarks homed elsewhere are silently skipped: the reply names
-      // each list, so the router sees exactly which it got.
+      // each list, so the caller sees exactly which it got.
       if (Owns(lm)) vectors.lists.push_back(StoredList(lm, req.fetch.topic));
     }
     std::vector<uint8_t> payload = EncodeLandmarkVectors(vectors);

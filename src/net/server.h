@@ -83,17 +83,23 @@ struct ServerConfig {
   // ERROR(INVALID_ARGUMENT) and never touch the graph. Must outlive the
   // server.
   service::MutationApplier* applier = nullptr;
-  // Shard serving (coordinator tier, DESIGN.md §6.7). When `shard_owned`
-  // and `shard_index` are both set the server answers the shard ops:
-  // RECOMMEND_PARTIAL for users it owns (decomposed exploration records
+  // Shard serving (coordinator tier, DESIGN.md §6.7). `shard_owned` is
+  // the node mask of the users this shard homes: when set, RECOMMEND and
+  // RECOMMEND_BATCH frames naming any other user are refused inline with
+  // ERROR(INVALID_ARGUMENT) "user U is not homed on shard N" — the halo
+  // holds the edges of homed users' explorations only, so any other
+  // answer would be silently wrong. When `shard_index` (the landmark index
+  // the engine serves from) is set too, the server also answers the shard
+  // ops: RECOMMEND_PARTIAL for homed users (decomposed exploration records
   // plus the inline stored lists of locally-homed landmarks) and
-  // LANDMARK_FETCH for the stored lists of landmarks it homes.
-  // `shard_index` is the per-shard restricted index the engine serves
-  // from; both must outlive the server. Shard serving is read-only
-  // (`applier` must stay null), so the index and epoch are stable and the
-  // fetch path needs no locking. Null = single-node serving; shard ops
-  // answer ERROR(INVALID_ARGUMENT).
+  // LANDMARK_FETCH for the stored lists of landmarks it homes. Both must
+  // outlive the server. Shard serving is read-only (`applier` must stay
+  // null), so the index and epoch are stable and the fetch path needs no
+  // locking. Null = single-node serving; shard ops answer
+  // ERROR(INVALID_ARGUMENT).
   const std::vector<bool>* shard_owned = nullptr;
+  // Read only by the shard ops; deleted with them in the next benchmark
+  // change.
   const landmark::LandmarkIndex* shard_index = nullptr;
   uint32_t shard = 0;
   uint32_t shards_total = 1;

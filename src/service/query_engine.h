@@ -188,13 +188,14 @@ class QueryEngine {
   std::vector<util::Result<Response>> RecommendMany(
       std::span<const core::Query> queries);
 
-  // The home shard's half of a coordinator query (DESIGN.md §6.7): the
-  // pruned decomposed exploration of Algorithm 2, run on a pool worker
-  // under the rebind lock and stamped with the epoch observed under the
-  // same hold. Only landmark engines serve it (exact engines answer
+  // The RECOMMEND_PARTIAL shard op (DESIGN.md §6.7): the pruned
+  // decomposed exploration of Algorithm 2, run on a pool worker under the
+  // rebind lock and stamped with the epoch observed under the same hold.
+  // Only landmark engines serve it (exact engines answer
   // kInvalidArgument); out-of-bounds queries answer kInvalidArgument
   // rather than aborting, since the op arrives over the wire. Bypasses
-  // the result cache — partial records are merged remotely. Thread-safe.
+  // the result cache. Thread-safe. The router no longer calls it; the
+  // next benchmark change deletes it with perfbench's routed layer pass.
   struct PartialExploration {
     uint64_t graph_epoch = 0;
     std::vector<landmark::DecomposedRecord> records;

@@ -9,7 +9,7 @@
 // it, whether it came out of the result cache, and which graph epoch the
 // ranking was computed under. Callers that only care about the list read
 // `.ranking`; callers that surface serving provenance (the wire encoder,
-// the stats rollup, the router's tier merge) read `.meta`.
+// the stats rollup) read `.meta`.
 
 #include <cstdint>
 

@@ -2,7 +2,9 @@
 # End-to-end smoke test for the partitioned serving CLI (DESIGN.md §6.7):
 #   mbrec shard-plan -> 2x `mbrec serve --plan --shard` -> mbrec route ->
 #   query-remote through the router (compared line-for-line against a
-#   single-node `mbrec serve` over the full graph) -> metrics -> drain.
+#   single-node `mbrec serve` over the full graph) -> metrics (one shard
+#   RPC per routed read) -> direct queries (only the home shard answers)
+#   -> drain.
 # Run by ctest as `cli_route_smoke` (labels: cli_serve coord). $MBREC points
 # at the built binary; $1 is a graph snapshot from `mbrec save-graph`, $2 a
 # landmark index from `mbrec landmarks` over the same graph.
@@ -55,8 +57,9 @@ done
 P0="$(wait_port "$WORK/shard0.log" "${PIDS[0]}")" || exit 1
 P1="$(wait_port "$WORK/shard1.log" "${PIDS[1]}")" || exit 1
 
+# No periodic STATS rollup: its shard RPCs would count in the fanout.
 "$MBREC" route --plan "$WORK/plan.bin" \
-  --endpoints "127.0.0.1:$P0,127.0.0.1:$P1" --port 0 \
+  --endpoints "127.0.0.1:$P0,127.0.0.1:$P1" --port 0 --stats-interval-s 0 \
   >"$WORK/route.log" 2>&1 &
 ROUTE_PID=$!
 PIDS+=("$ROUTE_PID")
@@ -96,6 +99,24 @@ for want in \
   grep -q "$want" "$WORK/metrics.txt" \
     || { echo "router metrics missing: $want"; cat "$WORK/metrics.txt"; exit 1; }
 done
+# The router only forwards: one shard RPC per routed read.
+REQUESTS="$(sed -n 's/^mbr_coord_requests_total \([0-9]*\)$/\1/p' "$WORK/metrics.txt")"
+FANOUT="$(sed -n 's/^mbr_coord_fanout_total \([0-9]*\)$/\1/p' "$WORK/metrics.txt")"
+[ -n "$REQUESTS" ] && [ "$FANOUT" = "$REQUESTS" ] \
+  || { echo "fanout $FANOUT != requests $REQUESTS"; cat "$WORK/metrics.txt"; exit 1; }
+
+# Asked directly, only user 3's home shard answers; the other refuses.
+ANSWERED=0
+for p in "$P0" "$P1"; do
+  if "$MBREC" query-remote --port "$p" --user 3 --topic technology --top 8 \
+    >"$WORK/direct.txt" 2>&1; then
+    ANSWERED=$((ANSWERED + 1))
+  elif ! grep -q 'not homed on shard' "$WORK/direct.txt"; then
+    echo "shard on port $p failed user 3 without a refusal:"; cat "$WORK/direct.txt"; exit 1
+  fi
+done
+[ "$ANSWERED" = 1 ] \
+  || { echo "user 3 answered directly by $ANSWERED shards, want exactly 1"; exit 1; }
 
 # Drain the router, then the shards and the reference. Each must exit 0.
 "$MBREC" shutdown-remote --port "$RPORT" \

@@ -1,20 +1,23 @@
-// The ISSUE-8 headline oracle: a routed query through the coordinator
-// tier must be BYTE-IDENTICAL to the same query against a single-node
-// QueryEngine over the full graph — ids, order, and raw score bits — for
-// every PartitionStrategy and shard count, in both landmark (scatter-
-// gather RECOMMEND_PARTIAL + LANDMARK_FETCH merge) and exact (home-shard
-// forwarding) modes. "Byte-identical" is literal: both ranked lists are
-// re-encoded with the RESULT codec at fixed epoch, tier and trailer, and
-// the encodings must be equal.
+// The coordinator tier's headline oracle: a routed query must be
+// BYTE-IDENTICAL to the same query against a single-node QueryEngine over
+// the full graph — ids, order, and raw score bits — for every
+// PartitionStrategy and shard count, with landmark shards (each holding
+// the full landmark index) and with exact shards. The router forwards
+// every query to its home shard, which answers it from its halo.
+// "Byte-identical" is literal: both ranked lists are re-encoded with the
+// RESULT codec at fixed epoch, tier and trailer, and the encodings must
+// be equal.
 //
 // A second suite kills a shard out from under the router and checks the
-// partial-result policy end to end: the reply degrades (v4 trailer
-// partial=1, shards_answered < shards_total), the client call still
-// succeeds — never a hang, never a crash — and mbr_coord_partial_total
-// is bumped on the router's registry.
+// partial-result policy end to end: queries homed on the dead shard
+// degrade (trailer partial=1, shards_answered < shards_total), the client
+// call still succeeds — never a hang, never a crash — and
+// mbr_coord_partial_total is bumped on the router's registry, while
+// queries homed on live shards are answered in full.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -94,7 +97,7 @@ const Corpus& SharedCorpus() {
 }
 
 // One complete partitioned deployment on loopback: N shard servers over
-// ephemeral ports plus a router scatter-gathering across them.
+// ephemeral ports plus a router forwarding to them.
 struct Stack {
   ShardPlan plan;
   std::vector<std::unique_ptr<ShardContext>> contexts;
@@ -163,7 +166,6 @@ std::unique_ptr<Stack> MakeStack(uint32_t shards, PartitionStrategy strategy,
 
   RouterConfig rcfg;
   rcfg.port = 0;
-  rcfg.landmark_mode = landmark_mode;
   rcfg.degrade_partial = degrade_partial;
   rcfg.shard_timeout_ms = 5000;
   stack->router = std::make_unique<Router>(stack->plan, rcfg);
@@ -175,6 +177,32 @@ util::Result<net::Client> Dial(const Stack& stack) {
   net::ClientConfig cc;
   cc.port = stack.router->port();
   return net::Client::Connect(cc);
+}
+
+// A client connected straight to shard `s`, bypassing the router.
+util::Result<net::Client> DialShard(const Stack& stack, uint32_t s) {
+  net::ClientConfig cc;
+  cc.port = stack.servers[s]->port();
+  return net::Client::Connect(cc);
+}
+
+net::RecommendRequest Probe(uint32_t user, uint32_t topic, uint32_t top_n) {
+  net::RecommendRequest req;
+  req.user = user;
+  req.topic = topic;
+  req.top_n = top_n;
+  return req;
+}
+
+// The lowest-numbered user homed on `shard`.
+uint32_t UserOn(const Stack& stack, uint32_t shard) {
+  uint32_t u = 0;
+  while (stack.plan.ShardOf(u) != shard) ++u;
+  return u;
+}
+
+uint64_t CounterValue(Router& router, const char* name) {
+  return router.registry().GetCounter(name, "")->Value();
 }
 
 // Canonical byte encoding of a ranked list: the RESULT codec with the
@@ -290,9 +318,22 @@ TEST(CoordDifferentialTest, BatchRoutedPreservesOrderAndBytes) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   std::vector<net::RecommendRequest> batch = ProbePanel(/*seed=*/5, 8);
+  std::vector<bool> homes(stack->plan.num_shards(), false);
+  for (const net::RecommendRequest& r : batch) {
+    homes[stack->plan.ShardOf(r.user)] = true;
+  }
+  const uint64_t distinct_homes =
+      static_cast<uint64_t>(std::count(homes.begin(), homes.end(), true));
+  ASSERT_GE(distinct_homes, 2u) << "the panel must mix home shards";
+  const uint64_t fanout_before =
+      CounterValue(*stack->router, "mbr_coord_fanout_total");
   auto routed = client->RecommendBatchEx(batch);
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   ASSERT_EQ(routed->size(), batch.size());
+  // One RECOMMEND_BATCH per home shard, not one RPC per query.
+  EXPECT_EQ(CounterValue(*stack->router, "mbr_coord_fanout_total") -
+                fanout_before,
+            distinct_homes);
   for (size_t i = 0; i < batch.size(); ++i) {
     auto expect = reference.Recommend(ToQuery(batch[i]));
     ASSERT_TRUE(expect.ok());
@@ -300,6 +341,107 @@ TEST(CoordDifferentialTest, BatchRoutedPreservesOrderAndBytes) {
     ASSERT_EQ(CanonicalBytes((*routed)[i].entries),
               CanonicalBytes(expect->ranking.entries))
         << "batch slot " << i << " user=" << batch[i].user;
+  }
+}
+
+TEST(CoordDifferentialTest, ShardsRefuseUsersTheyDoNotHome) {
+  // A shard's halo holds the edges of its own users' explorations only,
+  // so a shard server answers those users — byte-identically — and
+  // refuses everyone else, landmark and exact shards alike.
+  const Corpus& c = SharedCorpus();
+  for (bool landmark_mode : {true, false}) {
+    const std::string context = landmark_mode ? "landmark" : "exact";
+    service::QueryEngine reference(*c.graph, *c.authority,
+                                   topics::TwitterSimilarity(),
+                                   c.EngineConfigFor(landmark_mode));
+    const uint32_t halo = landmark_mode ? 1 : Params().max_depth - 1;
+    auto stack = MakeStack(/*shards=*/2, PartitionStrategy::kCommunity,
+                           landmark_mode, halo);
+    ASSERT_NE(stack, nullptr) << context;
+    auto shard0 = DialShard(*stack, 0);
+    ASSERT_TRUE(shard0.ok()) << context << ": "
+                             << shard0.status().ToString();
+    const uint32_t on0 = UserOn(*stack, 0);
+    const uint32_t on1 = UserOn(*stack, 1);
+
+    auto misrouted = shard0->RecommendEx(Probe(on1, /*topic=*/0, 10));
+    ASSERT_FALSE(misrouted.ok())
+        << context << ": shard 0 answered user " << on1 << ", homed on 1";
+    EXPECT_EQ(misrouted.status().code(), util::StatusCode::kInvalidArgument)
+        << context;
+    EXPECT_NE(misrouted.status().message().find("not homed on shard 0"),
+              std::string::npos)
+        << context << ": " << misrouted.status().ToString();
+
+    auto mixed =
+        shard0->RecommendBatchEx({Probe(on0, 0, 10), Probe(on1, 0, 10)});
+    ASSERT_FALSE(mixed.ok()) << context << ": a batch mixing homes was served";
+    EXPECT_EQ(mixed.status().code(), util::StatusCode::kInvalidArgument)
+        << context;
+
+    // The same connection still serves the shard's own users.
+    int homed = 0;
+    for (const auto& req : ProbePanel(/*seed=*/21, /*count=*/12)) {
+      if (stack->plan.ShardOf(req.user) != 0) continue;
+      ++homed;
+      auto direct = shard0->RecommendEx(req);
+      ASSERT_TRUE(direct.ok()) << context << ": "
+                               << direct.status().ToString();
+      auto expect = reference.Recommend(ToQuery(req));
+      ASSERT_TRUE(expect.ok()) << context;
+      ASSERT_EQ(CanonicalBytes(direct->entries),
+                CanonicalBytes(expect->ranking.entries))
+          << context << ": direct reply diverged from single-node, user="
+          << req.user << " topic=" << req.topic;
+    }
+    EXPECT_GE(homed, 2) << context << ": the panel must reach shard 0";
+  }
+}
+
+TEST(CoordDifferentialTest, LadderShardNeedsTheExactHalo) {
+  // With the degradation ladder on, a landmark shard's unpressured tier is
+  // exact scoring, which explores to params.max_depth. A plan whose halo
+  // covers only the landmark exploration is refused; one that covers
+  // max_depth - 1 hops answers the shard's users byte-identically to a
+  // single-node ladder engine, at the exact tier.
+  const Corpus& c = SharedCorpus();
+  service::EngineConfig ec = c.EngineConfigFor(/*landmark_mode=*/true);
+  ec.degrade.enabled = true;  // default watermarks: never pressured
+  service::QueryEngine reference(*c.graph, *c.authority,
+                                 topics::TwitterSimilarity(), ec);
+  distributed::PartitionConfig pcfg;
+  pcfg.num_partitions = 2;
+  for (uint32_t halo : {1u, Params().max_depth - 1}) {
+    const std::string context = "halo " + std::to_string(halo);
+    ShardPlan plan(PartitionGraph(*c.graph, PartitionStrategy::kCommunity,
+                                  pcfg),
+                   PartitionStrategy::kCommunity, halo,
+                   c.graph->num_topics(), std::vector<ShardEndpoint>(2));
+    auto ctx = BuildShardContext(*c.graph, topics::TwitterSimilarity(), plan,
+                                 /*shard=*/0, c.index.get(), ec);
+    if (halo < Params().max_depth - 1) {
+      ASSERT_FALSE(ctx.ok())
+          << context << ": a ladder shard was built over a halo too shallow "
+          << "for its exact tier";
+      EXPECT_EQ(ctx.status().code(), util::StatusCode::kInvalidArgument);
+      continue;
+    }
+    ASSERT_TRUE(ctx.ok()) << context << ": " << ctx.status().ToString();
+    int homed = 0;
+    for (const auto& req : ProbePanel(/*seed=*/41, /*count=*/12)) {
+      if (plan.ShardOf(req.user) != 0) continue;
+      ++homed;
+      auto got = (*ctx)->engine->Recommend(ToQuery(req));
+      ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
+      EXPECT_EQ(got->meta.served_tier, core::Tier::kExact) << context;
+      auto expect = reference.Recommend(ToQuery(req));
+      ASSERT_TRUE(expect.ok()) << context;
+      ASSERT_EQ(CanonicalBytes(got->ranking.entries),
+                CanonicalBytes(expect->ranking.entries))
+          << context << ": ladder shard diverged from single-node, user="
+          << req.user << " topic=" << req.topic;
+    }
+    EXPECT_GE(homed, 2) << context << ": the panel must reach shard 0";
   }
 }
 
@@ -348,8 +490,8 @@ TEST(CoordPartialPolicyTest, KilledShardDegradesToPartialNeverFails) {
   EXPECT_EQ(partial->coord.partial, 1u);
   EXPECT_LT(partial->coord.shards_answered, partial->coord.shards_total);
 
-  // Users homed on the live shard still answer (possibly partial if one of
-  // their landmark fetches was homed on the dead shard).
+  // Users homed on the live shard still answer (SurvivingShardAnswersInFull
+  // checks their bytes).
   uint32_t survivor = 0;
   while (stack->plan.ShardOf(survivor) != 0) ++survivor;
   auto alive = client->RecommendEx({survivor, /*topic=*/1, /*top_n=*/10});
@@ -365,15 +507,17 @@ TEST(CoordPartialPolicyTest, KilledShardDegradesToPartialNeverFails) {
   EXPECT_GE(shard_errors->Value(), 1u);
 }
 
-TEST(CoordPartialPolicyTest, DegradeOffTurnsShardLossIntoError) {
-  // `mbrec route --degrade off`: a lost shard is an ERROR, not a silent
-  // partial merge. Exact mode so the surviving shard needs nothing from
-  // the dead one.
-  const uint32_t halo = Params().max_depth - 1;
+TEST(CoordPartialPolicyTest, SurvivingShardAnswersInFull) {
+  // Every landmark shard holds the full landmark index, so losing shard 1
+  // costs only the queries homed there: users homed on shard 0 keep
+  // complete, byte-identical lists even when their exploration meets
+  // landmarks homed on shard 1.
+  const Corpus& c = SharedCorpus();
+  service::QueryEngine reference(*c.graph, *c.authority,
+                                 topics::TwitterSimilarity(),
+                                 c.EngineConfigFor(/*landmark_mode=*/true));
   auto stack = MakeStack(/*shards=*/2, PartitionStrategy::kCommunity,
-                         /*landmark_mode=*/false, halo,
-                         /*ladder_shard=*/UINT32_MAX,
-                         /*degrade_partial=*/false);
+                         /*landmark_mode=*/true, /*halo_depth=*/1);
   ASSERT_NE(stack, nullptr);
   auto client = Dial(*stack);
   ASSERT_TRUE(client.ok());
@@ -381,17 +525,60 @@ TEST(CoordPartialPolicyTest, DegradeOffTurnsShardLossIntoError) {
   stack->servers[1]->RequestStop();
   stack->servers[1]->Wait();
 
-  uint32_t victim = 0;
-  while (stack->plan.ShardOf(victim) != 1) ++victim;
-  auto lost = client->RecommendEx({victim, /*topic=*/0, /*top_n=*/10});
-  ASSERT_FALSE(lost.ok()) << "degrade off must fail, not partially merge";
+  int survivors = 0;
+  for (const auto& req : ProbePanel(/*seed=*/13, /*count=*/24)) {
+    if (stack->plan.ShardOf(req.user) != 0) continue;
+    ExpectRoutedMatchesReference(*client, reference, req, "shard 1 down");
+    ++survivors;
+  }
+  EXPECT_GE(survivors, 4) << "the panel must reach the live shard";
 
-  // The live shard's queries are untouched by the policy.
-  uint32_t survivor = 0;
-  while (stack->plan.ShardOf(survivor) != 0) ++survivor;
-  auto alive = client->RecommendEx({survivor, /*topic=*/0, /*top_n=*/10});
-  ASSERT_TRUE(alive.ok()) << alive.status().ToString();
-  EXPECT_EQ(alive->coord.partial, 0u);
+  // A batch mixing homes: only the dead shard's query degrades. The frame
+  // trailer is partial; the live shard's lists are complete.
+  const uint32_t on0 = UserOn(*stack, 0);
+  const uint32_t on1 = UserOn(*stack, 1);
+  const std::vector<net::RecommendRequest> batch = {
+      Probe(on0, 0, 10), Probe(on1, 0, 10), Probe(on0, 1, 10)};
+  auto replies = client->RecommendBatchEx(batch);
+  ASSERT_TRUE(replies.ok()) << replies.status().ToString();
+  ASSERT_EQ(replies->size(), batch.size());
+  EXPECT_EQ((*replies)[0].coord.partial, 1u);
+  EXPECT_TRUE((*replies)[1].entries.empty());
+  for (size_t i : {0u, 2u}) {
+    auto expect = reference.Recommend(ToQuery(batch[i]));
+    ASSERT_TRUE(expect.ok());
+    ASSERT_EQ(CanonicalBytes((*replies)[i].entries),
+              CanonicalBytes(expect->ranking.entries))
+        << "batch slot " << i;
+  }
+}
+
+TEST(CoordPartialPolicyTest, DegradeOffTurnsShardLossIntoError) {
+  // `mbrec route --degrade off`: a lost home shard is an ERROR, not a
+  // silent partial reply. Every shard answers its own users alone, so the
+  // surviving shard's queries are untouched in both modes.
+  for (bool landmark_mode : {false, true}) {
+    const std::string context = landmark_mode ? "landmark" : "exact";
+    const uint32_t halo = landmark_mode ? 1 : Params().max_depth - 1;
+    auto stack = MakeStack(/*shards=*/2, PartitionStrategy::kCommunity,
+                           landmark_mode, halo,
+                           /*ladder_shard=*/UINT32_MAX,
+                           /*degrade_partial=*/false);
+    ASSERT_NE(stack, nullptr) << context;
+    auto client = Dial(*stack);
+    ASSERT_TRUE(client.ok()) << context;
+
+    stack->servers[1]->RequestStop();
+    stack->servers[1]->Wait();
+
+    auto lost = client->RecommendEx(Probe(UserOn(*stack, 1), 0, 10));
+    ASSERT_FALSE(lost.ok())
+        << context << ": degrade off must fail, not partially merge";
+
+    auto alive = client->RecommendEx(Probe(UserOn(*stack, 0), 0, 10));
+    ASSERT_TRUE(alive.ok()) << context << ": " << alive.status().ToString();
+    EXPECT_EQ(alive->coord.partial, 0u) << context;
+  }
 }
 
 // ---- Protocol v5 tier merge through the router. ----
@@ -451,7 +638,7 @@ TEST(CoordTierMergeTest, LandmarkRoutedTierIsAtLeastApprox) {
   ASSERT_TRUE(client.ok());
   auto r = client->RecommendEx({/*user=*/3, /*topic=*/0, /*top_n=*/5});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  // The merged ranking is the landmark approximation by construction.
+  // The home shard's landmark engine serves the approx tier, relayed as is.
   EXPECT_EQ(r->served_tier, 1u);
 }
 

@@ -22,8 +22,8 @@
 namespace mbr::coord {
 
 struct RoutedStack {
-  // `rcfg` is used as given but for port (ephemeral) and landmark_mode
-  // (exact forwarding, so no landmark index is needed).
+  // `rcfg` is used as given but for port (ephemeral). The shards are
+  // exact, so no landmark index is needed.
   RoutedStack(const graph::LabeledGraph& graph, RouterConfig rcfg) {
     constexpr uint32_t kShards = 2;
     distributed::PartitionConfig pcfg;
@@ -53,7 +53,6 @@ struct RoutedStack {
       plan.SetEndpoint(s, {"127.0.0.1", servers.back()->port()});
     }
     rcfg.port = 0;
-    rcfg.landmark_mode = false;
     router = std::make_unique<Router>(plan, rcfg);
     EXPECT_TRUE(router->Start().ok());
   }

@@ -37,16 +37,21 @@
 //                   [--endpoints h:p,h:p,...]
 //   mbrec serve     --plan plan.bin --shard I --graph snapshot.bin
 //                   [--index index.bin] [--port P] ... (shard replica:
-//                   warm-starts only shard I's halo subgraph + locally
-//                   homed landmark lists; read-only, shard ops)
+//                   warm-starts shard I's halo subgraph + the full landmark
+//                   index; read-only; answers only the users shard I homes
+//                   and refuses any other with INVALID_ARGUMENT; exact
+//                   scoring, which --degrade ladder includes, needs a plan
+//                   with --halo-depth >= max_depth - 1)
 //   mbrec route     --plan plan.bin [--endpoints h:p,...] [--port P]
-//                   [--mode landmark|exact] [--degrade partial|off]
-//                   [--timeout-ms T] [--max-connections K] (coordinator:
-//                   clients speak the ordinary protocol to it through
-//                   the same front end as serve; replies are byte-identical
-//                   to single-node serving; --degrade off turns shard loss
-//                   into an ERROR instead of a partial merge; K is also the
-//                   admission bound past which requests get OVERLOADED)
+//                   [--degrade partial|off] [--timeout-ms T]
+//                   [--max-connections K] (coordinator: clients speak the
+//                   ordinary protocol to it through the same front end as
+//                   serve; it forwards each query to its home shard, one
+//                   RPC per home shard per request, so replies are
+//                   byte-identical to single-node serving; --degrade off
+//                   turns home-shard loss into an ERROR instead of a
+//                   partial reply; K is also the admission bound past
+//                   which requests get OVERLOADED)
 //
 // Binary graphs (.bin) round-trip exactly; .edges files use the
 // human-readable labeled edge-list format. `save-graph` converts any
@@ -554,7 +559,8 @@ int CmdShardPlan(const Args& args) {
   }
 
   // halo_depth = query_depth - 1 covers the landmark exploration (depth-d
-  // explorations expand out-edges of nodes at depth < d).
+  // explorations expand out-edges of nodes at depth < d); exact shards and
+  // `--degrade ladder` shards need max_depth - 1.
   uint32_t halo_depth =
       static_cast<uint32_t>(args.GetInt("halo-depth", 1));
   coord::ShardPlan plan(std::move(partitioning), strategy, halo_depth,
@@ -602,8 +608,8 @@ int ApplyDegradeFlags(const Args& args, service::EngineConfig* ecfg) {
   return 0;
 }
 
-// `mbrec serve --plan P --shard i`: warm-start only shard i's slice (halo
-// subgraph + locally-homed landmark lists) and serve the shard ops.
+// `mbrec serve --plan P --shard i`: warm-start shard i's halo subgraph
+// (plus the full landmark index) and serve the users it homes.
 int CmdServeShard(const Args& args) {
   const auto& vocab = VocabFor(args.Get("vocab", "twitter"));
   const auto& sim = SimFor(args.Get("vocab", "twitter"));
@@ -653,6 +659,7 @@ int CmdServeShard(const Args& args) {
                  ctx.status().ToString().c_str());
     return 1;
   }
+  index.reset();  // the context serves from its own copy
   coord::ShardContext& sc = **ctx;
 
   net::ServerConfig scfg;
@@ -746,12 +753,6 @@ int CmdRoute(const Args& args) {
     }
   }
 
-  std::string mode = args.Get("mode", "landmark");
-  if (mode != "landmark" && mode != "exact") {
-    std::fprintf(stderr, "unknown --mode '%s' (landmark|exact)\n",
-                 mode.c_str());
-    return 2;
-  }
   std::string degrade = args.Get("degrade", "partial");
   if (degrade != "partial" && degrade != "off") {
     std::fprintf(stderr, "unknown --degrade '%s' (partial|off)\n",
@@ -766,7 +767,6 @@ int CmdRoute(const Args& args) {
       static_cast<uint32_t>(args.GetInt("max-connections", 64));
   rcfg.shard_timeout_ms =
       static_cast<uint32_t>(args.GetInt("timeout-ms", 2000));
-  rcfg.landmark_mode = mode == "landmark";
   rcfg.degrade_partial = degrade == "partial";
   rcfg.registry = &obs::Registry::Default();
 
@@ -780,9 +780,8 @@ int CmdRoute(const Args& args) {
   std::signal(SIGINT, RouteSignalHandler);
   std::signal(SIGTERM, RouteSignalHandler);
 
-  std::printf("routing %u shards (%s merge, shard loss -> %s)\n",
-              plan->num_shards(), mode.c_str(),
-              rcfg.degrade_partial ? "partial" : "error");
+  std::printf("routing %u shards (forwarding, shard loss -> %s)\n",
+              plan->num_shards(), rcfg.degrade_partial ? "partial" : "error");
   std::printf("listening on %s:%u\n", rcfg.host.c_str(), router.port());
   std::fflush(stdout);
 
@@ -1147,8 +1146,8 @@ const std::vector<Command>& Commands() {
        {"graph", "vocab", "shards", "strategy", "halo-depth", "endpoints",
         "out"}},
       {"route", CmdRoute,
-       {"plan", "endpoints", "host", "port", "mode", "degrade",
-        "timeout-ms", "max-connections", "stats-interval-s"}},
+       {"plan", "endpoints", "host", "port", "degrade", "timeout-ms",
+        "max-connections", "stats-interval-s"}},
       {"query-remote", CmdQueryRemote,
        {"host", "port", "vocab", "user", "topic", "top", "timeout-ms",
         "deadline-ms", "exclude"}},
