@@ -32,14 +32,13 @@ Router::Router(const ShardPlan& plan, const RouterConfig& config)
   std::vector<net::ClientConfig> endpoints;
   endpoints.reserve(plan_.num_shards());
   for (uint32_t s = 0; s < plan_.num_shards(); ++s) {
-    net::ClientConfig c = config_.shard_client;
+    net::ClientConfig c;
     c.host = plan_.endpoints()[s].host;
     c.port = static_cast<uint16_t>(plan_.endpoints()[s].port);
     c.request_timeout_ms = config_.shard_timeout_ms;
     endpoints.push_back(std::move(c));
   }
-  pool_ = std::make_unique<net::ClientPool>(std::move(endpoints),
-                                            config_.pool_idle);
+  pool_ = std::make_unique<net::ClientPool>(std::move(endpoints));
 
   net::ServerConfig front;
   front.host = config_.host;
@@ -53,7 +52,6 @@ Router::Router(const ShardPlan& plan, const RouterConfig& config)
   // client's (the frame's tightest deadline_ms) and shard RPCs carry what
   // is left of it (ShardDeadlineMs).
   front.request_deadline_ms = 0;
-  front.limits = config_.limits;
   front.registry = registry_;
   server_ = std::make_unique<net::Server>(static_cast<net::Handler&>(*this),
                                           front);

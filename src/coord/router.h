@@ -28,6 +28,12 @@
 // relayed as ERROR unchanged. Mutations are rejected: the partitioned
 // tier serves read-only.
 //
+// Shard connections: a net::ClientPool per router, dialed from the plan's
+// endpoints with shard_timeout_ms as the request timeout. It keeps at
+// most ClientPool::kMaxIdle idle connections per shard; a connection
+// whose RPC failed is dropped, and the next RPC dials once, so a shard
+// that is still down costs one refused connect and degrades as above.
+//
 // Front end: the router is a net::Server handler, so client connections
 // get the same epoll loop, framing and checks as a shard or single-node
 // server — it sheds past its admission bound (OVERLOADED), drains with a
@@ -67,16 +73,9 @@ struct RouterConfig {
   // its queries to partial replies. false: it becomes an ERROR
   // (UNAVAILABLE) — the `mbrec route --degrade off` policy.
   bool degrade_partial = true;
-  net::WireLimits limits;
-  // Template for the per-shard client connections (connect timeout,
-  // reconnect backoff). host, port and request_timeout_ms are overwritten
-  // per shard.
-  net::ClientConfig shard_client;
   // mbr_coord_* and mbr_net_* series registry. nullptr = router-owned
   // private registry.
   obs::Registry* registry = nullptr;
-  // Idle pooled connections kept per shard.
-  size_t pool_idle = 4;
 };
 
 class Router : private net::Handler {

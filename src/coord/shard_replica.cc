@@ -84,8 +84,6 @@ util::Result<std::unique_ptr<ShardContext>> BuildShardContext(
   }
 
   auto ctx = std::make_unique<ShardContext>();
-  ctx->shard = shard;
-  ctx->shards_total = plan.num_shards();
   ctx->owned = plan.OwnedMask(shard);
   ctx->subgraph = std::make_unique<graph::LabeledGraph>(
       BuildHaloSubgraph(full, plan, shard, plan.halo_depth()));

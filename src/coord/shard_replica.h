@@ -48,8 +48,6 @@ graph::LabeledGraph BuildHaloSubgraph(const graph::LabeledGraph& full,
 // owned through unique_ptrs so the context can be moved after the engine
 // has captured references into it.
 struct ShardContext {
-  uint32_t shard = 0;
-  uint32_t shards_total = 1;
   std::vector<bool> owned;  // full node universe
   std::unique_ptr<graph::LabeledGraph> subgraph;
   std::unique_ptr<core::AuthorityIndex> authority;  // from the FULL graph

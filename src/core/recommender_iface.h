@@ -66,11 +66,6 @@ struct Query {
   std::vector<graph::NodeId> exclude;
   std::vector<graph::NodeId> candidates;
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  // The most degraded tier the caller accepts (default: anything). A
-  // latency-tolerant caller pins `WithMinTier(Tier::kExact)` to opt out of
-  // the degradation ladder entirely; the serving engine never serves a
-  // tier numerically above this. Offline recommenders ignore it.
-  Tier min_tier = Tier::kStale;
 
   static Query TopN(graph::NodeId user, topics::TopicId topic,
                     uint32_t top_n) {
@@ -97,11 +92,6 @@ struct Query {
 
   Query&& WithDeadline(std::chrono::milliseconds budget) && {
     deadline = std::chrono::steady_clock::now() + budget;
-    return std::move(*this);
-  }
-
-  Query&& WithMinTier(Tier t) && {
-    min_tier = t;
     return std::move(*this);
   }
 

@@ -7,12 +7,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <limits>
-#include <thread>
 
 namespace mbr::net {
 
@@ -92,46 +89,7 @@ util::Status RecvExactly(int fd, uint8_t* out, size_t size,
 
 }  // namespace
 
-uint32_t BackoffDelayMs(const ClientConfig& config, uint32_t attempt) {
-  // Exponential doubling from the initial delay, saturating at the cap
-  // (the loop breaks on reaching it, so large attempt numbers can't
-  // overflow the doubling).
-  uint64_t base = config.backoff_initial_ms;
-  for (uint32_t i = 0; i < attempt && base < config.backoff_max_ms; ++i) {
-    base *= 2;
-  }
-  base = std::min<uint64_t>(base, config.backoff_max_ms);
-  if (config.backoff_jitter_ms > 0) {
-    // splitmix64-style mix of (seed, attempt): deterministic, spread.
-    uint64_t x = config.backoff_seed + 0x9e3779b97f4a7c15ULL * (attempt + 1);
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    base += x % config.backoff_jitter_ms;
-  }
-  return static_cast<uint32_t>(
-      std::min<uint64_t>(base, std::numeric_limits<uint32_t>::max()));
-}
-
 util::Result<Client> Client::Connect(const ClientConfig& config) {
-  const uint32_t attempts = std::max<uint32_t>(1, config.connect_attempts);
-  util::Status last = util::Status::Unavailable("no connect attempt made");
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(BackoffDelayMs(config, attempt - 1)));
-    }
-    auto client = ConnectOnce(config);
-    if (client.ok()) return client;
-    last = client.status();
-    // Only kUnavailable (refused/reset) is retryable; a bad address or a
-    // connect timeout will not improve with repetition.
-    if (last.code() != util::StatusCode::kUnavailable) return last;
-  }
-  return last;
-}
-
-util::Result<Client> Client::ConnectOnce(const ClientConfig& config) {
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return util::Status::IoError(Errno("socket"));
 
@@ -208,7 +166,7 @@ util::Result<Client::Reply> Client::RoundTrip(
   MBR_RETURN_IF_ERROR(
       RecvExactly(fd_, header_buf, kFrameHeaderBytes, deadline));
   Reply reply;
-  switch (ParseFrameHeader({header_buf, kFrameHeaderBytes}, config_.limits,
+  switch (ParseFrameHeader({header_buf, kFrameHeaderBytes}, kWireLimits,
                            &reply.header)) {
     case HeaderParse::kOk:
       break;
@@ -236,7 +194,7 @@ util::Result<Client::Reply> Client::RoundTrip(
 
   if (reply.header.kind == MessageKind::kError) {
     ErrorReply err;
-    MBR_RETURN_IF_ERROR(DecodeError(reply.payload, config_.limits, &err));
+    MBR_RETURN_IF_ERROR(DecodeError(reply.payload, kWireLimits, &err));
     return ErrorReplyToStatus(err);
   }
   if (reply.header.kind == MessageKind::kOverloaded) {
@@ -269,7 +227,7 @@ util::Result<ResultReply> Client::RecommendEx(const RecommendRequest& req) {
         MessageKindName(reply->header.kind));
   }
   ResultReply out;
-  MBR_RETURN_IF_ERROR(DecodeResult(reply->payload, config_.limits,
+  MBR_RETURN_IF_ERROR(DecodeResult(reply->payload, kWireLimits,
                                    kProtocolVersion, &out.entries,
                                    &out.graph_epoch, &out.coord,
                                    &out.served_tier));
@@ -302,7 +260,7 @@ util::Result<std::vector<ResultReply>> Client::RecommendBatchEx(
   std::vector<uint64_t> epochs;
   std::vector<uint8_t> tiers;
   CoordTrailer coord;
-  MBR_RETURN_IF_ERROR(DecodeResultBatch(reply->payload, config_.limits,
+  MBR_RETURN_IF_ERROR(DecodeResultBatch(reply->payload, kWireLimits,
                                         &lists, &epochs, &coord, &tiers));
   if (lists.size() != queries.size()) {
     return util::Status::Internal(
@@ -331,7 +289,7 @@ util::Result<PartialReply> Client::RecommendPartial(
   }
   PartialReply out;
   MBR_RETURN_IF_ERROR(
-      DecodePartialReply(reply->payload, config_.limits, &out));
+      DecodePartialReply(reply->payload, kWireLimits, &out));
   return out;
 }
 
@@ -350,7 +308,7 @@ util::Result<LandmarkVectorsReply> Client::FetchLandmarks(
   }
   LandmarkVectorsReply out;
   MBR_RETURN_IF_ERROR(
-      DecodeLandmarkVectors(reply->payload, config_.limits, &out));
+      DecodeLandmarkVectors(reply->payload, kWireLimits, &out));
   return out;
 }
 
@@ -409,7 +367,7 @@ util::Result<std::string> Client::Metrics() {
   }
   std::string text;
   MBR_RETURN_IF_ERROR(
-      DecodeMetricsResult(reply->payload, config_.limits, &text));
+      DecodeMetricsResult(reply->payload, kWireLimits, &text));
   return text;
 }
 

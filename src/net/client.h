@@ -8,10 +8,10 @@
 // connect and each request carry explicit timeouts, enforced with poll() so
 // a dead or stalled server surfaces as DEADLINE_EXCEEDED rather than a
 // hang. Typed wrappers decode the reply payloads with the same bounded
-// readers the server uses; an ERROR reply maps onto util::Status via
-// ErrorReplyToStatus, and an OVERLOADED shed maps to
-// StatusCode::kUnavailable so callers can retry-with-backoff on exactly
-// that code.
+// readers and the same net::kWireLimits the server uses; an ERROR reply
+// maps onto util::Status via ErrorReplyToStatus, and an OVERLOADED shed
+// maps to StatusCode::kUnavailable, the code of a refused connect, so a
+// caller treats a shed request and a down server alike.
 
 #include <cstdint>
 #include <string>
@@ -28,30 +28,14 @@ struct ClientConfig {
   uint16_t port = 0;
   uint32_t connect_timeout_ms = 2000;
   uint32_t request_timeout_ms = 10000;
-  WireLimits limits;
-
-  // Connect retry policy: up to `connect_attempts` tries, re-attempted only
-  // on kUnavailable (refused/reset — the cases where a restarting server
-  // will come back). Other failures (bad address, timeout) surface
-  // immediately. Between attempt k and k+1 the client sleeps
-  // BackoffDelayMs(config, k): exponential doubling from
-  // backoff_initial_ms capped at backoff_max_ms, plus a deterministic
-  // jitter in [0, backoff_jitter_ms) derived from backoff_seed — bounded,
-  // reproducible, and unit-testable (tests/net_client_retry_test.cc).
-  uint32_t connect_attempts = 1;  // total attempts; 1 = no retry
-  uint32_t backoff_initial_ms = 50;
-  uint32_t backoff_max_ms = 2000;
-  uint32_t backoff_jitter_ms = 0;
-  uint64_t backoff_seed = 0x9e3779b97f4a7c15ULL;
 };
-
-// The delay slept after failed attempt `attempt` (0-based). Pure function
-// of the config — the schedule can be asserted exactly in tests.
-uint32_t BackoffDelayMs(const ClientConfig& config, uint32_t attempt);
 
 class Client {
  public:
-  // Establishes the TCP connection (bounded by connect_timeout_ms).
+  // Establishes the TCP connection in one attempt, bounded by
+  // connect_timeout_ms: kUnavailable when the connection is refused or
+  // reset, kInvalidArgument for an unparsable host, DEADLINE_EXCEEDED on
+  // timeout.
   static util::Result<Client> Connect(const ClientConfig& config);
 
   ~Client();
@@ -106,9 +90,6 @@ class Client {
   };
 
   Client(int fd, const ClientConfig& config) : fd_(fd), config_(config) {}
-
-  // One TCP connect attempt (no retry).
-  static util::Result<Client> ConnectOnce(const ClientConfig& config);
 
   util::Result<Reply> RoundTrip(MessageKind kind,
                                 std::span<const uint8_t> payload);

@@ -6,8 +6,8 @@
 
 namespace mbr::net {
 
-ClientPool::ClientPool(std::vector<ClientConfig> endpoints, size_t max_idle)
-    : endpoints_(std::move(endpoints)), max_idle_(max_idle) {
+ClientPool::ClientPool(std::vector<ClientConfig> endpoints)
+    : endpoints_(std::move(endpoints)) {
   slots_.reserve(endpoints_.size());
   for (size_t i = 0; i < endpoints_.size(); ++i) {
     slots_.push_back(std::make_unique<Slot>());
@@ -33,17 +33,10 @@ void ClientPool::Return(size_t i, std::unique_ptr<Client> client) {
   MBR_CHECK(i < slots_.size());
   if (client == nullptr) return;
   std::lock_guard<std::mutex> lock(slots_[i]->mu);
-  if (slots_[i]->idle.size() < max_idle_) {
+  if (slots_[i]->idle.size() < kMaxIdle) {
     slots_[i]->idle.push_back(std::move(client));
   }
   // else: drop — the connection closes on destruction.
-}
-
-void ClientPool::Clear() {
-  for (auto& slot : slots_) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    slot->idle.clear();
-  }
 }
 
 }  // namespace mbr::net

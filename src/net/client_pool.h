@@ -11,8 +11,8 @@
 // it back for reuse. A caller whose round trip failed drops the client
 // instead of returning it (the connection state is unknown after an I/O
 // error), so broken connections never get back into the pool — the next
-// Checkout redials, with Client's bounded backoff handling a restarting
-// shard.
+// Checkout simply redials. At most kMaxIdle idle connections are kept per
+// endpoint; extra returns close.
 
 #include <cstdint>
 #include <memory>
@@ -26,24 +26,19 @@ namespace mbr::net {
 
 class ClientPool {
  public:
-  // One ClientConfig per endpoint (host/port/timeouts/backoff). `max_idle`
-  // bounds the idle connections kept per endpoint; extra returns close.
-  ClientPool(std::vector<ClientConfig> endpoints, size_t max_idle = 4);
+  static constexpr size_t kMaxIdle = 4;
 
-  size_t num_endpoints() const { return endpoints_.size(); }
-  const ClientConfig& endpoint(size_t i) const { return endpoints_[i]; }
+  // One ClientConfig per endpoint (host/port/timeouts).
+  explicit ClientPool(std::vector<ClientConfig> endpoints);
 
   // An idle pooled connection to endpoint `i`, or a freshly dialed one.
   // Connect failures surface as the Client::Connect status (kUnavailable
-  // after the configured retries for a down shard).
+  // for a down shard).
   util::Result<std::unique_ptr<Client>> Checkout(size_t i);
 
   // Returns a healthy connection for reuse. Only call after a successful
   // round trip; on failure simply destroy the client instead.
   void Return(size_t i, std::unique_ptr<Client> client);
-
-  // Drops all idle connections (e.g. after an endpoint table rewrite).
-  void Clear();
 
  private:
   struct Slot {
@@ -52,7 +47,6 @@ class ClientPool {
   };
 
   std::vector<ClientConfig> endpoints_;
-  size_t max_idle_;
   std::vector<std::unique_ptr<Slot>> slots_;
 };
 

@@ -12,7 +12,7 @@ util::Status Connection::Ingest(const uint8_t* data, size_t size,
   for (;;) {
     FrameHeader h;
     HeaderParse p = ParseFrameHeader(
-        {read_buf_.data() + pos, read_buf_.size() - pos}, limits_, &h);
+        {read_buf_.data() + pos, read_buf_.size() - pos}, kWireLimits, &h);
     if (p == HeaderParse::kMalformed) {
       return util::Status::InvalidArgument("malformed frame header");
     }
@@ -34,7 +34,7 @@ util::Status Connection::Ingest(const uint8_t* data, size_t size,
   // Whatever remains is at most one partial frame, whose declared length
   // ParseFrameHeader already capped — anything bigger means the peer is
   // streaming bytes that can never frame-align.
-  if (read_buf_.size() > kFrameHeaderBytes + limits_.max_payload_bytes) {
+  if (read_buf_.size() > kFrameHeaderBytes + kWireLimits.max_payload_bytes) {
     return util::Status::InvalidArgument("read buffer cap exceeded");
   }
   return util::Status::Ok();
@@ -51,7 +51,7 @@ bool Connection::QueueEncoded(std::span<const uint8_t> frame_bytes) {
   // Write cap: a handful of max-size frames. Beyond that the peer is not
   // consuming replies and buffering more would be unbounded queueing.
   const size_t write_cap =
-      4 * (kFrameHeaderBytes + static_cast<size_t>(limits_.max_payload_bytes));
+      4 * (kFrameHeaderBytes + size_t{kWireLimits.max_payload_bytes});
   if ((write_buf_.size() - write_off_) + frame_bytes.size() > write_cap) {
     return false;
   }

@@ -10,9 +10,10 @@
 // whole connection layer lock-free.
 //
 // Read side: bytes stream into `read_buf_`; Ingest() peels off complete
-// frames. The buffer is capped at header + max_payload_bytes, so a peer
-// cannot grow server memory by streaming an unbounded frame — the length
-// field is validated (ParseFrameHeader) before any payload is buffered.
+// frames. The buffer is capped at header + kWireLimits.max_payload_bytes,
+// so a peer cannot grow server memory by streaming an unbounded frame —
+// the length field is validated (ParseFrameHeader) before any payload is
+// buffered.
 //
 // Write side: encoded reply frames append to `write_buf_`; the event loop
 // flushes opportunistically and arms EPOLLOUT only while bytes remain. A
@@ -36,8 +37,7 @@ class Connection {
 
   // `gen` is the server-unique generation used to route dispatcher
   // completions back to a connection that may have died meanwhile.
-  Connection(int fd, uint64_t gen, const WireLimits& limits)
-      : fd_(fd), gen_(gen), limits_(limits) {}
+  Connection(int fd, uint64_t gen) : fd_(fd), gen_(gen) {}
 
   int fd() const { return fd_; }
   uint64_t gen() const { return gen_; }
@@ -77,7 +77,6 @@ class Connection {
  private:
   int fd_;
   uint64_t gen_;
-  WireLimits limits_;
 
   std::vector<uint8_t> read_buf_;
   std::vector<uint8_t> write_buf_;

@@ -93,8 +93,10 @@ bool IsReplyKind(MessageKind kind);
 // FOLLOW / UNFOLLOW / RELABEL.
 bool IsMutationKind(MessageKind kind);
 
-// Decode-side bounds. Both peers use the same limits so a reply the server
-// is willing to send is a reply the client is willing to parse.
+// Decode-side bounds. The codecs take them as a parameter (a test can
+// shrink one); the server, Connection and Client all read kWireLimits, so
+// a reply the server is willing to send is a reply the client is willing
+// to parse.
 struct WireLimits {
   uint32_t max_payload_bytes = 1u << 20;  // frame payload cap
   uint32_t max_batch = 4096;              // queries per RECOMMEND_BATCH
@@ -104,6 +106,7 @@ struct WireLimits {
   uint32_t max_mutations = 4096;          // records per mutation frame
   uint32_t max_partial = 1u << 16;        // records per PARTIAL_RESULT
 };
+inline constexpr WireLimits kWireLimits{};
 
 struct FrameHeader {
   uint16_t version = 0;

@@ -250,16 +250,16 @@ class Server::EngineHandler final : public Handler {
       }
       reply.records.push_back(pr);
     }
-    if (reply.records.size() > config().limits.max_partial) {
+    if (reply.records.size() > kWireLimits.max_partial) {
       return MakeErrorReply(
           WireError::kInvalidArgument,
           "exploration reached " + std::to_string(reply.records.size()) +
               " nodes, over the " +
-              std::to_string(config().limits.max_partial) +
+              std::to_string(kWireLimits.max_partial) +
               "-record partial cap");
     }
     std::vector<uint8_t> payload = EncodePartialReply(reply);
-    if (payload.size() > config().limits.max_payload_bytes) {
+    if (payload.size() > kWireLimits.max_payload_bytes) {
       return MakeErrorReply(
           WireError::kInvalidArgument,
           "partial reply would exceed the frame payload cap");
@@ -292,7 +292,7 @@ class Server::EngineHandler final : public Handler {
       if (Owns(lm)) vectors.lists.push_back(StoredList(lm, req.fetch.topic));
     }
     std::vector<uint8_t> payload = EncodeLandmarkVectors(vectors);
-    if (payload.size() > config().limits.max_payload_bytes) {
+    if (payload.size() > kWireLimits.max_payload_bytes) {
       return MakeErrorReply(
           WireError::kInvalidArgument,
           "landmark vectors reply would exceed the frame cap");
@@ -529,8 +529,7 @@ void Server::HandleAccept() {
       continue;
     }
     metrics_.accepted->Increment();
-    conns_[fd] =
-        std::make_unique<Connection>(fd, next_gen_++, config_.limits);
+    conns_[fd] = std::make_unique<Connection>(fd, next_gen_++);
     read_shutdown_[fd] = false;
   }
 }
@@ -635,10 +634,8 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
       // text, inline on the event loop — exposition is a rare,
       // operator-driven request.
       std::string text = obs::RenderPrometheus(*config_.registry);
-      if (text.size() + 4 > config_.limits.max_payload_bytes) {
-        text.resize(config_.limits.max_payload_bytes > 4
-                        ? config_.limits.max_payload_bytes - 4
-                        : 0);
+      if (text.size() + 4 > kWireLimits.max_payload_bytes) {
+        text.resize(kWireLimits.max_payload_bytes - 4);
         // Truncate at a line boundary so the exposition stays parseable.
         size_t nl = text.rfind('\n');
         text.resize(nl == std::string::npos ? 0 : nl + 1);
@@ -703,20 +700,18 @@ bool Server::DecodeRequest(Connection* conn, const Connection::Frame& frame,
     case MessageKind::kFollow:
     case MessageKind::kUnfollow:
     case MessageKind::kRelabel:
-      st = DecodeMutation(frame.payload, config_.limits, h.kind,
-                          &req->mutations);
+      st = DecodeMutation(frame.payload, kWireLimits, h.kind, &req->mutations);
       break;
     case MessageKind::kLandmarkFetch:
-      st = DecodeLandmarkFetch(frame.payload, config_.limits, &req->fetch);
+      st = DecodeLandmarkFetch(frame.payload, kWireLimits, &req->fetch);
       break;
     case MessageKind::kRecommend:
     case MessageKind::kRecommendPartial:
-      st = DecodeRecommend(frame.payload, config_.limits, kProtocolVersion,
+      st = DecodeRecommend(frame.payload, kWireLimits, kProtocolVersion,
                            &req->queries.emplace_back());
       break;
     case MessageKind::kRecommendBatch:
-      st = DecodeRecommendBatch(frame.payload, config_.limits,
-                                &req->queries);
+      st = DecodeRecommendBatch(frame.payload, kWireLimits, &req->queries);
       break;
     default:
       QueueError(conn, h.request_id, WireError::kUnknownKind,
@@ -760,10 +755,10 @@ bool Server::DecodeRequest(Connection* conn, const Connection::Frame& frame,
     }
   }
   if (h.kind != MessageKind::kRecommendPartial &&
-      reply_bytes > config_.limits.max_payload_bytes) {
+      reply_bytes > kWireLimits.max_payload_bytes) {
     QueueError(conn, h.request_id, WireError::kInvalidArgument,
                "reply would exceed the " +
-                   std::to_string(config_.limits.max_payload_bytes) +
+                   std::to_string(kWireLimits.max_payload_bytes) +
                    "-byte frame payload cap");
     return false;
   }

@@ -6,7 +6,8 @@
 // also serves the mutation applier and shard ops named in ServerConfig) or
 // a coord::Router. Framing, version/CRC checks, range and reply-size
 // checks, admission, deadlines, drain, PING/SHUTDOWN/METRICS and the
-// mbr_net_* series live here once, for both.
+// mbr_net_* series live here once, for both. Every framing, decode and
+// reply-size bound is net::kWireLimits, the constant the client reads too.
 //
 // Threading model:
 //   * ONE event-loop thread owns every socket and Connection object: it
@@ -71,7 +72,6 @@ struct ServerConfig {
   uint32_t request_deadline_ms = 1000;
   // Drain backstop: force-close connections this long after Stop.
   uint32_t drain_grace_ms = 5000;
-  WireLimits limits;
   // Where the server registers its mbr_net_* series and what the METRICS
   // op renders. nullptr = the engine's registry, so one exposition covers
   // engine + network counters by default; required with any other
@@ -101,7 +101,10 @@ struct ServerConfig {
   // Read only by the shard ops; deleted with them in the next benchmark
   // change.
   const landmark::LandmarkIndex* shard_index = nullptr;
+  // Named in the "not homed on shard N" refusal.
   uint32_t shard = 0;
+  // Read by nothing; perfbench sets it, so the next benchmark change
+  // deletes it.
   uint32_t shards_total = 1;
 };
 

@@ -1,5 +1,6 @@
 #include "obs/slow_query_log.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -33,25 +34,17 @@ std::string SlowQueryEntry::Format() const {
   return out;
 }
 
-void SlowQueryLog::Configure(Config c) {
+SlowQueryLog::Unread SlowQueryLog::ReadSince(uint64_t* cursor) const {
   std::lock_guard<std::mutex> lock(mu_);
-  config_ = c;
-  ring_.clear();
-  next_ = 0;
-}
-
-uint64_t SlowQueryLog::threshold_micros() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return config_.threshold_micros;
-}
-
-std::vector<SlowQueryEntry> SlowQueryLog::Entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SlowQueryEntry> out;
-  out.reserve(ring_.size());
-  // Oldest first: [next_, end) then [0, next_).
-  for (size_t i = next_; i < ring_.size(); ++i) out.push_back(ring_[i]);
-  for (size_t i = 0; i < next_; ++i) out.push_back(ring_[i]);
+  const uint64_t oldest = appended_ - ring_.size();
+  const uint64_t from = std::clamp(*cursor, oldest, appended_);
+  Unread out;
+  out.missed = from > *cursor ? from - *cursor : 0;
+  out.entries.reserve(appended_ - from);
+  for (uint64_t k = from; k < appended_; ++k) {
+    out.entries.push_back(ring_[k % config_.capacity]);
+  }
+  *cursor = appended_;
   return out;
 }
 
@@ -61,9 +54,9 @@ void SlowQueryLog::Append(SlowQueryEntry e) {
   if (ring_.size() < config_.capacity) {
     ring_.push_back(std::move(e));
   } else {
-    ring_[next_] = std::move(e);
-    next_ = (next_ + 1) % config_.capacity;
+    ring_[appended_ % config_.capacity] = std::move(e);
   }
+  ++appended_;
 }
 
 SlowQueryLog& SlowQueryLog::Default() {

@@ -10,7 +10,9 @@
 // scratch buffer. On destruction the trace either discards the buffer
 // (fast path) or, if total time >= threshold, pushes one SlowQueryEntry
 // into the log under a mutex. Queries below the threshold never touch a
-// lock.
+// lock. A reader polls ReadSince with a cursor, so it never re-reads an
+// entry, and what the ring overwrote before it read is reported as a
+// count rather than skipped silently.
 
 #include <chrono>
 #include <cstdint>
@@ -52,11 +54,18 @@ class SlowQueryLog {
   SlowQueryLog() = default;
   explicit SlowQueryLog(Config c) : config_(c) {}
 
-  void Configure(Config c);
-  uint64_t threshold_micros() const;
+  uint64_t threshold_micros() const { return config_.threshold_micros; }
 
-  // Most recent entries, oldest first (at most Config::capacity).
-  std::vector<SlowQueryEntry> Entries() const;
+  // What a reader has not seen yet (see ReadSince).
+  struct Unread {
+    std::vector<SlowQueryEntry> entries;  // oldest first
+    uint64_t missed = 0;  // appended since the cursor, overwritten unread
+  };
+  // The entries appended since `*cursor` (a count of appends; a new
+  // reader starts at 0), at most the newest Config::capacity of them, and
+  // how many older ones the ring overwrote before this call. Advances
+  // `*cursor` past everything appended so far, in one hold of the lock.
+  Unread ReadSince(uint64_t* cursor) const;
 
   // Process-wide log used by QueryTrace's default constructor path.
   static SlowQueryLog& Default();
@@ -64,10 +73,11 @@ class SlowQueryLog {
   void Append(SlowQueryEntry e);
 
  private:
+  const Config config_{};
   mutable std::mutex mu_;
-  Config config_;
+  // Append k (0-based) lives at ring_[k % capacity] until overwritten.
   std::vector<SlowQueryEntry> ring_;
-  size_t next_ = 0;  // ring insertion point once at capacity
+  uint64_t appended_ = 0;
 };
 
 // RAII scope marking "a query is being traced on this thread". At most one

@@ -14,6 +14,9 @@ namespace {
 
 inline uint8_t TierV(core::Tier t) { return static_cast<uint8_t>(t); }
 
+// Lock shards of the result cache.
+constexpr uint32_t kCacheShards = 16;
+
 }  // namespace
 
 double EngineStats::LatencyPercentileMicros(double p) const {
@@ -85,8 +88,7 @@ QueryEngine::QueryEngine(const graph::LabeledGraph& g,
       "mbr_engine_latency_us",
       "Per-query engine latency in microseconds (hits and misses).");
   if (config_.cache_capacity > 0) {
-    cache_ = std::make_unique<Cache>(config_.cache_capacity,
-                                     std::max(1u, config_.cache_shards));
+    cache_ = std::make_unique<Cache>(config_.cache_capacity, kCacheShards);
   }
   arenas_.reserve(pool_.num_workers());
   for (uint32_t i = 0; i < pool_.num_workers(); ++i) {
@@ -148,28 +150,13 @@ bool QueryEngine::StaleLookup(const core::Query& q, uint64_t epoch,
   return false;
 }
 
-core::Tier QueryEngine::ChooseScoredTier(const core::Query& q) const {
-  core::Tier allowed = base_tier_;
-  if (degrade_enabled_) {
-    const core::Tier pressured = monitor_.AllowedTier();
-    if (TierV(pressured) > TierV(allowed)) allowed = pressured;
+core::Tier QueryEngine::ChooseScoredTier() const {
+  // Under pressure the ladder scores approx; a stale verdict landing here
+  // means the stale lookup missed, so approx is the cheapest scored tier.
+  if (degrade_enabled_ && monitor_.AllowedTier() != core::Tier::kExact) {
+    return core::Tier::kApprox;
   }
-  // The caller's floor: never serve a tier more degraded than min_tier.
-  if (TierV(allowed) > TierV(q.min_tier)) allowed = q.min_tier;
-  // Clamp to the recommenders actually built. A "stale" verdict landing
-  // here means the stale probe missed — serve the cheapest scored tier.
-  if (allowed == core::Tier::kStale) {
-    allowed = has_approx_ ? core::Tier::kApprox : core::Tier::kExact;
-  }
-  if (allowed == core::Tier::kApprox && !has_approx_) {
-    allowed = core::Tier::kExact;
-  }
-  if (allowed == core::Tier::kExact && !has_exact_) {
-    // min_tier = kExact on an exact-less engine is rejected at admission,
-    // so serving approx here never violates the caller's floor.
-    allowed = core::Tier::kApprox;
-  }
-  return allowed;
+  return base_tier_;
 }
 
 util::Result<Response> QueryEngine::ExecuteQuery(uint32_t wid,
@@ -181,7 +168,7 @@ util::Result<Response> QueryEngine::ExecuteQuery(uint32_t wid,
   obs::QueryTrace trace(obs::Enabled() ? &obs::SlowQueryLog::Default()
                                        : nullptr,
                         q.user, q.topic, q.top_n);
-  const core::Tier tier = ChooseScoredTier(q);
+  const core::Tier tier = ChooseScoredTier();
   obs::QueryTrace::SetServedTier(core::TierName(tier));
   util::Result<Response> out = [&]() -> util::Result<Response> {
     MBR_SPAN("engine.execute");
@@ -263,20 +250,6 @@ std::vector<util::Result<Response>> QueryEngine::RecommendMany(
     // already blown skip the cache.
     for (size_t i = 0; i < queries.size(); ++i) {
       const core::Query& q = queries[i];
-      if (q.min_tier == core::Tier::kExact) {
-        // Pinning exact is a contract, not a preference: it must be
-        // rejected up front when the engine can never honour it.
-        if (!has_exact_) {
-          results[i] = util::Status::InvalidArgument(
-              "min_tier=exact on an engine with no exact tier");
-          continue;
-        }
-        if (q.expired()) {
-          results[i] = util::Status::InvalidArgument(
-              "min_tier=exact with no deadline headroom");
-          continue;
-        }
-      }
       if (q.expired()) {
         results[i] = util::Status::DeadlineExceeded("query deadline expired");
         ++expired_at_admission;
@@ -305,8 +278,7 @@ std::vector<util::Result<Response>> QueryEngine::RecommendMany(
       // Stale tier: at the deepest watermark, a dead-epoch entry beats
       // scoring at all — serve it (honestly stamped with its old epoch)
       // instead of queueing work.
-      if (degrade_enabled_ && TierV(q.min_tier) >= TierV(core::Tier::kStale) &&
-          monitor_.AllowedTier() == core::Tier::kStale) {
+      if (degrade_enabled_ && monitor_.AllowedTier() == core::Tier::kStale) {
         uint32_t age = 0;
         if (StaleLookup(q, epoch, &cached, &age)) {
           metrics_.cache_hits->Increment();
@@ -332,9 +304,10 @@ std::vector<util::Result<Response>> QueryEngine::RecommendMany(
   if (misses.empty()) return results;
 
   // Pressure accounting: every miss is inflight from admission until its
-  // worker finishes it, so queue depth (not just active scoring) drives
-  // the watermarks. The admission timestamp makes the observed latency
-  // include queue wait.
+  // worker finishes it, so the engine's own queue depth (not just active
+  // scoring) drives the watermarks — but not requests still waiting in a
+  // server's dispatch queue (DESIGN.md §6.8). The admission timestamp
+  // makes the observed latency include queue wait.
   const auto admitted = std::chrono::steady_clock::now();
   if (degrade_enabled_) {
     for (size_t m = 0; m < misses.size(); ++m) monitor_.Begin();

@@ -49,8 +49,10 @@
 // is over target), and at the second watermark dead-epoch cache entries —
 // which Invalidate() then *retains* for `stale_keep_epochs` generations
 // instead of purging — become a last-resort stale tier before the network
-// layer sheds. Every reply says which tier served it (ServeMeta);
-// `core::Query::min_tier` caps how far an individual query may degrade.
+// layer sheds. Every reply says which tier served it (ServeMeta). The
+// watermarks count the misses this engine has admitted and not finished:
+// behind net::Server that is at most `dispatch_threads` single RECOMMENDs
+// at once, but every miss of a RECOMMEND_BATCH (DESIGN.md §6.8).
 
 #include <array>
 #include <atomic>
@@ -104,7 +106,6 @@ struct EngineConfig {
   uint32_t num_threads = 0;
   // Total cached result lists across all shards; 0 disables the cache.
   size_t cache_capacity = 0;
-  uint32_t cache_shards = 16;
   core::ScoreParams params;
   // When non-null, queries are served by the landmark approximation
   // (Algorithm 2) instead of converged exact scoring. Must outlive the
@@ -151,10 +152,6 @@ struct EngineStats {
   // buckets).
   std::array<uint64_t, kLatencyBuckets> latency_log2_us{};
 
-  double HitRate() const {
-    uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
-  }
   // Lower bound 2^b (µs) of the bucket containing the p-th percentile
   // sample — a floor estimate, exact for power-of-two latencies (a stream
   // of 1 µs queries reports p99 = 1, not 2). p in [0, 1].
@@ -176,10 +173,8 @@ class QueryEngine {
 
   // Blocking single query. Thread-safe; cache hits resolve on the calling
   // thread, misses score on a pool worker. Expired deadlines yield
-  // kDeadlineExceeded; `min_tier = kExact` with an already-blown deadline
-  // (a demand the ladder can never honour) or on an engine with no exact
-  // tier yields kInvalidArgument. Preconditions: user < num_nodes,
-  // topic < num_topics, top_n > 0, candidates empty.
+  // kDeadlineExceeded. Preconditions: user < num_nodes, topic <
+  // num_topics, top_n > 0, candidates empty.
   util::Result<Response> Recommend(const core::Query& query);
 
   // Batched queries, fanned across the worker pool. results[i] always
@@ -253,7 +248,6 @@ class QueryEngine {
   // preconditions. Consistent under a concurrent Rebind.
   uint32_t num_nodes() const;
   uint32_t num_topics() const;
-  bool cache_enabled() const { return cache_ != nullptr; }
   // The best tier this engine can serve (kExact, or kApprox for a
   // landmark-only engine without the ladder).
   core::Tier base_tier() const { return base_tier_; }
@@ -321,12 +315,12 @@ class QueryEngine {
   // ladder currently allows, records its latency, and stamps the tier.
   // Caller must hold rebind_mu_ shared.
   util::Result<Response> ExecuteQuery(uint32_t wid, const core::Query& q);
-  // The tier a scored (miss-path) query serves at right now: pressure
-  // capped by q.min_tier, clamped to the recommenders actually built.
-  // Never returns kStale (admission resolves the ladder's stale tier;
-  // ExecuteQuery may still downgrade an approx reply to kStale when the
-  // stale probe reports unrepaired landmark lists).
-  core::Tier ChooseScoredTier(const core::Query& q) const;
+  // The tier a scored (miss-path) query serves at right now: the base
+  // tier, or approx while the ladder is pressured. Never returns kStale
+  // (admission resolves the ladder's stale tier; ExecuteQuery may still
+  // downgrade an approx reply to kStale when the stale probe reports
+  // unrepaired landmark lists).
+  core::Tier ChooseScoredTier() const;
   // Counts one served reply in the per-tier/degraded series.
   void CountServed(core::Tier tier);
   void RecordLatencySeconds(double seconds);

@@ -296,7 +296,7 @@ TEST_F(FrontEndTest, ReaderThatNeverReadsOverflowsTheWriteCapAndIsClosed) {
   const uint64_t replies_total =
       (kFrameHeaderBytes + EncodeResultBatch(*lists).size()) * kOverflowFrames;
   const uint64_t write_cap =
-      4 * (kFrameHeaderBytes + uint64_t{cfg.limits.max_payload_bytes});
+      4 * (kFrameHeaderBytes + uint64_t{kWireLimits.max_payload_bytes});
   ASSERT_GT(replies_total, 2 * write_cap);  // the cap, and as much again
 
   const uint64_t closed_before = ClosedConnections(registry);

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -461,6 +462,51 @@ TEST_F(NetServerTest, LadderEngineStampsItsTierOnWireReplies) {
   EXPECT_EQ(stats->tier_approx, 1u);
   EXPECT_EQ(stats->tier_exact, 0u);
   EXPECT_EQ(stats->degraded, 1u);
+}
+
+// Connect makes one attempt. A refused connect is kUnavailable, which the
+// router counts as shard loss (the home shard's queries get partial
+// replies); an unparsable host is kInvalidArgument, which it relays as an
+// error. The suite keeps its name from when Connect retried: the client now
+// gives up on the first failure of either kind.
+TEST(ClientRetryTest, RetriesRefusedConnectionThenGivesUp) {
+  // A loopback port bound without listen() refuses every connect.
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  ClientConfig refused;
+  refused.port = ntohs(addr.sin_port);
+  refused.connect_timeout_ms = 5000;
+  const auto start = std::chrono::steady_clock::now();
+  auto client = Client::Connect(refused);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ::close(holder);
+  ASSERT_FALSE(client.ok());
+  EXPECT_EQ(client.status().code(), util::StatusCode::kUnavailable);
+  // The refusal comes straight back: no second attempt, no wait for the
+  // connect timeout.
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
+TEST(ClientRetryTest, NonRetryableErrorFailsFast) {
+  ClientConfig bad_host;
+  bad_host.host = "not an address";
+  bad_host.port = 1;
+  const auto start = std::chrono::steady_clock::now();
+  auto bad = Client::Connect(bad_host);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), util::StatusCode::kInvalidArgument);
+  // Nothing is dialled, so nothing waits.
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(900));
 }
 
 }  // namespace

@@ -190,7 +190,8 @@ TEST(SlowQueryLogTest, ThresholdAndRingCapacity) {
     QueryTrace trace(&log, /*user=*/u, /*topic=*/4, /*top_n=*/10);
     QueryTrace::AppendStage("test.stage", 100 * u);
   }
-  auto entries = log.Entries();
+  uint64_t cursor = 0;
+  auto entries = log.ReadSince(&cursor).entries;
   ASSERT_EQ(entries.size(), 2u);  // capacity 2: oldest entry evicted
   EXPECT_EQ(entries[0].user, 2u);
   EXPECT_EQ(entries[1].user, 3u);
@@ -201,7 +202,56 @@ TEST(SlowQueryLogTest, ThresholdAndRingCapacity) {
   SlowQueryLog quiet(
       SlowQueryLog::Config{.threshold_micros = 60'000'000, .capacity = 4});
   { QueryTrace trace(&quiet, 1, 2, 3); }
-  EXPECT_TRUE(quiet.Entries().empty());
+  uint64_t quiet_cursor = 0;
+  EXPECT_TRUE(quiet.ReadSince(&quiet_cursor).entries.empty());
+}
+
+SlowQueryEntry EntryFor(uint64_t user) {
+  SlowQueryEntry e;
+  e.user = user;
+  return e;
+}
+
+std::vector<uint64_t> Users(const std::vector<SlowQueryEntry>& entries) {
+  std::vector<uint64_t> users;
+  for (const SlowQueryEntry& e : entries) users.push_back(e.user);
+  return users;
+}
+
+// A reader past the ring's capacity still gets exactly the new entries:
+// the cursor counts appends, not ring slots.
+TEST(SlowQueryLogTest, ReaderGetsOnlyNewEntriesPastCapacity) {
+  SlowQueryLog log(SlowQueryLog::Config{.threshold_micros = 0, .capacity = 4});
+  uint64_t cursor = 0;
+  for (uint64_t u = 1; u <= 4; ++u) log.Append(EntryFor(u));
+  SlowQueryLog::Unread first = log.ReadSince(&cursor);
+  EXPECT_EQ(Users(first.entries), (std::vector<uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(first.missed, 0u);
+
+  for (uint64_t u = 5; u <= 7; ++u) log.Append(EntryFor(u));
+  SlowQueryLog::Unread next = log.ReadSince(&cursor);
+  EXPECT_EQ(Users(next.entries), (std::vector<uint64_t>{5, 6, 7}));
+  EXPECT_EQ(next.missed, 0u);
+
+  SlowQueryLog::Unread none = log.ReadSince(&cursor);
+  EXPECT_TRUE(none.entries.empty());
+  EXPECT_EQ(none.missed, 0u);
+}
+
+// A burst that outruns the ring between two reads hands back the newest
+// `capacity` entries and counts the overwritten rest.
+TEST(SlowQueryLogTest, ReaderCountsOverwrittenEntries) {
+  SlowQueryLog log(SlowQueryLog::Config{.threshold_micros = 0, .capacity = 4});
+  uint64_t cursor = 0;
+  for (uint64_t u = 1; u <= 7; ++u) log.Append(EntryFor(u));
+  SlowQueryLog::Unread seen = log.ReadSince(&cursor);
+  EXPECT_EQ(Users(seen.entries), (std::vector<uint64_t>{4, 5, 6, 7}));
+  EXPECT_EQ(seen.missed, 3u);
+
+  for (uint64_t u = 8; u <= 17; ++u) log.Append(EntryFor(u));
+  SlowQueryLog::Unread burst = log.ReadSince(&cursor);
+  EXPECT_EQ(Users(burst.entries), (std::vector<uint64_t>{14, 15, 16, 17}));
+  EXPECT_EQ(burst.missed, 6u);
 }
 
 TEST(SlowQueryLogTest, FormatIsGreppable) {

@@ -7,7 +7,6 @@
 // that claims the fresh epoch is the bug class PR-6 eliminated, resurfaced
 // through the ladder.
 
-#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -131,40 +130,6 @@ TEST_F(LadderTest, ApproxTierMatchesApproxRecommenderBytes) {
   EXPECT_EQ(s.degraded, 12u);  // every reply was below the exact base tier
 }
 
-// A pinned min_tier = kExact opts the query out of the ladder even when
-// pressure says approx.
-TEST_F(LadderTest, MinTierExactOverridesPressure) {
-  QueryEngine engine(ds_.graph, *auth_, topics::TwitterSimilarity(),
-                     LadderConfig(0, PressureConfig::kNeverDegrade));
-  core::Query pinned = Q(3);
-  auto r = engine.Recommend(
-      core::Query::TopN(pinned.user, pinned.topic, pinned.top_n)
-          .WithMinTier(Tier::kExact));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().meta.served_tier, Tier::kExact);
-  ExpectSameBytes(r.value().ranking.entries,
-                  exact_oracle_->TopN(pinned.user, pinned.topic, 10),
-                  "pinned exact");
-}
-
-// min_tier = kApprox permits the middle rung but blocks stale service.
-TEST_F(LadderTest, MinTierApproxBlocksStale) {
-  QueryEngine engine(ds_.graph, *auth_, topics::TwitterSimilarity(),
-                     LadderConfig(0, 0));  // pressure pinned at stale
-  core::Query q = Q(5);
-
-  // Warm a generation, kill it: a stale candidate now exists.
-  auto warm = engine.Recommend(core::Query::TopN(q.user, q.topic, q.top_n));
-  ASSERT_TRUE(warm.ok());
-  engine.Invalidate();
-
-  auto r = engine.Recommend(core::Query::TopN(q.user, q.topic, q.top_n)
-                                .WithMinTier(Tier::kApprox));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().meta.served_tier, Tier::kApprox);
-  EXPECT_EQ(r.value().meta.graph_epoch, engine.params_epoch());
-}
-
 // The stale rung: after Invalidate() the dead generation's bytes are
 // served — claiming the dead epoch, never the fresh one.
 TEST_F(LadderTest, StaleReplyClaimsDeadEpochWithDeadGenerationBytes) {
@@ -251,40 +216,6 @@ TEST_F(LadderTest, LandmarkOnlyEngineAlwaysReportsApprox) {
   EXPECT_EQ(after.value().meta.graph_epoch, engine.params_epoch());
 }
 
-// ---- The WithMinTier contract (satellite 2). ----
-
-TEST_F(LadderTest, MinTierExactOnApproxOnlyEngineIsInvalidArgument) {
-  EngineConfig ec;
-  ec.num_threads = 1;
-  ec.landmarks = index_.get();  // no ladder: the engine has no exact tier
-  QueryEngine engine(ds_.graph, *auth_, topics::TwitterSimilarity(), ec);
-
-  auto r = engine.Recommend(
-      core::Query::TopN(1, 0, 5).WithMinTier(Tier::kExact));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST_F(LadderTest, MinTierExactWithBlownDeadlineIsInvalidArgument) {
-  const auto never = PressureConfig::kNeverDegrade;
-  QueryEngine engine(ds_.graph, *auth_, topics::TwitterSimilarity(),
-                     LadderConfig(never, never));
-
-  // An exact demand the ladder can never honour (no deadline headroom):
-  // the *contract* violation wins over plain kDeadlineExceeded.
-  auto r = engine.Recommend(core::Query::TopN(1, 0, 5)
-                                .WithDeadline(std::chrono::milliseconds(-5))
-                                .WithMinTier(Tier::kExact));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
-
-  // The same blown deadline without the pin stays kDeadlineExceeded.
-  auto plain = engine.Recommend(
-      core::Query::TopN(1, 0, 5).WithDeadline(std::chrono::milliseconds(-5)));
-  ASSERT_FALSE(plain.ok());
-  EXPECT_EQ(plain.status().code(), util::StatusCode::kDeadlineExceeded);
-}
-
 // Stale-tier repair stamping: a query that consults landmark lists while
 // some slot is marked-but-unrepaired must answer at kStale, not pretend
 // the approximation is current; an inline Quiesce() restores kApprox.
@@ -342,16 +273,6 @@ TEST_F(LadderTest, UnrepairedLandmarksStampStaleTier) {
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   EXPECT_EQ(fresh.value().meta.served_tier, Tier::kApprox);
   EXPECT_FALSE(fresh.value().meta.cache_hit);  // repair bumped the epoch
-}
-
-TEST_F(LadderTest, MinTierExactOnPlainExactEngineIsFine) {
-  EngineConfig ec;
-  ec.num_threads = 1;
-  QueryEngine engine(ds_.graph, *auth_, topics::TwitterSimilarity(), ec);
-  auto r = engine.Recommend(
-      core::Query::TopN(1, 0, 5).WithMinTier(Tier::kExact));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().meta.served_tier, Tier::kExact);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #   5. bench-smoke: micro_benchmarks --smoke + ext_slo_ladder --smoke
 #                   + ext_mutation_apply --smoke
 #                   + ext_dynamic_updates at 0.2 scale (build/)
+#                   + perfbench --self-test and a 2 s run of each
+#                     BENCHMARK.json workload (.bench_build/)
 #
 # The sanitizer passes reuse the persistent build-asan/, build-tsan/ and
 # build-ubsan/ trees (configured here on first run). Every test carries at
@@ -33,7 +35,13 @@
 # refresh study on a 2 000-node graph: churn rounds go through the
 # MutationApplier and the LandmarkRepairer spends a fixed budget per round;
 # the binary fails if the applier rejects a churn record or the repairer's
-# stored-list drift is not below no refresh at some checkpoint.
+# stored-list drift is not below no refresh at some checkpoint. Finally it
+# builds the serving benchmark (perfbench/, its own Release tree) against
+# the current headers, runs its self-test, and runs every workload that
+# BENCHMARK.json lists for 2 s: the step fails unless the result line says
+# "correct": true with 0 failed operations (perfbench itself exits 0
+# either way). Tier-1 never compiles perfbench's serving code, so this is
+# where a header change that breaks it shows up.
 #
 # Usage: tools/check.sh [tier1|asan|tsan|ubsan|bench-smoke|all] (default: all)
 set -e
@@ -71,6 +79,26 @@ run_bench_smoke() {
   echo "==> bench-smoke: ext_dynamic_updates (§6 refresh study on the serving path)"
   cmake --build "$REPO/build" -j "$JOBS" --target ext_dynamic_updates
   (cd "$REPO/build/bench" && MBR_SCALE=0.2 MBR_TRIALS=4 ./ext_dynamic_updates)
+  echo "==> bench-smoke: perfbench --self-test"
+  (cd "$REPO" && python3 perfbench/run.py --self-test)
+  local workloads w out
+  workloads="$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+    "$REPO/BENCHMARK.json")"
+  for w in $workloads; do
+    echo "==> bench-smoke: perfbench --workload $w --seconds 2"
+    out="$(cd "$REPO" && python3 perfbench/run.py --workload "$w" --seed 1 \
+      --seconds 2 --trace 0)"
+    out="${out##*$'\n'}"  # the result object is the last line
+    echo "$out"
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+      "$out" || {
+      echo "perfbench $w: result not correct or operations failed" >&2
+      exit 1
+    }
+  done
 }
 
 case "$MODE" in

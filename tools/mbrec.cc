@@ -585,9 +585,12 @@ int CmdShardPlan(const Args& args) {
 // serving. The pressure watermarks derive from the server admission cap
 // (--max-inflight): degrade to the landmark approximation at half the
 // cap, to stale cache hits at three quarters; admission control sheds at
-// the cap itself. --p99-target-us adds the recent-latency signal,
-// --stale-epochs bounds how many dead cache generations remain servable.
-// Returns 0, or 2 on a bad flag value (usage error).
+// the cap itself. The watermarks count cache misses inside the engine,
+// not the server's admitted requests: single RECOMMENDs put at most the
+// dispatcher count (2) there, so only a RECOMMEND_BATCH's own misses can
+// cross them (DESIGN.md §6.8). --p99-target-us adds the recent-latency
+// signal, --stale-epochs bounds how many dead cache generations remain
+// servable. Returns 0, or 2 on a bad flag value (usage error).
 int ApplyDegradeFlags(const Args& args, service::EngineConfig* ecfg) {
   const std::string degrade = args.Get("degrade", "off");
   if (degrade != "off" && degrade != "ladder") {
@@ -926,22 +929,24 @@ int CmdServe(const Args& args) {
 
   // Periodic operator log line; same snapshot the STATS wire reply uses.
   // Slow-query entries (queries over the obs::SlowQueryLog threshold, with
-  // per-stage breakdown) surface here as they are captured.
+  // per-stage breakdown) surface here as they are captured; a burst that
+  // outruns the ring between two polls is reported as a missed count.
   const int64_t interval_s = args.GetInt("stats-interval-s", 10);
   auto last_line = std::chrono::steady_clock::now();
-  size_t slow_seen = 0;
+  uint64_t slow_cursor = 0;
   while (server.running()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     auto now = std::chrono::steady_clock::now();
-    std::vector<obs::SlowQueryEntry> slow =
-        obs::SlowQueryLog::Default().Entries();
-    for (size_t i = slow_seen; i < slow.size(); ++i) {
-      std::printf("%s\n", slow[i].Format().c_str());
+    obs::SlowQueryLog::Unread slow =
+        obs::SlowQueryLog::Default().ReadSince(&slow_cursor);
+    if (slow.missed > 0) {
+      std::printf("slow-query missed=%llu (overwritten before printing)\n",
+                  static_cast<unsigned long long>(slow.missed));
     }
-    if (slow.size() != slow_seen) {
-      slow_seen = slow.size();
-      std::fflush(stdout);
+    for (const obs::SlowQueryEntry& e : slow.entries) {
+      std::printf("%s\n", e.Format().c_str());
     }
+    if (slow.missed > 0 || !slow.entries.empty()) std::fflush(stdout);
     if (interval_s > 0 && now - last_line >= std::chrono::seconds(interval_s)) {
       std::printf("%s\n", service::FormatStatsLine(server.StatsNow()).c_str());
       std::fflush(stdout);
