@@ -18,7 +18,13 @@
 // Write side: encoded reply frames append to `write_buf_`; the event loop
 // flushes opportunistically and arms EPOLLOUT only while bytes remain. A
 // peer that stops reading eventually overflows the write cap and is
-// closed — replies are shed rather than buffered without bound.
+// closed — replies are shed rather than buffered without bound. Replies
+// come from the event loop itself (inline ops, shed and drain refusals,
+// fresh cache hits) or from a dispatcher's completion.
+//
+// The Connection also records its epoll interest set (EPOLLIN until the
+// peer half-closes, EPOLLOUT while bytes remain), so the loop calls
+// epoll_ctl only when that set changes, not on every flush.
 
 #include <cstdint>
 #include <vector>
@@ -74,6 +80,15 @@ class Connection {
   void sub_inflight() { --inflight_; }
   uint32_t inflight() const { return inflight_; }
 
+  // EOF read from the peer: the loop stops polling for input but still
+  // owes the peer its queued and in-flight replies.
+  void set_read_shutdown() { read_shutdown_ = true; }
+  bool read_shutdown() const { return read_shutdown_; }
+
+  // The epoll interest set currently registered for fd().
+  uint32_t epoll_events() const { return epoll_events_; }
+  void set_epoll_events(uint32_t events) { epoll_events_ = events; }
+
  private:
   int fd_;
   uint64_t gen_;
@@ -82,7 +97,9 @@ class Connection {
   std::vector<uint8_t> write_buf_;
   size_t write_off_ = 0;
   bool close_after_flush_ = false;
+  bool read_shutdown_ = false;
   uint32_t inflight_ = 0;
+  uint32_t epoll_events_ = 0;
 };
 
 }  // namespace mbr::net

@@ -36,6 +36,14 @@ service::Query ToQuery(
   return q;
 }
 
+ResultReply ToResultReply(service::Response& resp) {
+  ResultReply r;
+  r.entries = std::move(resp.ranking.entries);
+  r.graph_epoch = resp.meta.graph_epoch;
+  r.served_tier = static_cast<uint8_t>(resp.meta.served_tier);
+  return r;
+}
+
 }  // namespace
 
 Reply MakeErrorReply(WireError code, const std::string& message) {
@@ -109,6 +117,21 @@ class Server::EngineHandler final : public Handler {
     }
   }
 
+  // A single RECOMMEND whose list is cached under the current epoch; the
+  // probe never waits on the engine's rebind lock.
+  bool AnswerNow(const Request& req, Reply* reply) override {
+    if (req.kind != MessageKind::kRecommend) return false;
+    service::Response resp;
+    if (!engine_.RecommendIfCached(ToQuery(req.queries.front(), req.deadline),
+                                   &resp)) {
+      return false;
+    }
+    std::vector<ResultReply> one(1);
+    one.front() = ToResultReply(resp);
+    *reply = MakeResultReply(req.kind, std::move(one));
+    return true;
+  }
+
   Reply Handle(const Request& req) override {
     switch (req.kind) {
       case MessageKind::kStats:
@@ -179,10 +202,7 @@ class Server::EngineHandler final : public Handler {
     std::vector<ResultReply> replies(results.size());
     for (size_t i = 0; i < results.size(); ++i) {
       if (!results[i].ok()) return MakeErrorReply(results[i].status());
-      service::Response& resp = results[i].value();
-      replies[i].entries = std::move(resp.ranking.entries);
-      replies[i].graph_epoch = resp.meta.graph_epoch;
-      replies[i].served_tier = static_cast<uint8_t>(resp.meta.served_tier);
+      replies[i] = ToResultReply(results[i].value());
     }
     return MakeResultReply(req.kind, std::move(replies));
   }
@@ -349,7 +369,7 @@ void Server::Init() {
   auto latency = [&r](const char* op) {
     return r.GetHistogram(
         "mbr_net_request_latency_us",
-        "Dispatcher latency per request in microseconds, by op.",
+        "Handler latency per answered request in microseconds, by op.",
         {{"op", op}});
   };
   metrics_.recommend_latency_us = latency("recommend");
@@ -529,8 +549,9 @@ void Server::HandleAccept() {
       continue;
     }
     metrics_.accepted->Increment();
-    conns_[fd] = std::make_unique<Connection>(fd, next_gen_++);
-    read_shutdown_[fd] = false;
+    auto conn = std::make_unique<Connection>(fd, next_gen_++);
+    conn->set_epoll_events(ev.events);
+    conns_[fd] = std::move(conn);
   }
 }
 
@@ -567,10 +588,14 @@ void Server::HandleConnectionEvent(int fd, uint32_t events) {
         HandleFrame(conn, f);
         if (conns_.find(fd) == conns_.end()) return;  // closed mid-batch
       }
+      // A short read emptied the socket. The loop is level-triggered, so
+      // bytes that arrive later wake the next epoll_wait; another recv now
+      // would only return EAGAIN.
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
     } else if (n == 0) {
       // Peer half-closed. Finish what it is owed (queued replies and
       // in-flight requests), then close.
-      read_shutdown_[fd] = true;
+      conn->set_read_shutdown();
       conn->set_close_after_flush();
       if (!conn->has_pending_write() && conn->inflight() == 0) {
         CloseConnection(fd);
@@ -676,6 +701,15 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
   if (inflight_.load(std::memory_order_relaxed) >= config_.max_inflight) {
     metrics_.shed_overload->Increment();
     QueueReply(conn, h, MessageKind::kOverloaded, {});
+    return;
+  }
+  // Admitted. An answer that is ready now (a fresh cache hit) goes back
+  // from here, sparing the two thread hand-offs of the dispatcher path.
+  const util::WallTimer timer;
+  if (Reply reply; handler_->AnswerNow(req, &reply)) {
+    metrics_.requests->Increment();
+    RecordLatency(req.kind, timer);
+    QueueReply(conn, h, reply.kind, reply.payload);
     return;
   }
   inflight_.fetch_add(1, std::memory_order_relaxed);
@@ -789,6 +823,18 @@ void Server::ProcessCompletions() {
   }
 }
 
+void Server::RecordLatency(MessageKind kind, const util::WallTimer& timer) {
+  obs::Histogram* h =
+      kind == MessageKind::kRecommend        ? metrics_.recommend_latency_us
+      : kind == MessageKind::kRecommendBatch ? metrics_.batch_latency_us
+      : kind == MessageKind::kRecommendPartial ? metrics_.partial_latency_us
+      : IsMutationKind(kind) ? metrics_.mutate_latency_us
+                             : nullptr;  // the router's STATS
+  if (h != nullptr) {
+    h->Record(static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
+  }
+}
+
 void Server::FlushWrites(Connection* conn) {
   const int fd = conn->fd();
   while (conn->has_pending_write()) {
@@ -815,12 +861,15 @@ void Server::FlushWrites(Connection* conn) {
 }
 
 void Server::UpdateEpollInterest(Connection* conn) {
+  uint32_t events = 0;
+  if (!conn->read_shutdown()) events |= EPOLLIN;
+  if (conn->has_pending_write()) events |= EPOLLOUT;
+  if (events == conn->epoll_events()) return;
   epoll_event ev{};
   ev.data.fd = conn->fd();
-  ev.events = 0;
-  if (!read_shutdown_[conn->fd()]) ev.events |= EPOLLIN;
-  if (conn->has_pending_write()) ev.events |= EPOLLOUT;
+  ev.events = events;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd(), &ev);
+  conn->set_epoll_events(events);
 }
 
 void Server::CloseConnection(int fd) {
@@ -829,7 +878,6 @@ void Server::CloseConnection(int fd) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   conns_.erase(it);
-  read_shutdown_.erase(fd);
   metrics_.closed->Increment();
 }
 
@@ -905,19 +953,9 @@ void Server::DispatchLoop() {
       reply = MakeErrorReply(WireError::kDeadlineExceeded,
                              "deadline expired before execution");
     } else {
-      util::WallTimer timer;
+      const util::WallTimer timer;
       reply = handler_->Handle(req);
-      obs::Histogram* h =
-          req.kind == MessageKind::kRecommend ? metrics_.recommend_latency_us
-          : req.kind == MessageKind::kRecommendBatch
-              ? metrics_.batch_latency_us
-          : req.kind == MessageKind::kRecommendPartial
-              ? metrics_.partial_latency_us
-          : IsMutationKind(req.kind) ? metrics_.mutate_latency_us
-                                     : nullptr;  // the router's STATS
-      if (h != nullptr) {
-        h->Record(static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
-      }
+      RecordLatency(req.kind, timer);
     }
     std::vector<uint8_t> frame;
     AppendFrame(reply.kind, req.request_id, reply.payload, &frame);

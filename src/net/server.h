@@ -12,22 +12,32 @@
 // Threading model:
 //   * ONE event-loop thread owns every socket and Connection object: it
 //     accepts, reads, frames, admits, and writes. No connection state is
-//     ever touched from another thread.
-//   * `dispatch_threads` dispatcher threads pop admitted requests from a
-//     bounded queue, run the handler (which may block), and post the
-//     encoded reply frame to a completion queue; an eventfd wakes the event
-//     loop to copy the bytes into the right connection's write buffer.
-//     Completions are routed by (fd, generation), so a connection that
-//     died mid-request simply drops its reply.
+//     ever touched from another thread. The loop never waits on a lock
+//     the handler may hold for long: the range check reads lock-free
+//     bounds, Inline requests are non-blocking by contract, and the one
+//     handler call it makes on admitted work, Handler::AnswerNow, only
+//     ever try-locks.
+//   * An admitted request that AnswerNow answers (for the engine: a
+//     single RECOMMEND whose list is in the result cache under the
+//     current epoch) is written back by the loop itself, with no thread
+//     hand-off.
+//   * `dispatch_threads` dispatcher threads pop every other admitted
+//     request from a bounded queue, run the handler (which may block), and
+//     post the encoded reply frame to a completion queue; an eventfd wakes
+//     the event loop to copy the bytes into the right connection's write
+//     buffer. Completions are routed by (fd, generation), so a connection
+//     that died mid-request simply drops its reply.
 //
 // Admission control / overload behavior: at most `max_inflight` requests
 // may be queued-or-executing at once. A request arriving beyond that is
 // answered immediately with an OVERLOADED frame by the event loop — the
 // server sheds load explicitly instead of queueing unboundedly, and the
-// shed count is visible through STATS. Each admitted request carries a
-// deadline (`request_deadline_ms`); if it expires before a dispatcher
-// picks the request up, the client gets ERROR(DEADLINE_EXCEEDED) instead
-// of a late answer.
+// shed count is visible through STATS. The drain and shed checks run
+// before AnswerNow, so a cache hit is shed or refused like any request.
+// Each admitted request carries a deadline (`request_deadline_ms`); if it
+// expires before a dispatcher picks the request up, the client gets
+// ERROR(DEADLINE_EXCEEDED) instead of a late answer (AnswerNow declines
+// an expired request, so that answer too comes from a dispatcher).
 //
 // Graceful drain: RequestStop() (async-signal-safe; wired to SIGINT/
 // SIGTERM by `mbrec serve` and `mbrec route`) or a SHUTDOWN frame stops
@@ -58,6 +68,7 @@
 #include "service/query_engine.h"
 #include "service/serving_stats.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace mbr::net {
 
@@ -146,13 +157,21 @@ class Handler {
   Handler(const Handler&) = delete;
   Handler& operator=(const Handler&) = delete;
   virtual ~Handler() = default;
-  // The universe RECOMMEND frames are range-checked against.
+  // The universe RECOMMEND frames are range-checked against. Called on
+  // the event loop for every work frame, so they must not block.
   virtual uint32_t num_nodes() const = 0;
   virtual uint32_t num_topics() const = 0;
   // Whether `req` is answered on the event loop, outside admission and
   // drain: cheap non-blocking replies and rejections. Everything else is
-  // admitted against max_inflight and answered on a dispatcher thread.
+  // admitted against max_inflight.
   virtual bool Inline(const Request& req) const = 0;
+  // An admitted request's answer if it is ready now: called on the event
+  // loop for a request that is not Inline, after the drain and shed
+  // checks, it must never block. True with *reply set answers `req`
+  // there, counted and timed like a dispatched request; false ("cannot
+  // answer now", the default) queues it for a dispatcher. The engine
+  // handler answers fresh result-cache hits here.
+  virtual bool AnswerNow(const Request&, Reply*) { return false; }
   // Answers one request: on the event loop when Inline, else concurrently
   // from dispatcher threads.
   virtual Reply Handle(const Request& req) = 0;
@@ -237,7 +256,10 @@ class Server {
   void QueueReply(Connection* conn, const FrameHeader& h,
                   MessageKind kind, std::span<const uint8_t> payload);
   void ProcessCompletions();
+  // Records an answered request's handler time in its op's latency series.
+  void RecordLatency(MessageKind kind, const util::WallTimer& timer);
   void FlushWrites(Connection* conn);
+  // Re-arms the connection's epoll interest, only when it changed.
   void UpdateEpollInterest(Connection* conn);
   void CloseConnection(int fd);
   void BeginDrain();
@@ -282,7 +304,6 @@ class Server {
 
   // Event-loop-owned state.
   std::unordered_map<int, std::unique_ptr<Connection>> conns_;
-  std::unordered_map<int, bool> read_shutdown_;  // EOF seen from peer
   uint64_t next_gen_ = 1;
   bool draining_ = false;
   bool loop_done_ = false;

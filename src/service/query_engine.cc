@@ -43,6 +43,8 @@ QueryEngine::QueryEngine(const graph::LabeledGraph& g,
       sim_(&sim),
       config_(config),
       monitor_(config.degrade.pressure),
+      num_nodes_(g.num_nodes()),
+      num_topics_(static_cast<uint32_t>(g.num_topics())),
       pool_(config.num_threads) {
   // The ladder needs the approx tier as its middle rung; without a
   // landmark index it silently stays off (single exact tier).
@@ -60,8 +62,9 @@ QueryEngine::QueryEngine(const graph::LabeledGraph& g,
   }
   metrics_.queries = registry_->GetCounter(
       "mbr_engine_queries_total", "Queries admitted by the engine.");
-  metrics_.batches = registry_->GetCounter("mbr_engine_batches_total",
-                                           "RecommendMany calls.");
+  metrics_.batches = registry_->GetCounter(
+      "mbr_engine_batches_total",
+      "RecommendMany calls, and cache hits answered by RecommendIfCached.");
   metrics_.cache_hits = registry_->GetCounter(
       "mbr_engine_cache_hits_total", "Queries answered from the result cache.");
   metrics_.cache_misses = registry_->GetCounter(
@@ -130,6 +133,21 @@ void QueryEngine::RecordLatencySeconds(double seconds) {
 void QueryEngine::CountServed(core::Tier tier) {
   metrics_.tier_served[TierV(tier)]->Increment();
   if (TierV(tier) > TierV(base_tier_)) metrics_.degraded->Increment();
+}
+
+Response QueryEngine::ServeHit(const util::WallTimer& timer,
+                               CachedList cached, uint64_t epoch) {
+  metrics_.cache_hits->Increment();
+  const double seconds = timer.ElapsedSeconds();
+  RecordLatencySeconds(seconds);
+  monitor_.Observe(static_cast<uint64_t>(seconds * 1e6));
+  CountServed(cached.tier);
+  Response resp;
+  resp.ranking.entries = std::move(cached.entries);
+  resp.meta.served_tier = cached.tier;
+  resp.meta.cache_hit = true;
+  resp.meta.graph_epoch = epoch;
+  return resp;
 }
 
 bool QueryEngine::CacheLookup(const CacheKey& key, CachedList* out) {
@@ -262,17 +280,7 @@ std::vector<util::Result<Response>> QueryEngine::RecommendMany(
       util::WallTimer timer;
       CachedList cached;
       if (CacheLookup(CacheKey{q.user, q.topic, q.top_n, epoch}, &cached)) {
-        metrics_.cache_hits->Increment();
-        const double seconds = timer.ElapsedSeconds();
-        RecordLatencySeconds(seconds);
-        monitor_.Observe(static_cast<uint64_t>(seconds * 1e6));
-        Response resp;
-        resp.ranking.entries = std::move(cached.entries);
-        resp.meta.served_tier = cached.tier;
-        resp.meta.cache_hit = true;
-        resp.meta.graph_epoch = epoch;
-        CountServed(cached.tier);
-        results[i] = std::move(resp);
+        results[i] = ServeHit(timer, std::move(cached), epoch);
         continue;
       }
       // Stale tier: at the deepest watermark, a dead-epoch entry beats
@@ -281,17 +289,9 @@ std::vector<util::Result<Response>> QueryEngine::RecommendMany(
       if (degrade_enabled_ && monitor_.AllowedTier() == core::Tier::kStale) {
         uint32_t age = 0;
         if (StaleLookup(q, epoch, &cached, &age)) {
-          metrics_.cache_hits->Increment();
-          const double seconds = timer.ElapsedSeconds();
-          RecordLatencySeconds(seconds);
-          monitor_.Observe(static_cast<uint64_t>(seconds * 1e6));
-          Response resp;
-          resp.ranking.entries = std::move(cached.entries);
-          resp.meta.served_tier = core::Tier::kStale;
-          resp.meta.cache_hit = true;
-          resp.meta.graph_epoch = epoch - age;
+          cached.tier = core::Tier::kStale;
+          Response resp = ServeHit(timer, std::move(cached), epoch - age);
           resp.meta.stale_age_epochs = age;
-          CountServed(core::Tier::kStale);
           results[i] = std::move(resp);
           continue;
         }
@@ -361,6 +361,26 @@ std::vector<util::Result<Response>> QueryEngine::RecommendMany(
   return results;
 }
 
+bool QueryEngine::RecommendIfCached(const core::Query& q, Response* out) {
+  if (cache_ == nullptr || !q.exclude.empty() || q.expired()) return false;
+  // try_lock, never lock: while Rebind or RunExclusive holds the lock the
+  // caller's blocking path waits instead, and then reads the epoch the
+  // hold published, so a dying epoch's entry is never served from here.
+  std::shared_lock<std::shared_mutex> lock(rebind_mu_, std::try_to_lock);
+  if (!lock.owns_lock()) return false;
+  util::WallTimer timer;
+  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
+  CachedList cached;
+  if (!CacheLookup(CacheKey{q.user, q.topic, q.top_n, epoch}, &cached)) {
+    return false;
+  }
+  // A hit is a one-query RecommendMany call that never left the caller.
+  metrics_.batches->Increment();
+  metrics_.queries->Increment();
+  *out = ServeHit(timer, std::move(cached), epoch);
+  return true;
+}
+
 util::Result<QueryEngine::PartialExploration> QueryEngine::ExplorePartial(
     const core::Query& q) {
   metrics_.queries->Increment();
@@ -402,16 +422,6 @@ util::Result<QueryEngine::PartialExploration> QueryEngine::ExplorePartial(
   return result;
 }
 
-uint32_t QueryEngine::num_nodes() const {
-  std::shared_lock<std::shared_mutex> lock(rebind_mu_);
-  return g_->num_nodes();
-}
-
-uint32_t QueryEngine::num_topics() const {
-  std::shared_lock<std::shared_mutex> lock(rebind_mu_);
-  return static_cast<uint32_t>(g_->num_topics());
-}
-
 void QueryEngine::Invalidate() {
   const uint64_t new_epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   metrics_.invalidations->Increment();
@@ -451,6 +461,8 @@ void QueryEngine::Rebind(const graph::LabeledGraph& g,
                              g.num_topics() == g_->num_topics();
   g_ = &g;
   authority_ = &authority;
+  num_nodes_.store(g.num_nodes());
+  num_topics_.store(static_cast<uint32_t>(g.num_topics()));
   if (same_universe) {
     for (Worker& w : workers_) {
       if (w.scorer != nullptr) w.scorer->Rebind(g, authority);

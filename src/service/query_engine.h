@@ -18,7 +18,9 @@
 //     once per applied batch, which implies Invalidate(), so serving never
 //     returns results from before an edge change. Queries carrying
 //     an exclusion list bypass the cache entirely (the key space is
-//     (user, topic, top_n) only);
+//     (user, topic, top_n) only). RecommendIfCached() is the non-blocking
+//     probe of the same cache: net::Server's event loop answers a fresh
+//     hit with it and hands everything else to a dispatcher;
 //   * serving counters and the per-query log2 latency histogram live in an
 //     obs::Registry (EngineConfig::registry, or a private one), so the
 //     STATS projection, the log line, and Prometheus exposition all read
@@ -79,6 +81,7 @@
 #include "util/lru_cache.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 #include "util/top_k.h"
 
 namespace mbr::service {
@@ -135,7 +138,7 @@ inline int LatencyBucket(uint64_t us) { return obs::Log2Bucket(us); }
 // series; see StatsSnapshot for the wire/log-line projection on top).
 struct EngineStats {
   uint64_t queries = 0;   // total queries admitted
-  uint64_t batches = 0;   // RecommendMany calls
+  uint64_t batches = 0;   // RecommendMany calls + RecommendIfCached hits
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;  // queries that ran a scorer
   uint64_t invalidations = 0;
@@ -176,6 +179,16 @@ class QueryEngine {
   // kDeadlineExceeded. Preconditions: user < num_nodes, topic <
   // num_topics, top_n > 0, candidates empty.
   util::Result<Response> Recommend(const core::Query& query);
+
+  // Never blocks: answers `query` into *out only when its list is in the
+  // result cache under the current epoch, and counts it exactly as
+  // Recommend() counts a hit. Returns false — counting nothing — on a
+  // miss, for a query with an exclusion list or an expired deadline, and
+  // whenever the rebind lock is held exclusively (a Rebind or a landmark
+  // repair is running). The caller then takes the blocking path, which
+  // sees the epoch that hold publishes. Never serves the stale tier.
+  // Thread-safe; same preconditions as Recommend().
+  bool RecommendIfCached(const core::Query& query, Response* out);
 
   // Batched queries, fanned across the worker pool. results[i] always
   // answers queries[i] (input order is preserved regardless of which
@@ -244,10 +257,11 @@ class QueryEngine {
   }
   uint32_t num_workers() const { return pool_.num_workers(); }
   // Bounds of the currently-bound graph, for callers (e.g. the network
-  // server) that must validate queries before Recommend()'s hard
-  // preconditions. Consistent under a concurrent Rebind.
-  uint32_t num_nodes() const;
-  uint32_t num_topics() const;
+  // server's event loop) that must validate queries before Recommend()'s
+  // hard preconditions. Lock-free: Rebind publishes them under its
+  // exclusive hold, so a read never waits behind one.
+  uint32_t num_nodes() const { return num_nodes_.load(); }
+  uint32_t num_topics() const { return num_topics_.load(); }
   // The best tier this engine can serve (kExact, or kApprox for a
   // landmark-only engine without the ladder).
   core::Tier base_tier() const { return base_tier_; }
@@ -323,6 +337,12 @@ class QueryEngine {
   core::Tier ChooseScoredTier() const;
   // Counts one served reply in the per-tier/degraded series.
   void CountServed(core::Tier tier);
+  // The reply for a result-cache hit found since `timer` started, stamped
+  // with `epoch` and cached.tier. Counts the hit, its latency (which the
+  // pressure monitor observes too) and its tier: every hit, fresh or
+  // stale, blocking or probed, is counted here.
+  Response ServeHit(const util::WallTimer& timer, CachedList cached,
+                    uint64_t epoch);
   void RecordLatencySeconds(double seconds);
   bool CacheLookup(const CacheKey& key, CachedList* out);
   // Probes dead-epoch cache keys (newest first) for the stale tier.
@@ -348,8 +368,10 @@ class QueryEngine {
   Metrics metrics_;
 
   // Queries hold this shared; Rebind holds it exclusive to swap scorers.
-  // Mutable so const accessors (num_nodes) can take the shared side.
-  mutable std::shared_mutex rebind_mu_;
+  std::shared_mutex rebind_mu_;
+  // g_'s bounds, written under the exclusive hold that swaps g_.
+  std::atomic<uint32_t> num_nodes_;
+  std::atomic<uint32_t> num_topics_;
   // Per-worker query arenas (DESIGN.md §6.6). Created once in the
   // constructor and handed to each worker's scorer, so the warmed scratch
   // survives Rebind() scorer swaps. Declared before workers_ so the

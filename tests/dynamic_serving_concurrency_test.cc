@@ -11,6 +11,8 @@
 //   * the final engine epoch equals the total number of batches that
 //     applied at least one record (each applied batch bumps exactly once,
 //     rejected-only batches never bump);
+//   * readers hit the result cache while batches apply, so the server's
+//     event-loop cache probe races Rebind too, not only scoring;
 //   * generation readers (current_graph()/current_authority()) never queue
 //     behind an Apply() that is draining the engine's rebind lock (the
 //     ISSUE-10 lock split: the narrow publish lock is not held across
@@ -95,17 +97,29 @@ TEST_F(DynamicServingConcurrencyTest, EpochsMonotonicPerConnection) {
   std::atomic<uint64_t> violations{0};
   std::atomic<uint64_t> applied_batches{0};
   std::atomic<int> mutators_running{kMutators};
+  std::atomic<uint64_t> hits_while_mutating{0};
 
   auto note_violation = [&violations](const char* what) {
     violations.fetch_add(1);
     ADD_FAILURE() << what;
   };
+  // Every client connects before any starts, so the readers race every
+  // batch rather than only the tail of the run.
+  std::atomic<int> connected{0};
+  auto start_together = [&connected] {
+    connected.fetch_add(1);
+    while (connected.load() < kMutators + kReaders) {
+      std::this_thread::yield();
+    }
+  };
 
   std::vector<std::thread> threads;
   for (int m = 0; m < kMutators; ++m) {
     threads.emplace_back([this, m, &note_violation, &applied_batches,
-                          &mutators_running] {
+                          &mutators_running, &hits_while_mutating,
+                          &start_together] {
       auto client = Dial();
+      start_together();
       ASSERT_TRUE(client.ok()) << client.status().ToString();
       util::Rng rng(1000 + static_cast<uint64_t>(m));
       uint64_t last_epoch = 0;
@@ -131,30 +145,45 @@ TEST_F(DynamicServingConcurrencyTest, EpochsMonotonicPerConnection) {
         }
         last_epoch = ack->graph_epoch;
         if (ack->applied > 0) applied_batches.fetch_add(1);
+        // Leave the readers an epoch to hit the cache in: wait (up to
+        // 50 ms, however slow the build) for one more hit before the next
+        // batch.
+        const uint64_t hits = engine_->Stats().cache_hits;
+        for (int w = 0; w < 50 && engine_->Stats().cache_hits == hits; ++w) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
       }
-      mutators_running.fetch_sub(1);
+      if (mutators_running.fetch_sub(1) == 1) {
+        hits_while_mutating.store(engine_->Stats().cache_hits);
+      }
     });
   }
 
   for (int r = 0; r < kReaders; ++r) {
-    threads.emplace_back([this, r, &note_violation, &mutators_running] {
+    threads.emplace_back([this, r, &note_violation, &mutators_running,
+                          &start_together] {
       auto client = Dial();
+      start_together();
       ASSERT_TRUE(client.ok()) << client.status().ToString();
       util::Rng rng(2000 + static_cast<uint64_t>(r));
       uint64_t last_epoch = 0;
       while (mutators_running.load(std::memory_order_relaxed) > 0) {
         uint32_t user = static_cast<uint32_t>(rng.UniformU64(kNodes));
         if (rng.Bernoulli(0.7)) {
+          // Asked twice: unless a batch applies in between, the repeat is
+          // a cache hit, which the server answers on its event loop.
           RecommendRequest req{user, 0, 8};
-          auto res = client->RecommendEx(req);
-          if (!res.ok()) continue;  // overload shed is legitimate
-          if (res->graph_epoch < last_epoch) {
-            note_violation("RESULT epoch ran backwards on one connection");
+          for (int ask = 0; ask < 2; ++ask) {
+            auto res = client->RecommendEx(req);
+            if (!res.ok()) continue;  // overload shed is legitimate
+            if (res->graph_epoch < last_epoch) {
+              note_violation("RESULT epoch ran backwards on one connection");
+            }
+            if (res->graph_epoch > engine_->params_epoch()) {
+              note_violation("RESULT epoch is from the future");
+            }
+            last_epoch = std::max(last_epoch, res->graph_epoch);
           }
-          if (res->graph_epoch > engine_->params_epoch()) {
-            note_violation("RESULT epoch is from the future");
-          }
-          last_epoch = std::max(last_epoch, res->graph_epoch);
         } else {
           std::vector<RecommendRequest> reqs = {
               {user, 0, 4}, {(user + 1) % kNodes, 1, 4}};
@@ -181,6 +210,10 @@ TEST_F(DynamicServingConcurrencyTest, EpochsMonotonicPerConnection) {
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(violations.load(), 0u);
+  // Repeats within an epoch hit the result cache while batches apply, so
+  // the race above (and its TSan leg) covers the event loop's cache probe
+  // as well as scoring.
+  EXPECT_GT(hits_while_mutating.load(), 0u);
   // Exactly one epoch bump per applied batch — no lost or spurious bumps.
   EXPECT_EQ(engine_->params_epoch(), applied_batches.load());
   EXPECT_EQ(applier_->batches_applied(), applied_batches.load());

@@ -124,9 +124,10 @@ uint64_t ClosedConnections(obs::Registry& registry) {
 
 uint64_t BatchesAnswered(obs::Registry& registry) {
   return registry
-      .GetHistogram("mbr_net_request_latency_us",
-                    "Dispatcher latency per request in microseconds, by op.",
-                    {{"op", "recommend_batch"}})
+      .GetHistogram(
+          "mbr_net_request_latency_us",
+          "Handler latency per answered request in microseconds, by op.",
+          {{"op", "recommend_batch"}})
       ->TakeSnapshot()
       .count;
 }

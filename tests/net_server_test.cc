@@ -1,7 +1,8 @@
 // Loopback integration tests for the epoll server + blocking client:
 // remote answers must be byte-identical to direct engine calls, overload
 // must shed with OVERLOADED (and show up in STATS), and shutdown must
-// drain in-flight work while refusing new connections.
+// drain in-flight work while refusing new connections. The event loop
+// answers fresh cache hits itself and never waits on the engine's lock.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -45,9 +48,37 @@ LabeledGraph TestGraph() {
   return std::move(b).Build();
 }
 
+// Parks every scored (cache-miss) query inside the engine while armed,
+// which keeps its dispatcher busy without touching the rebind lock: it is
+// installed as the engine's stale probe, which the worker calls under the
+// shared hold. It answers false, so no reply changes tier.
+struct MissGate {
+  std::atomic<bool> armed{false};
+  std::atomic<bool> entered{false};
+  std::atomic<bool> released{false};
+
+  std::function<bool()> Probe() {
+    return [this] {
+      if (armed.load()) {
+        entered.store(true);
+        while (!released.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      return false;
+    };
+  }
+  void WaitEntered() const {
+    while (!entered.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
 class NetServerTest : public ::testing::Test {
  protected:
-  void StartServer(ServerConfig cfg) {
+  // `gated` installs gate_ before the server starts.
+  void StartServer(ServerConfig cfg, bool gated = false) {
     graph_ = std::make_unique<LabeledGraph>(TestGraph());
     auth_ = std::make_unique<core::AuthorityIndex>(*graph_);
     service::EngineConfig ec;
@@ -56,10 +87,15 @@ class NetServerTest : public ::testing::Test {
     ec.params.beta = 0.1;
     engine_ = std::make_unique<service::QueryEngine>(
         *graph_, *auth_, topics::TwitterSimilarity(), ec);
+    if (gated) engine_->SetStaleProbe(gate_.Probe());
     server_ = std::make_unique<Server>(*engine_, cfg);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
   }
+
+  // A parked query must not outlive the test, or the server's shutdown
+  // would wait for it.
+  void TearDown() override { gate_.released.store(true); }
 
   util::Result<Client> Dial() {
     ClientConfig cc;
@@ -67,11 +103,108 @@ class NetServerTest : public ::testing::Test {
     return Client::Connect(cc);
   }
 
+  uint64_t RecommendLatencyCount() {
+    return engine_->registry()
+        .GetHistogram("mbr_net_request_latency_us", "",
+                      {{"op", "recommend"}})
+        ->TakeSnapshot()
+        .count;
+  }
+
+  MissGate gate_;
   std::unique_ptr<LabeledGraph> graph_;
   std::unique_ptr<core::AuthorityIndex> auth_;
   std::unique_ptr<service::QueryEngine> engine_;
   std::unique_ptr<Server> server_;
 };
+
+// ---- Raw-socket helpers: whole frames, byte for byte. ----
+
+int DialRaw(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+std::vector<uint8_t> Frame(MessageKind kind, uint64_t request_id,
+                           std::span<const uint8_t> payload) {
+  std::vector<uint8_t> wire;
+  AppendFrame(kind, request_id, payload, &wire);
+  return wire;
+}
+
+std::vector<uint8_t> RecommendFrame(uint64_t request_id,
+                                    const RecommendRequest& req) {
+  return Frame(MessageKind::kRecommend, request_id, EncodeRecommend(req));
+}
+
+bool SendAll(int fd, const std::vector<uint8_t>& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    off += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// The next whole frame (header and payload) read from `fd`, or an empty
+// vector if none arrives within `timeout_ms`.
+std::vector<uint8_t> ReadFrame(int fd, int timeout_ms) {
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(timeout_ms);
+  std::vector<uint8_t> got;
+  size_t want = kFrameHeaderBytes;
+  while (got.size() < want) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        give_up - std::chrono::steady_clock::now());
+    pollfd p{fd, POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&p, 1, static_cast<int>(left.count())) <= 0) {
+      return {};
+    }
+    uint8_t byte;  // one byte at a time: never read into the next frame
+    if (::recv(fd, &byte, 1, 0) != 1) return {};
+    got.push_back(byte);
+    if (got.size() == kFrameHeaderBytes) {
+      FrameHeader h;
+      if (ParseFrameHeader(got, kWireLimits, &h) != HeaderParse::kOk) {
+        return {};
+      }
+      want += h.payload_len;
+    }
+  }
+  return got;
+}
+
+std::vector<uint8_t> RoundTrip(int fd, const std::vector<uint8_t>& request,
+                               int timeout_ms = 5000) {
+  if (!SendAll(fd, request)) return {};
+  return ReadFrame(fd, timeout_ms);
+}
+
+// Top 5 on topic 0 for `user`.
+RecommendRequest Key(uint32_t user) {
+  RecommendRequest r;
+  r.user = user;
+  r.top_n = 5;
+  return r;
+}
+
+MessageKind KindOf(const std::vector<uint8_t>& frame) {
+  FrameHeader h;
+  EXPECT_EQ(ParseFrameHeader(frame, kWireLimits, &h), HeaderParse::kOk);
+  return h.kind;
+}
 
 TEST_F(NetServerTest, PingPong) {
   StartServer({});
@@ -262,8 +395,11 @@ TEST_F(NetServerTest, ClientDeadlineShedsQueuedRequests) {
       std::this_thread::yield();
     }
     // The single dispatcher is busy with the batch; a 1 ms deadline expires
-    // while this probe waits in the dispatch queue.
+    // while this probe waits in the dispatch queue. The batch caches
+    // {1, 0, 5}; the exclusion list keeps the probe off the cache, so the
+    // event loop cannot answer it and it always queues.
     RecommendRequest probe{1, 0, 5};
+    probe.exclude = {31};
     probe.deadline_ms = 1;
     auto r = prober->Recommend(probe);
     if (!r.ok()) {
@@ -305,14 +441,8 @@ TEST_F(NetServerTest, ShutdownDrainsInFlightAndRefusesNewConnections) {
 
   // Pipeline RECOMMEND + SHUTDOWN in one write: the server must answer the
   // in-flight query, then ack the shutdown, then close.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = DialRaw(server_->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
 
   std::vector<uint8_t> wire;
   AppendFrame(MessageKind::kRecommend, 1, EncodeRecommend({3, 0, 5}), &wire);
@@ -410,6 +540,212 @@ TEST_F(NetServerTest, ConnectionCapRefusesExtraClients) {
     EXPECT_FALSE(c->Ping().ok());
   }
   EXPECT_GE(server_->counters().refused, 1u);
+}
+
+// ---- Cache hits on the event loop. ----
+
+TEST_F(NetServerTest, CachedRecommendIsAnsweredWhileTheDispatcherIsBusy) {
+  ServerConfig cfg;
+  cfg.dispatch_threads = 1;
+  cfg.request_deadline_ms = 0;
+  StartServer(cfg, /*gated=*/true);
+  const int fd = DialRaw(server_->port());
+  const int busy = DialRaw(server_->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_GE(busy, 0);
+
+  // The first ask misses and is scored on the dispatcher, which caches it.
+  const std::vector<uint8_t> request = RecommendFrame(7, Key(1));
+  const std::vector<uint8_t> scored = RoundTrip(fd, request);
+  ASSERT_FALSE(scored.empty());
+  ASSERT_EQ(KindOf(scored), MessageKind::kResult);
+
+  // Park the only dispatcher on a cold key.
+  gate_.armed.store(true);
+  ASSERT_TRUE(SendAll(busy, RecommendFrame(8, Key(2))));
+  gate_.WaitEntered();
+
+  const service::EngineStats engine_before = engine_->Stats();
+  const uint64_t requests_before = server_->counters().requests;
+  const uint64_t latency_before = RecommendLatencyCount();
+  const std::vector<uint8_t> hit = RoundTrip(fd, request, 2000);
+  EXPECT_EQ(hit, scored) << "a cached RECOMMEND waited for the busy "
+                            "dispatcher or came back different";
+  const service::EngineStats engine_after = engine_->Stats();
+  // Counted exactly as a hit on the dispatcher path would be.
+  EXPECT_EQ(engine_after.cache_hits, engine_before.cache_hits + 1);
+  EXPECT_EQ(engine_after.queries, engine_before.queries + 1);
+  EXPECT_EQ(engine_after.batches, engine_before.batches + 1);
+  EXPECT_EQ(engine_after.cache_misses, engine_before.cache_misses);
+  EXPECT_EQ(server_->counters().requests, requests_before + 1);
+  EXPECT_EQ(RecommendLatencyCount(), latency_before + 1);
+
+  gate_.released.store(true);
+  const std::vector<uint8_t> parked = ReadFrame(busy, 5000);
+  ASSERT_FALSE(parked.empty());
+  EXPECT_EQ(KindOf(parked), MessageKind::kResult);
+  ::close(fd);
+  ::close(busy);
+}
+
+TEST_F(NetServerTest, SaturatedServerShedsACachedKey) {
+  ServerConfig cfg;
+  cfg.max_inflight = 1;
+  cfg.dispatch_threads = 1;
+  cfg.request_deadline_ms = 0;
+  StartServer(cfg, /*gated=*/true);
+  const int fd = DialRaw(server_->port());
+  const int busy = DialRaw(server_->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_GE(busy, 0);
+  const std::vector<uint8_t> request = RecommendFrame(7, Key(1));
+  ASSERT_EQ(KindOf(RoundTrip(fd, request)), MessageKind::kResult);
+
+  // The parked query holds the only in-flight slot.
+  gate_.armed.store(true);
+  ASSERT_TRUE(SendAll(busy, RecommendFrame(8, Key(2))));
+  gate_.WaitEntered();
+
+  const uint64_t hits_before = engine_->Stats().cache_hits;
+  const uint64_t shed_before = server_->counters().shed_overload;
+  const std::vector<uint8_t> reply = RoundTrip(fd, request);
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(KindOf(reply), MessageKind::kOverloaded);
+  EXPECT_EQ(server_->counters().shed_overload, shed_before + 1);
+  EXPECT_EQ(engine_->Stats().cache_hits, hits_before);
+
+  gate_.released.store(true);
+  EXPECT_EQ(KindOf(ReadFrame(busy, 5000)), MessageKind::kResult);
+  ::close(fd);
+  ::close(busy);
+}
+
+TEST_F(NetServerTest, DrainingServerRefusesACachedKey) {
+  ServerConfig cfg;
+  cfg.dispatch_threads = 1;
+  cfg.request_deadline_ms = 0;
+  StartServer(cfg, /*gated=*/true);
+  const int fd = DialRaw(server_->port());
+  const int busy = DialRaw(server_->port());
+  const int ctl = DialRaw(server_->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_GE(busy, 0);
+  ASSERT_GE(ctl, 0);
+  const std::vector<uint8_t> request = RecommendFrame(7, Key(1));
+  ASSERT_EQ(KindOf(RoundTrip(fd, request)), MessageKind::kResult);
+
+  // A parked query keeps the drain from completing, so `fd` stays open.
+  gate_.armed.store(true);
+  ASSERT_TRUE(SendAll(busy, RecommendFrame(8, Key(2))));
+  gate_.WaitEntered();
+  // The loop starts the drain before it reads anything after the ack.
+  ASSERT_EQ(KindOf(RoundTrip(ctl, Frame(MessageKind::kShutdown, 9, {}))),
+            MessageKind::kShutdownAck);
+
+  const uint64_t hits_before = engine_->Stats().cache_hits;
+  const std::vector<uint8_t> reply = RoundTrip(fd, request);
+  ASSERT_FALSE(reply.empty());
+  ASSERT_EQ(KindOf(reply), MessageKind::kError);
+  ErrorReply err;
+  ASSERT_TRUE(DecodeError(std::span<const uint8_t>(reply).subspan(
+                              kFrameHeaderBytes),
+                          kWireLimits, &err)
+                  .ok());
+  EXPECT_EQ(err.code, WireError::kShuttingDown);
+  EXPECT_EQ(engine_->Stats().cache_hits, hits_before);
+
+  // The parked query is still answered, and then the drain completes.
+  gate_.released.store(true);
+  EXPECT_EQ(KindOf(ReadFrame(busy, 5000)), MessageKind::kResult);
+  server_->Wait();
+  EXPECT_FALSE(server_->running());
+  for (int f : {fd, busy, ctl}) ::close(f);
+}
+
+TEST_F(NetServerTest, CachedKeyIsNeverServedFromTheEpochAnExclusiveHoldEnds) {
+  ServerConfig cfg;
+  cfg.request_deadline_ms = 0;  // the reply waits out the hold
+  StartServer(cfg);
+  auto client = Dial();
+  ASSERT_TRUE(client.ok());
+  auto warm = client->RecommendEx(Key(1));
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+
+  std::atomic<bool> held{false};
+  std::atomic<bool> hold_over{false};
+  std::thread holder([this, &held, &hold_over] {
+    engine_->RunExclusive([&] {
+      held.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      hold_over.store(true);
+    });
+  });
+  while (!held.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t hits_before = engine_->Stats().cache_hits;
+  auto reply = client->RecommendEx(Key(1));
+  const bool answered_after_hold = hold_over.load();
+  holder.join();
+
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(answered_after_hold)
+      << "a cached key was answered while RunExclusive held the engine";
+  // The hold retired the warm entry's epoch: the key is scored again and
+  // stamped with the epoch the hold published.
+  EXPECT_EQ(reply->graph_epoch, warm->graph_epoch + 1);
+  EXPECT_EQ(engine_->Stats().cache_hits, hits_before);
+  ASSERT_EQ(reply->entries.size(), warm->entries.size());
+  for (size_t i = 0; i < warm->entries.size(); ++i) {
+    EXPECT_EQ(reply->entries[i].id, warm->entries[i].id);
+    EXPECT_EQ(reply->entries[i].score, warm->entries[i].score);
+  }
+}
+
+// A Rebind or a landmark repair holds the engine's lock exclusively for
+// hundreds of milliseconds. The event loop must keep answering meanwhile:
+// decoding a RECOMMEND may not wait on that lock, only its dispatcher may.
+TEST_F(NetServerTest, EventLoopKeepsAnsweringDuringAnExclusiveHold) {
+  ServerConfig cfg;
+  cfg.request_deadline_ms = 0;  // the RECOMMEND waits out the hold
+  StartServer(cfg);
+  auto reader = Dial();
+  auto operator_client = Dial();
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(operator_client.ok());
+
+  std::atomic<bool> held{false};
+  std::thread holder([this, &held] {
+    engine_->RunExclusive([&] {
+      held.store(true);
+      std::this_thread::sleep_for(std::chrono::seconds(1));
+    });
+  });
+  while (!held.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread read([&reader] {
+    auto r = reader->Recommend(2, 0, 5);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  });
+  // Admission comes after decode, so this proves the loop got past it.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  while (server_->counters().requests < 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool admitted = server_->counters().requests >= 1;
+  const auto start = std::chrono::steady_clock::now();
+  auto text = operator_client->Metrics();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  read.join();
+  holder.join();
+
+  EXPECT_TRUE(admitted) << "the event loop stalled decoding a RECOMMEND";
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100))
+      << "METRICS waited on the engine's exclusive hold";
 }
 
 // ---- The served_tier byte over a live server. ----

@@ -25,6 +25,10 @@
 # the background repair thread (`dynamic`), the apply/rebind lock split
 # against concurrent generation readers (`incremental`), and the router's
 # dispatchers blocking on shard RPCs against the shard servers (`coord`).
+# The server answers a single fresh-cache RECOMMEND on its event loop
+# through the engine's try-locking cache probe; the `net` and `dynamic`
+# labels cover that probe racing dispatchers and Rebind. A test that needs
+# the dispatcher path must use an exclusion list or a cold key.
 #
 # bench-smoke runs the allocation-counting smoke gate of the zero-allocation
 # hot path (DESIGN.md §6.6): a warm exact query and a warm landmark query
