@@ -5,16 +5,19 @@
 // offline churn. This bench measures the *serving-side* story introduced
 // by the mutation path: FOLLOW/UNFOLLOW/RELABEL batches stream through a
 // service::MutationApplier (each applied batch rebinds the engine and
-// bumps the graph epoch), a service::LandmarkRepairer marks touched
-// landmark slots stale, and we track — per cumulative-churn checkpoint —
-// recall@10 and Kendall-tau of the live approx answers against an index
-// freshly rebuilt on the current graph, alongside the repairer's stale
-// telemetry. After the trace, Quiesce() drains the stale set and the
-// post-quiesce row documents the repair-lag bound the differential test
-// asserts.
+// bumps the graph epoch), a service::LandmarkRepairer marks every
+// landmark slot stale on every applied batch, and we track — per
+// cumulative-churn checkpoint — recall@10 and Kendall-tau of the live
+// approx answers against an index freshly rebuilt on the current graph,
+// alongside the repairer's stale telemetry. After the trace, Quiesce()
+// drains the stale set and the post-quiesce row compares the repaired
+// index with the fresh build.
 //
 // Output: a human-readable table on stdout plus BENCH_churn_drift.json
-// (machine-readable drift curve) in the working directory.
+// (machine-readable drift curve) in the working directory. Exits 1 unless
+// every checkpoint reports every slot stale and the quiesced index
+// serializes byte-identically to the fresh build (`tools/check.sh
+// bench-smoke` runs it as that gate).
 
 #include <cstdio>
 #include <vector>
@@ -169,12 +172,10 @@ int main() {
   service::QueryEngine engine(ds.graph, auth, topics::TwitterSimilarity(),
                               ec);
   service::MutationApplier applier(ds.graph, auth, engine);
-  service::RepairConfig rc;
-  rc.mode = service::RepairConfig::Mode::kTouched;
   service::LandmarkRepairer repairer(index, engine,
                                      topics::TwitterSimilarity(),
                                      applier.current_graph(),
-                                     applier.current_authority(), rc);
+                                     applier.current_authority());
   applier.SetRepairer(&repairer);
   engine.SetStaleProbe(repairer.MakeStaleProbe());
   obs::Counter* stale_reads = engine.registry().GetCounter(
@@ -199,6 +200,7 @@ int main() {
               "applied", "epoch", "recall@10", "kendall", "stale_slots",
               "stale_reads");
   std::vector<DriftSample> curve;
+  bool all_stale = true;
   for (int c = 0; c < kCheckpoints; ++c) {
     for (int b = 0; b < kBatchesPerCheckpoint; ++b) {
       std::vector<service::Mutation> batch;
@@ -226,6 +228,7 @@ int main() {
     s.applied_total = applier.batches_applied();
     s.graph_epoch = engine.params_epoch();
     s.stale_slots = repairer.stale_count();
+    all_stale = all_stale && s.stale_slots == sel.num_landmarks;
     MeasureDrift(engine, reference, probes, &s.recall_at10, &s.kendall_tau);
     s.stale_reads = stale_reads->Value();
     curve.push_back(s);
@@ -237,8 +240,9 @@ int main() {
                 static_cast<unsigned long long>(s.stale_reads));
   }
 
-  // Drain every stale slot, then measure the repair-lag floor: how close
-  // lazy kTouched repair gets to a fresh rebuild once it has caught up.
+  // Drain every stale slot, then measure how close lazy repair gets to a
+  // fresh rebuild once it has caught up: RefreshLandmark is deterministic,
+  // so the quiesced index must serialize to the fresh build's bytes.
   repairer.Quiesce();
   auto g = applier.current_graph();
   auto a = applier.current_authority();
@@ -257,5 +261,11 @@ int main() {
               static_cast<unsigned long long>(repairer.repairs_done()));
 
   WriteJson(curve, post, n, sel.num_landmarks, repairer.repairs_done());
-  return 0;
+
+  const bool converged = index.Serialize() == fresh.Serialize();
+  std::printf("every checkpoint all %u slots stale: %s\n"
+              "quiesced index byte-identical to fresh build: %s\n",
+              sel.num_landmarks, all_stale ? "yes" : "NO",
+              converged ? "yes" : "NO");
+  return all_stale && converged ? 0 : 1;
 }

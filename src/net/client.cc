@@ -21,9 +21,10 @@ std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+// Rounded up, so a wait never ends before the deadline.
 int RemainingMs(Clock::time_point deadline) {
-  auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
+  auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
   return left.count() > 0 ? static_cast<int>(left.count()) : 0;
 }
 

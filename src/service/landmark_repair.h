@@ -8,23 +8,32 @@
 // detect staleness cheaply, and an asynchronous thread repairs lazily
 // instead of rebuilding the whole index.
 //
-// State machine, per landmark slot (version counters, monotone u64):
+// Staleness rule: every applied batch marks every landmark slot; a batch
+// with no applied record marks nothing. A FOLLOW u->v adds paths through
+// u and moves v's authority anywhere in a landmark's exploration, and on
+// the graphs served here each exploration reaches nearly every node, so a
+// rule that tried to spare slots would mark them all anyway (DESIGN.md
+// §6.5). The bookkeeping is version counters (monotone u64):
 //
-//   marked_seq[s]   — bumped (to a fresh global sequence number) when a
-//                     mutation batch touches a vertex that appears in
-//                     slot s's stored lists, or is the landmark itself;
-//   repaired_seq[s] — set to the marked_seq observed at the start of a
-//                     repair, once that repair completes.
+//   batches_        — applied batches marked so far;
+//   repaired_seq[s] — the batch count of the generation slot s's last
+//                     repair ran on.
 //
-//   slot s is STALE  iff  marked_seq[s] > repaired_seq[s].
+//   slot s is STALE  iff  repaired_seq[s] < batches_.
 //
-// A repair that races with a new marking leaves the slot stale (its
-// marked_seq moved past the sequence the repair observed) — re-repair, not
-// lost updates. The repair unit is LandmarkIndex::RefreshLandmark (re-run
+// Mark before publish: the MutationApplier calls MarkAllStale() before
+// QueryEngine::Rebind() publishes a batch's generation and
+// OnBatchApplied() after it, so no reply scored on the new generation is
+// stamped kApprox from lists computed on an older one. A repair credits
+// only the batch count of the generation it ran on, so one that raced a
+// newer batch leaves its slot stale (re-repair, not lost updates), and no
+// repair starts while a marked batch's generation is still being
+// published. The repair unit is LandmarkIndex::RefreshLandmark (re-run
 // Algorithm 1 for one landmark), executed under QueryEngine::RunExclusive
 // so queries never observe a half-written stored list; RunExclusive also
 // bumps the graph epoch, keeping cached rankings from before the repair
-// unreachable.
+// unreachable. Because RefreshLandmark is deterministic, after Quiesce()
+// the index is byte-identical to a fresh build on the live generation.
 //
 // Stale *detection at query time* is one atomic load: the engine's stale
 // probe (install via MakeStaleProbe) increments
@@ -32,18 +41,12 @@
 // is stale — the serving-visible measure of repair lag that the churn
 // drift bench correlates with recall/Kendall-tau.
 //
-// Mode kTouched repairs only slots whose stored lists can have changed;
-// kAll marks every slot on every batch (an upper bound used by the
-// differential oracle: after Quiesce() the index is byte-identical to a
-// fresh build, because RefreshLandmark is deterministic).
-//
 // Schedule (the paper's §6 "updating strategies"): the next repair takes
 // the stale slot with the smallest repaired_seq — the oldest stored lists
-// — ties broken by slot id. While churn touches every slot each batch this
-// is round-robin over the landmarks; a slot nobody touched is never
-// repaired. RepairStale(budget) runs that order under a per-round budget
-// on the calling thread, which is how bench/ext_dynamic_updates runs the
-// §6 refresh study on the serving path.
+// — ties broken by slot id. Since every batch marks every slot this is
+// round-robin over the landmarks. RepairStale(budget) runs that order
+// under a per-round budget on the calling thread, which is how
+// bench/ext_dynamic_updates runs the §6 refresh study on the serving path.
 
 #include <atomic>
 #include <condition_variable>
@@ -51,7 +54,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -64,11 +66,6 @@
 
 namespace mbr::service {
 
-struct RepairConfig {
-  enum class Mode { kTouched, kAll };
-  Mode mode = Mode::kTouched;
-};
-
 class LandmarkRepairer {
  public:
   // `index` is the live index the engine serves from (repaired in place);
@@ -78,8 +75,7 @@ class LandmarkRepairer {
   LandmarkRepairer(landmark::LandmarkIndex& index, QueryEngine& engine,
                    const topics::SimilarityMatrix& sim,
                    std::shared_ptr<const graph::LabeledGraph> graph,
-                   std::shared_ptr<const core::AuthorityIndex> authority,
-                   const RepairConfig& config = {});
+                   std::shared_ptr<const core::AuthorityIndex> authority);
   ~LandmarkRepairer();
 
   LandmarkRepairer(const LandmarkRepairer&) = delete;
@@ -91,11 +87,14 @@ class LandmarkRepairer {
   void Start();
   void Stop();
 
-  // Called by the MutationApplier after every applied batch: adopt the
-  // new generation and mark affected slots stale. Thread-safe.
+  // Called by the MutationApplier for every batch that applied a record,
+  // before it publishes the batch's generation: every slot becomes stale.
+  void MarkAllStale();
+
+  // Called by the MutationApplier right after it published the generation
+  // of the batch last marked: repairs run on it from now on. Thread-safe.
   void OnBatchApplied(std::shared_ptr<const graph::LabeledGraph> graph,
-                      std::shared_ptr<const core::AuthorityIndex> authority,
-                      std::span<const graph::NodeId> touched);
+                      std::shared_ptr<const core::AuthorityIndex> authority);
 
   // Repairs up to `budget` stale slots, oldest lists first, on the
   // calling thread and returns their landmarks in repair order. Only
@@ -119,13 +118,12 @@ class LandmarkRepairer {
  private:
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  void MarkSlotLocked(uint32_t slot);
   void RecomputeStaleLocked();
-  // Rebuilds the node -> slots reverse index entry set for `slot` from its
-  // current stored lists.
-  void ReindexSlotLocked(uint32_t slot);
+  // Whether the generation of the last marked batch has been adopted.
+  bool AdoptedLocked() const { return graph_seq_ == batches_; }
   // Repairs the stale slot with the oldest lists (smallest repaired_seq,
   // then lowest slot id) and returns it, or kNoSlot if none was stale.
+  // Waits first while a marked batch's generation is being published.
   // Caller must hold `lock` (it is released around the refresh).
   uint32_t RepairOneLocked(std::unique_lock<std::mutex>& lock);
   std::vector<graph::NodeId> RepairStaleLocked(
@@ -135,7 +133,6 @@ class LandmarkRepairer {
   landmark::LandmarkIndex* index_;
   QueryEngine* engine_;
   const topics::SimilarityMatrix* sim_;
-  RepairConfig config_;
 
   obs::Counter* stale_marked_ = nullptr;
   obs::Counter* repaired_ = nullptr;
@@ -145,15 +142,11 @@ class LandmarkRepairer {
   std::condition_variable cv_;
   std::shared_ptr<const graph::LabeledGraph> graph_;
   std::shared_ptr<const core::AuthorityIndex> authority_;
-  uint64_t seq_ = 0;
-  std::vector<uint64_t> marked_seq_;
+  uint64_t batches_ = 0;
+  // The batch count of graph_/authority_: below batches_ from a batch's
+  // MarkAllStale() until its OnBatchApplied().
+  uint64_t graph_seq_ = 0;
   std::vector<uint64_t> repaired_seq_;
-  // node -> slots whose stored lists contain the node (sorted, unique) —
-  // how a touched vertex finds the landmarks it can invalidate.
-  std::vector<std::vector<uint32_t>> node_to_slots_;
-  // members_[slot]: nodes currently indexed for the slot (to unindex on
-  // refresh).
-  std::vector<std::vector<graph::NodeId>> members_;
   bool repair_in_flight_ = false;
   bool stop_ = false;
   bool running_ = false;

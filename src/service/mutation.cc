@@ -163,6 +163,9 @@ MutationOutcome MutationApplier::Apply(std::span<const Mutation> batch) {
       g = std::make_shared<graph::LabeledGraph>(delta_.Materialize());
       auth = std::make_shared<core::AuthorityIndex>(*g);
     }
+    // Every landmark slot goes stale before the generation is published,
+    // so no reply scored on it is stamped kApprox from older lists.
+    if (repairer_ != nullptr) repairer_->MarkAllStale();
     // Rebind blocks until in-flight queries drain, then bumps the epoch;
     // only after it returns is it safe to drop the previous generation.
     engine_->Rebind(*g, *auth);
@@ -173,7 +176,7 @@ MutationOutcome MutationApplier::Apply(std::span<const Mutation> batch) {
       ++batches_applied_;
     }
     if (repairer_ != nullptr) {
-      repairer_->OnBatchApplied(std::move(g), std::move(auth), touched);
+      repairer_->OnBatchApplied(std::move(g), std::move(auth));
     }
   }
   out.graph_epoch = engine_->params_epoch();

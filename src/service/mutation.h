@@ -1,7 +1,7 @@
 #ifndef MBR_SERVICE_MUTATION_H_
 #define MBR_SERVICE_MUTATION_H_
 
-// Live graph mutation for the serving path (ROADMAP item 2, paper §6).
+// Live graph mutation for the serving path (paper §6).
 //
 // A MutationApplier owns a persistent dynamic::DeltaGraph plus a
 // persistent dynamic::IncrementalAuthority over the warm-start base graph
@@ -15,7 +15,12 @@
 //                   QueryEngine::Rebind() onto them. Rebind bumps the
 //                   engine epoch, so the graph epoch advances exactly
 //                   once per applied batch and every cached result keyed
-//                   on the old epoch becomes unreachable.
+//                   on the old epoch becomes unreachable. With a
+//                   LandmarkRepairer installed, every landmark slot is
+//                   marked stale before the Rebind and the repairer gets
+//                   the new generation after it, so an approx reply
+//                   scored on the new generation is stamped kStale until
+//                   its lists are repaired.
 //
 // Pipelines (DESIGN.md §6.9). The default kIncremental path costs O(Δ)
 // per batch: DeltaGraph::MaterializeFrom patches only the touched
@@ -121,7 +126,9 @@ class MutationApplier {
   MutationApplier(const MutationApplier&) = delete;
   MutationApplier& operator=(const MutationApplier&) = delete;
 
-  // Optional: notify a repairer after every applied batch. Install before
+  // Optional: mark every landmark slot of `repairer` stale before each
+  // applied batch is published, and hand it the batch's generation after.
+  // A batch with no applied record marks nothing. Install before
   // serving traffic; the repairer must outlive the applier (or be stopped
   // first).
   void SetRepairer(LandmarkRepairer* repairer) { repairer_ = repairer; }

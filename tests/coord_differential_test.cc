@@ -13,11 +13,18 @@
 // degrade (trailer partial=1, shards_answered < shards_total), the client
 // call still succeeds — never a hang, never a crash — and
 // mbr_coord_partial_total is bumped on the router's registry, while
-// queries homed on live shards are answered in full.
+// queries homed on live shards are answered in full. A shard that accepts
+// connections and never answers is cut off by the router's
+// shard_timeout_ms backstop under the same policy.
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -505,6 +512,96 @@ TEST(CoordPartialPolicyTest, KilledShardDegradesToPartialNeverFails) {
   obs::Counter* shard_errors = stack->router->registry().GetCounter(
       "mbr_coord_shard_errors_total", "");
   EXPECT_GE(shard_errors->Value(), 1u);
+}
+
+// A loopback socket that listens and never accepts: the kernel completes
+// connects into its backlog and buffers requests nobody reads, so a shard
+// at this endpoint accepts and never answers.
+class SilentShard {
+ public:
+  SilentShard() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(::listen(fd_, 16), 0);
+    EXPECT_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len),
+              0);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~SilentShard() { ::close(fd_); }
+  SilentShard(const SilentShard&) = delete;
+  SilentShard& operator=(const SilentShard&) = delete;
+
+  uint16_t port() const { return port_; }
+
+ private:
+  int fd_ = -1;
+  uint16_t port_ = 0;
+};
+
+TEST(CoordPartialPolicyTest, SilentShardIsCutOffByTheTimeoutBackstop) {
+  // With no client deadline, the shard RPC's only bound is the router's
+  // shard_timeout_ms: a home shard that accepts and never answers costs
+  // its users one backstop, then degrades like a dead shard (partial, or
+  // an ERROR with degrade off). The live shard's users are unaffected.
+  constexpr uint32_t kBackstopMs = 300;
+  const Corpus& c = SharedCorpus();
+  service::QueryEngine reference(*c.graph, *c.authority,
+                                 topics::TwitterSimilarity(),
+                                 c.EngineConfigFor(/*landmark_mode=*/true));
+  for (bool degrade_partial : {true, false}) {
+    const std::string context =
+        degrade_partial ? "degrade partial" : "degrade off";
+    auto stack = MakeStack(/*shards=*/2, PartitionStrategy::kCommunity,
+                           /*landmark_mode=*/true, /*halo_depth=*/1);
+    ASSERT_NE(stack, nullptr) << context;
+    SilentShard silent;
+    stack->router->RequestStop();
+    stack->router->Wait();
+    stack->plan.SetEndpoint(1, {"127.0.0.1", silent.port()});
+    RouterConfig rcfg;
+    rcfg.port = 0;
+    rcfg.degrade_partial = degrade_partial;
+    rcfg.shard_timeout_ms = kBackstopMs;
+    stack->router = std::make_unique<Router>(stack->plan, rcfg);
+    ASSERT_TRUE(stack->router->Start().ok()) << context;
+    auto client = Dial(*stack);
+    ASSERT_TRUE(client.ok()) << context << ": " << client.status().ToString();
+
+    const uint64_t partial_before =
+        CounterValue(*stack->router, "mbr_coord_partial_total");
+    const auto start = std::chrono::steady_clock::now();
+    auto lost = client->RecommendEx(Probe(UserOn(*stack, 1), 0, 10));
+    const auto waited_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    EXPECT_GE(waited_ms, kBackstopMs) << context;
+    EXPECT_LT(waited_ms, kBackstopMs + 2000) << context;
+    if (degrade_partial) {
+      ASSERT_TRUE(lost.ok()) << context << ": " << lost.status().ToString();
+      EXPECT_EQ(lost->coord.partial, 1u) << context;
+      EXPECT_TRUE(lost->entries.empty()) << context;
+      EXPECT_EQ(CounterValue(*stack->router, "mbr_coord_partial_total"),
+                partial_before + 1)
+          << context;
+    } else {
+      ASSERT_FALSE(lost.ok()) << context << ": a lost shard was merged";
+      EXPECT_NE(lost.status().message().find("home shard 1 lost"),
+                std::string::npos)
+          << context << ": " << lost.status().ToString();
+      EXPECT_EQ(CounterValue(*stack->router, "mbr_coord_partial_total"),
+                partial_before)
+          << context;
+    }
+
+    ExpectRoutedMatchesReference(*client, reference,
+                                 Probe(UserOn(*stack, 0), 0, 10), context);
+  }
 }
 
 TEST(CoordPartialPolicyTest, SurvivingShardAnswersInFull) {

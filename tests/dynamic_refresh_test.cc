@@ -1,11 +1,15 @@
 // Landmark maintenance under churn: LandmarkIndex::RefreshLandmark (the
-// repair unit) and service::LandmarkRepairer's schedule — the stale slot
-// with the oldest lists is repaired first, ties by slot id.
+// repair unit) and service::LandmarkRepairer — every applied batch marks
+// every slot stale before it is published, a batch with no applied record
+// marks nothing, and the stale slot with the oldest lists is repaired
+// first, ties by slot id.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "core/authority.h"
@@ -37,11 +41,13 @@ struct Fixture {
         return c;
       }());
 
-  landmark::LandmarkIndex MakeIndex() {
+  // The fixture's index, built on the base graph or on a later generation.
+  landmark::LandmarkIndex MakeIndex() { return MakeIndex(ds.graph, auth); }
+  landmark::LandmarkIndex MakeIndex(const graph::LabeledGraph& g,
+                                    const core::AuthorityIndex& a) {
     landmark::LandmarkIndexConfig icfg;
     icfg.top_n = 30;
-    return landmark::LandmarkIndex(ds.graph, auth,
-                                   topics::TwitterSimilarity(),
+    return landmark::LandmarkIndex(g, a, topics::TwitterSimilarity(),
                                    sel.landmarks, icfg);
   }
 };
@@ -81,24 +87,26 @@ TEST(RefreshLandmarkTest, RecomputesOnUpdatedGraph) {
 // is never started, so RepairStale() and Quiesce() run on the test thread.
 class RepairStack {
  public:
-  RepairStack(Fixture& f, service::RepairConfig::Mode mode)
+  explicit RepairStack(Fixture& f)
       : f_(f),
         index_(f.MakeIndex()),
         engine_(f.ds.graph, f.auth, topics::TwitterSimilarity(),
                 MakeEngineConfig(&index_)),
         applier_(f.ds.graph, f.auth, engine_),
         repairer_(index_, engine_, topics::TwitterSimilarity(),
-                  applier_.current_graph(), applier_.current_authority(),
-                  service::RepairConfig{mode}) {
+                  applier_.current_graph(), applier_.current_authority()) {
     applier_.SetRepairer(&repairer_);
+  }
+
+  // Applies `m` as a one-record batch and returns how many records applied.
+  uint32_t Apply(const service::Mutation& m) {
+    return applier_.Apply(std::span<const service::Mutation>(&m, 1)).applied;
   }
 
   // Applies FOLLOW src -> dst as a one-record batch.
   bool Follow(NodeId src, NodeId dst) {
-    const service::Mutation m{service::MutationOp::kFollow, src, dst,
-                              topics::TopicSet::Single(0)};
-    return applier_.Apply(std::span<const service::Mutation>(&m, 1))
-               .applied == 1;
+    return Apply({service::MutationOp::kFollow, src, dst,
+                  topics::TopicSet::Single(0)}) == 1;
   }
 
   // Applies one FOLLOW from `src` the live graph does not have yet.
@@ -110,10 +118,21 @@ class RepairStack {
   }
 
   const std::vector<NodeId>& landmarks() const { return index_.landmarks(); }
+  service::QueryEngine& engine() { return engine_; }
   service::LandmarkRepairer& repairer() { return repairer_; }
 
-  // Nodes that are neither landmarks nor on any stored list: a mutation
-  // touching only these can change no stored list.
+  // Whether the live index serializes to the bytes of an index built from
+  // scratch on the applier's current generation.
+  bool MatchesFreshBuild() {
+    landmark::LandmarkIndex fresh =
+        f_.MakeIndex(*applier_.current_graph(), *applier_.current_authority());
+    return index_.Serialize() == fresh.Serialize();
+  }
+
+  // Nodes that are neither landmarks nor on any stored list. A mutation
+  // touching only these still changes stored lists: a FOLLOW u -> v adds
+  // paths through u and moves v's authority anywhere in a landmark's
+  // exploration.
   std::vector<NodeId> UnwatchedNodes() const {
     std::vector<bool> watched(f_.ds.graph.num_nodes(), false);
     for (NodeId lm : landmarks()) {
@@ -132,20 +151,6 @@ class RepairStack {
     return out;
   }
 
-  // Whether `node` is on a stored list of some landmark other than `lm`.
-  bool OnOtherLists(NodeId node, NodeId lm) const {
-    for (NodeId other : landmarks()) {
-      if (other == lm) continue;
-      for (int t = 0; t < index_.num_topics(); ++t) {
-        for (const landmark::StoredRec& rec : index_.Recommendations(
-                 other, static_cast<topics::TopicId>(t))) {
-          if (rec.node == node) return true;
-        }
-      }
-    }
-    return false;
-  }
-
  private:
   static service::EngineConfig MakeEngineConfig(
       const landmark::LandmarkIndex* index) {
@@ -162,13 +167,13 @@ class RepairStack {
   service::LandmarkRepairer repairer_;
 };
 
-// kAll marks every slot on every batch, so the oldest lists are always
-// those of the slots not yet repaired: one repair per round walks the
-// landmarks in slot order, each exactly once. Repairing the lowest stale
-// slot instead would pick landmarks[0] every round.
+// Every batch marks every slot, so the oldest lists are always those of
+// the slots not yet repaired: one repair per round walks the landmarks in
+// slot order, each exactly once. Repairing the lowest stale slot instead
+// would pick landmarks[0] every round.
 TEST(LandmarkRepairerScheduleTest, AllModeRoundsRepairEachLandmarkInOrder) {
   Fixture f;
-  RepairStack stack(f, service::RepairConfig::Mode::kAll);
+  RepairStack stack(f);
   const size_t slots = stack.landmarks().size();
   std::vector<NodeId> order;
   for (size_t round = 0; round < slots; ++round) {
@@ -181,38 +186,93 @@ TEST(LandmarkRepairerScheduleTest, AllModeRoundsRepairEachLandmarkInOrder) {
   EXPECT_EQ(order, stack.landmarks());
 }
 
-TEST(LandmarkRepairerScheduleTest, UnwatchedFollowMarksNothing) {
+// A FOLLOW between two nodes on no stored list still changes every
+// landmark's exploration (new paths through the follower, new authority
+// for the followee), so it must mark every slot, approx replies scored
+// before the repair must say so, and Quiesce() must converge to a fresh
+// build.
+TEST(LandmarkRepairerScheduleTest, UnwatchedFollowMarksEverySlot) {
   Fixture f;
-  RepairStack stack(f, service::RepairConfig::Mode::kTouched);
+  RepairStack stack(f);
+  stack.engine().SetStaleProbe(stack.repairer().MakeStaleProbe());
   const std::vector<NodeId> unwatched = stack.UnwatchedNodes();
   ASSERT_GE(unwatched.size(), 2u);
   ASSERT_TRUE(stack.Follow(unwatched[0], unwatched[1]));
+  EXPECT_EQ(stack.repairer().stale_count(), stack.landmarks().size());
+
+  auto reply = stack.engine().Recommend(core::Query::TopN(3, 0, 10));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_FALSE(reply.value().meta.cache_hit);
+  EXPECT_EQ(reply.value().meta.served_tier, core::Tier::kStale);
+
+  stack.repairer().Quiesce();
   EXPECT_EQ(stack.repairer().stale_count(), 0u);
-  EXPECT_TRUE(stack.repairer().RepairStale(stack.landmarks().size()).empty());
-  EXPECT_EQ(stack.repairer().repairs_done(), 0u);
+  EXPECT_TRUE(stack.MatchesFreshBuild())
+      << "quiesced index differs from a fresh build on the live graph";
 }
 
-TEST(LandmarkRepairerScheduleTest, FollowFromLandmarkMarksOnlyThatLandmark) {
+// A batch whose every record is rejected publishes nothing, so it marks
+// nothing: no stale slot, no marking counted, no epoch bump, no repair.
+TEST(LandmarkRepairerScheduleTest, RejectedOnlyBatchMarksNothing) {
   Fixture f;
-  RepairStack stack(f, service::RepairConfig::Mode::kTouched);
-  const std::vector<NodeId> unwatched = stack.UnwatchedNodes();
-  ASSERT_FALSE(unwatched.empty());
-  // A landmark no other landmark's lists mention: touching it can only
-  // invalidate its own exploration.
-  auto lm = std::find_if(
-      stack.landmarks().begin(), stack.landmarks().end(),
-      [&](NodeId l) { return !stack.OnOtherLists(l, l); });
-  ASSERT_NE(lm, stack.landmarks().end());
-  ASSERT_TRUE(stack.Follow(*lm, unwatched[0]));
-  EXPECT_EQ(stack.repairer().stale_count(), 1u);
-  EXPECT_EQ(stack.repairer().RepairStale(stack.landmarks().size()),
-            std::vector<NodeId>{*lm});
+  RepairStack stack(f);
+  obs::Counter* marked = stack.engine().registry().GetCounter(
+      "mbr_repair_stale_marked_total", "");
+  const uint64_t marked_before = marked->Value();
+  const uint64_t epoch_before = stack.engine().params_epoch();
+  // UNFOLLOW of an edge the graph does not have.
+  NodeId dst = 1;
+  while (f.ds.graph.HasEdge(0, dst)) ++dst;
+  ASSERT_EQ(stack.Apply({service::MutationOp::kUnfollow, 0, dst, {}}), 0u);
   EXPECT_EQ(stack.repairer().stale_count(), 0u);
+  EXPECT_EQ(marked->Value(), marked_before);
+  EXPECT_EQ(stack.engine().params_epoch(), epoch_before);
+  EXPECT_TRUE(stack.repairer().RepairStale(stack.landmarks().size()).empty());
+}
+
+// The applier marks every slot before Rebind publishes the batch, so no
+// reply scored on the new generation is stamped kApprox from older lists.
+// Parking the batch inside Rebind (behind a held RunExclusive) shows the
+// order: every slot is already stale while the epoch has not moved.
+TEST(LandmarkRepairerScheduleTest, BatchIsMarkedBeforeItIsPublished) {
+  Fixture f;
+  RepairStack stack(f);
+  const size_t slots = stack.landmarks().size();
+  const uint64_t epoch = stack.engine().params_epoch();
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    stack.engine().RunExclusive([&] {
+      entered.store(true);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  while (!entered.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread mutator([&] { stack.FollowSomeone(0); });
+
+  for (int i = 0; i < 2000 && stack.repairer().stale_count() != slots; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(stack.repairer().stale_count(), slots)
+      << "the batch was not marked before its generation was published";
+  EXPECT_EQ(stack.engine().params_epoch(), epoch);
+
+  release.store(true);
+  holder.join();
+  mutator.join();
+  EXPECT_EQ(stack.repairer().stale_count(), slots);
+  stack.repairer().Quiesce();
+  EXPECT_EQ(stack.repairer().stale_count(), 0u);
+  EXPECT_TRUE(stack.MatchesFreshBuild());
 }
 
 TEST(LandmarkRepairerScheduleTest, PartialRepairLeavesTheRestForQuiesce) {
   Fixture f;
-  RepairStack stack(f, service::RepairConfig::Mode::kAll);
+  RepairStack stack(f);
   const size_t slots = stack.landmarks().size();
   const size_t k = 7;
   stack.FollowSomeone(0);

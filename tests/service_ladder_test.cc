@@ -228,11 +228,9 @@ TEST_F(LadderTest, UnrepairedLandmarksStampStaleTier) {
   ASSERT_EQ(engine.base_tier(), Tier::kApprox);
 
   MutationApplier applier(ds_.graph, *auth_, engine);
-  RepairConfig rcfg;
-  rcfg.mode = RepairConfig::Mode::kAll;
   LandmarkRepairer repairer(*index_, engine, topics::TwitterSimilarity(),
                             applier.current_graph(),
-                            applier.current_authority(), rcfg);
+                            applier.current_authority());
   applier.SetRepairer(&repairer);
   engine.SetStaleProbe(repairer.MakeStaleProbe());
   // No Start(): the marks stay unrepaired until the explicit Quiesce().
@@ -261,7 +259,7 @@ TEST_F(LadderTest, UnrepairedLandmarksStampStaleTier) {
   const size_t stale_before = repairer.stale_count();
   EXPECT_EQ(repairer.RepairStale(1).size(), 1u);
   EXPECT_EQ(repairer.stale_count(), stale_before - 1);
-  EXPECT_EQ(repairer.stale_count(), 29u);  // kAll: 30 slots, one repaired
+  EXPECT_EQ(repairer.stale_count(), 29u);  // all 30 slots marked, one repaired
   auto partial = engine.Recommend(q);
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
   EXPECT_FALSE(partial.value().meta.cache_hit);  // repair bumped the epoch

@@ -7,7 +7,8 @@
 #   4. UBSan:  full ctest suite, fatal             (build-ubsan/)
 #   5. bench-smoke: micro_benchmarks --smoke + ext_slo_ladder --smoke
 #                   + ext_mutation_apply --smoke
-#                   + ext_dynamic_updates at 0.2 scale (build/)
+#                   + ext_dynamic_updates at 0.2 scale
+#                   + ext_churn_drift (build/)
 #                   + perfbench --self-test and a 2 s run of each
 #                     BENCHMARK.json workload (.bench_build/)
 #
@@ -35,11 +36,16 @@
 # must report 0 heap allocations, else the step fails. It then runs the SLO
 # ladder harness (DESIGN.md §6.8) in --smoke form: a tiny ramp that still
 # exercises calibration, the exact-tier byte-identity probes (a mismatch
-# fails the binary), and the BENCH_slo.json writer. Last, it runs the §6
+# fails the binary), and the BENCH_slo.json writer. Next, it runs the §6
 # refresh study on a 2 000-node graph: churn rounds go through the
 # MutationApplier and the LandmarkRepairer spends a fixed budget per round;
 # the binary fails if the applier rejects a churn record or the repairer's
-# stored-list drift is not below no refresh at some checkpoint. Finally it
+# stored-list drift is not below no refresh at some checkpoint. Then it
+# runs the live churn-drift study: 5 000 mutations in 100 batches through
+# the applier with the repairer marking; the binary fails unless every
+# checkpoint reports every landmark slot stale (every applied batch marks
+# every slot) and, after Quiesce(), the repaired index serializes
+# byte-identically to a fresh build on the live graph. Finally it
 # builds the serving benchmark (perfbench/, its own Release tree) against
 # the current headers, runs its self-test, and runs every workload that
 # BENCHMARK.json lists for 2 s: the step fails unless the result line says
@@ -83,6 +89,9 @@ run_bench_smoke() {
   echo "==> bench-smoke: ext_dynamic_updates (§6 refresh study on the serving path)"
   cmake --build "$REPO/build" -j "$JOBS" --target ext_dynamic_updates
   (cd "$REPO/build/bench" && MBR_SCALE=0.2 MBR_TRIALS=4 ./ext_dynamic_updates)
+  echo "==> bench-smoke: ext_churn_drift (all slots stale; quiesce matches fresh)"
+  cmake --build "$REPO/build" -j "$JOBS" --target ext_churn_drift
+  (cd "$REPO/build/bench" && ./ext_churn_drift)
   echo "==> bench-smoke: perfbench --self-test"
   (cd "$REPO" && python3 perfbench/run.py --self-test)
   local workloads w out

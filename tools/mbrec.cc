@@ -19,8 +19,7 @@
 //                   [--port P] [--threads N] [--cache C] [--max-inflight M]
 //                   [--max-connections K] [--deadline-ms D] [--drain-ms G]
 //                   [--stats-interval-s S] [--vocab twitter|dblp]
-//                   [--mutable 1] [--repair touched|all]
-//                   [--authority-refresh N]
+//                   [--mutable 1] [--authority-refresh N]
 //                   [--degrade off|ladder] [--p99-target-us U]
 //                   [--stale-epochs E]
 //   mbrec query-remote    --port P --user U --topic technology [--host H]
@@ -65,10 +64,10 @@
 // `serve --mutable 1` additionally accepts FOLLOW/UNFOLLOW/RELABEL frames
 // as well: each applied batch materializes a new graph generation,
 // rebinds the engine and bumps the graph epoch; with a landmark index
-// loaded, a background LandmarkRepairer lazily refreshes stale landmark
-// lists (--repair touched|all). `mutate` sends one mutation record to a
-// mutable server and prints the applied/rejected counts and the resulting
-// graph epoch.
+// loaded, every applied batch marks every landmark list stale and a
+// background LandmarkRepairer lazily refreshes them. `mutate` sends one
+// mutation record to a mutable server and prints the applied/rejected
+// counts and the resulting graph epoch.
 
 #include <atomic>
 #include <chrono>
@@ -863,18 +862,9 @@ int CmdServe(const Args& args) {
     applier = std::make_unique<service::MutationApplier>(
         rep.graph, *rep.authority, *rep.engine, mcfg);
     if (rep.landmarks != nullptr) {
-      std::string repair_mode = args.Get("repair", "touched");
-      if (repair_mode != "touched" && repair_mode != "all") {
-        std::fprintf(stderr, "unknown --repair mode '%s' (touched|all)\n",
-                     repair_mode.c_str());
-        return 2;
-      }
-      service::RepairConfig rcfg;
-      rcfg.mode = repair_mode == "all" ? service::RepairConfig::Mode::kAll
-                                       : service::RepairConfig::Mode::kTouched;
       repairer = std::make_unique<service::LandmarkRepairer>(
           *rep.landmarks, *rep.engine, sim, applier->current_graph(),
-          applier->current_authority(), rcfg);
+          applier->current_authority());
       applier->SetRepairer(repairer.get());
       rep.engine->SetStaleProbe(repairer->MakeStaleProbe());
       repairer->Start();
@@ -918,11 +908,8 @@ int CmdServe(const Args& args) {
   }
   if (mutable_serving) {
     std::printf("mutations: enabled (%s)\n",
-                repairer != nullptr
-                    ? (args.Get("repair", "touched") == "all"
-                           ? "landmark repair: all"
-                           : "landmark repair: touched")
-                    : "no landmark index, repair off");
+                repairer != nullptr ? "landmark repair on"
+                                    : "no landmark index, repair off");
   }
   std::printf("listening on %s:%u\n", scfg.host.c_str(), server.port());
   std::fflush(stdout);
@@ -1145,7 +1132,7 @@ const std::vector<Command>& Commands() {
       {"serve", CmdServe,
        {"graph", "vocab", "index", "host", "port", "threads", "cache",
         "max-inflight", "max-connections", "deadline-ms", "drain-ms",
-        "stats-interval-s", "mutable", "repair", "authority-refresh",
+        "stats-interval-s", "mutable", "authority-refresh",
         "plan", "shard", "degrade", "p99-target-us", "stale-epochs"}},
       {"shard-plan", CmdShardPlan,
        {"graph", "vocab", "shards", "strategy", "halo-depth", "endpoints",
