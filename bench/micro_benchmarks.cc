@@ -8,7 +8,8 @@
 //                          FAILS (exit 1) if a warm query heap-allocates —
 //                          the zero-allocation CI gate (tools/check.sh).
 //   --hotpath_json=PATH    measures the zero-allocation hot paths (exact
-//                          exploration + landmark approximation) and
+//                          exploration, all-topic exploration + landmark
+//                          approximation) and
 //                          writes ns/query, allocations/query and frontier
 //                          widths as JSON (checked in as
 //                          BENCH_hotpath.json), then exits.
@@ -289,38 +290,18 @@ std::vector<graph::NodeId> SourceCycle(uint32_t num_nodes, int cycle,
   return sources;
 }
 
-HotpathResult MeasureExactHotpath(const datagen::GeneratedDataset& ds,
-                                  int cycle, int passes) {
-  core::AuthorityIndex auth(ds.graph);
-  core::ScoreParams params;
-  util::QueryArena arena;
-  core::Scorer scorer(ds.graph, auth, topics::TwitterSimilarity(), params,
-                      &arena);
-  util::TopK topk(10);
-  std::vector<util::ScoredId> ranked;
-  std::vector<graph::NodeId> sources = SourceCycle(ds.graph.num_nodes(), cycle, 1);
-
-  uint64_t frontier = 0;
-  auto run = [&](graph::NodeId u) {
-    const core::ExplorationResult& res =
-        scorer.Explore(u, topics::TopicSet::Single(0));
-    topk.Reset(10);
-    for (graph::NodeId v : res.reached()) {
-      if (v == u) continue;
-      double s = res.Sigma(v, 0);
-      if (s > 0.0) topk.Offer(v, s);
-    }
-    topk.TakeInto(&ranked);
-    frontier += res.reached().size();
-    benchmark::DoNotOptimize(ranked.data());
-  };
-
+// Runs `run` (which returns the nodes one query reached) over `sources`
+// once to bring every buffer to its high-water mark, then `passes` more
+// times under the timer and the allocation counter.
+template <typename Fn>
+HotpathResult TimeWarmPasses(const std::vector<graph::NodeId>& sources,
+                             int passes, Fn&& run) {
   for (graph::NodeId u : sources) run(u);  // warmup pass
-  frontier = 0;
+  uint64_t frontier = 0;
   const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
   util::WallTimer timer;
   for (int p = 0; p < passes; ++p) {
-    for (graph::NodeId u : sources) run(u);
+    for (graph::NodeId u : sources) frontier += run(u);
   }
   const double seconds = timer.ElapsedSeconds();
   const uint64_t allocs =
@@ -334,6 +315,60 @@ HotpathResult MeasureExactHotpath(const datagen::GeneratedDataset& ds,
   r.mean_frontier =
       static_cast<double>(frontier) / static_cast<double>(r.queries);
   return r;
+}
+
+HotpathResult MeasureExactHotpath(const datagen::GeneratedDataset& ds,
+                                  int cycle, int passes) {
+  core::AuthorityIndex auth(ds.graph);
+  core::ScoreParams params;
+  util::QueryArena arena;
+  core::Scorer scorer(ds.graph, auth, topics::TwitterSimilarity(), params,
+                      &arena);
+  util::TopK topk(10);
+  std::vector<util::ScoredId> ranked;
+  std::vector<graph::NodeId> sources = SourceCycle(ds.graph.num_nodes(), cycle, 1);
+
+  return TimeWarmPasses(sources, passes, [&](graph::NodeId u) {
+    const core::ExplorationResult& res =
+        scorer.Explore(u, topics::TopicSet::Single(0));
+    topk.Reset(10);
+    for (graph::NodeId v : res.reached()) {
+      if (v == u) continue;
+      double s = res.Sigma(v, 0);
+      if (s > 0.0) topk.Offer(v, s);
+    }
+    topk.TakeInto(&ranked);
+    benchmark::DoNotOptimize(ranked.data());
+    return res.reached().size();
+  });
+}
+
+// All-topic Explore — Algorithm 1 as landmark pre-processing and every
+// repair run it (the multi-topic row step). Reads every reached node's σ
+// row so the exploration cannot be elided.
+HotpathResult MeasureAllTopicHotpath(const datagen::GeneratedDataset& ds,
+                                     int cycle, int passes) {
+  core::AuthorityIndex auth(ds.graph);
+  core::ScoreParams params;
+  util::QueryArena arena;
+  core::Scorer scorer(ds.graph, auth, topics::TwitterSimilarity(), params,
+                      &arena);
+  topics::TopicSet all;
+  for (int t = 0; t < ds.graph.num_topics(); ++t) {
+    all.Add(static_cast<topics::TopicId>(t));
+  }
+  std::vector<graph::NodeId> sources =
+      SourceCycle(ds.graph.num_nodes(), cycle, 2);
+
+  return TimeWarmPasses(sources, passes, [&](graph::NodeId u) {
+    const core::ExplorationResult& res = scorer.Explore(u, all);
+    double mass = 0.0;
+    for (graph::NodeId v : res.reached()) {
+      for (topics::TopicId t : all) mass += res.Sigma(v, t);
+    }
+    benchmark::DoNotOptimize(mass);
+    return res.reached().size();
+  });
 }
 
 HotpathResult MeasureApproxHotpath(const datagen::GeneratedDataset& ds,
@@ -357,8 +392,7 @@ HotpathResult MeasureApproxHotpath(const datagen::GeneratedDataset& ds,
   std::vector<util::ScoredId> ranked;
   std::vector<graph::NodeId> sources = SourceCycle(ds.graph.num_nodes(), cycle, 1);
 
-  uint64_t frontier = 0;
-  auto run = [&](graph::NodeId u) {
+  return TimeWarmPasses(sources, passes, [&](graph::NodeId u) {
     landmark::QueryStats qs;
     const util::FlatMap<graph::NodeId, double>& scores =
         approx.ScoresFlat(u, 0, &qs);
@@ -367,29 +401,9 @@ HotpathResult MeasureApproxHotpath(const datagen::GeneratedDataset& ds,
       if (s > 0.0) topk.Offer(v, s);
     }
     topk.TakeInto(&ranked);
-    frontier += qs.nodes_reached;
     benchmark::DoNotOptimize(ranked.data());
-  };
-
-  for (graph::NodeId u : sources) run(u);  // warmup pass
-  frontier = 0;
-  const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  util::WallTimer timer;
-  for (int p = 0; p < passes; ++p) {
-    for (graph::NodeId u : sources) run(u);
-  }
-  const double seconds = timer.ElapsedSeconds();
-  const uint64_t allocs =
-      g_allocs.load(std::memory_order_relaxed) - allocs_before;
-
-  HotpathResult r;
-  r.queries = static_cast<uint64_t>(passes) * sources.size();
-  r.ns_per_query = seconds * 1e9 / static_cast<double>(r.queries);
-  r.allocs_per_query =
-      static_cast<double>(allocs) / static_cast<double>(r.queries);
-  r.mean_frontier =
-      static_cast<double>(frontier) / static_cast<double>(r.queries);
-  return r;
+    return static_cast<size_t>(qs.nodes_reached);
+  });
 }
 
 // Hot-path probes are also visible as plain benchmarks, so before/after
@@ -478,21 +492,30 @@ void PrintHotpathResult(const char* name, const HotpathResult& r) {
 }
 
 // --smoke: the CI gate. Small graph, few passes; fails if a warm query on
-// either hot path allocates.
+// any hot path allocates.
 int RunSmoke() {
   datagen::TwitterConfig c;
   c.num_nodes = 1000;
   auto ds = datagen::GenerateTwitter(c);
   HotpathResult exact = MeasureExactHotpath(ds, /*cycle=*/8, /*passes=*/2);
+  HotpathResult all_topic =
+      MeasureAllTopicHotpath(ds, /*cycle=*/4, /*passes=*/2);
   HotpathResult approx =
       MeasureApproxHotpath(ds, /*num_landmarks=*/10, /*cycle=*/8, /*passes=*/2);
   PrintHotpathResult("exact_explore(1000)", exact);
+  PrintHotpathResult("all_topic_explore(1000)", all_topic);
   PrintHotpathResult("landmark_approx(1000,10)", approx);
   int failures = 0;
   if (exact.allocs_per_query != 0.0) {
     std::fprintf(stderr,
                  "FAIL: exact hot path allocated (%.2f allocs/query)\n",
                  exact.allocs_per_query);
+    ++failures;
+  }
+  if (all_topic.allocs_per_query != 0.0) {
+    std::fprintf(stderr,
+                 "FAIL: all-topic explore allocated (%.2f allocs/query)\n",
+                 all_topic.allocs_per_query);
     ++failures;
   }
   if (approx.allocs_per_query != 0.0) {
@@ -529,6 +552,12 @@ int RunHotpathReport(const std::string& path) {
     std::snprintf(name, sizeof(name), "exact_explore(%u)", n);
     PrintHotpathResult(name, r);
     AppendHotpathJson(&json, "exact_explore", "num_nodes", n, r, false);
+  }
+  {
+    HotpathResult r =
+        MeasureAllTopicHotpath(Dataset(8000), /*cycle=*/16, /*passes=*/2);
+    PrintHotpathResult("all_topic_explore(8000)", r);
+    AppendHotpathJson(&json, "all_topic_explore", "num_nodes", 8000, r, false);
   }
   const uint32_t landmark_counts[] = {20, 100};
   for (size_t i = 0; i < 2; ++i) {

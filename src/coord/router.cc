@@ -166,10 +166,12 @@ util::Status Router::Forward(const net::Request& req, uint32_t home,
   }
   auto replies = CallShard(
       home, [&](net::Client& c) -> util::Result<std::vector<net::ResultReply>> {
+        // The wire deadline also bounds the transport, so a shard that
+        // never answers cannot hold the client past its own deadline.
         if (req.kind == net::MessageKind::kRecommendBatch) {
-          return c.RecommendBatchEx(queries);
+          return c.RecommendBatchEx(queries, deadline_ms);
         }
-        auto one = c.RecommendEx(queries.front());
+        auto one = c.RecommendEx(queries.front(), deadline_ms);
         if (!one.ok()) return one.status();
         return std::vector<net::ResultReply>{std::move(*one)};
       });

@@ -29,10 +29,11 @@
 // tier serves read-only.
 //
 // Shard connections: a net::ClientPool per router, dialed from the plan's
-// endpoints with shard_timeout_ms as the request timeout. It keeps at
-// most ClientPool::kMaxIdle idle connections per shard; a connection
-// whose RPC failed is dropped, and the next RPC dials once, so a shard
-// that is still down costs one refused connect and degrades as above.
+// endpoints; each RPC's transport timeout is its ShardDeadlineMs budget.
+// It keeps at most ClientPool::kMaxIdle idle connections per shard; a
+// connection whose RPC failed is dropped, and the next RPC dials once, so
+// a shard that is still down costs one refused connect and degrades as
+// above.
 //
 // Front end: the router is a net::Server handler, so client connections
 // get the same epoll loop, framing and checks as a shard or single-node
@@ -64,10 +65,10 @@ struct RouterConfig {
   uint16_t port = 0;  // 0 = ephemeral (see Router::port())
   // Client connections; also the admission bound and dispatcher count.
   uint32_t max_connections = 64;
-  // Per-shard round-trip budget. The wire deadline sent to a shard is
-  // min(what is left of the client deadline, shard_timeout_ms); the
-  // transport backstop is shard_timeout_ms so a hung shard can never hang
-  // the client.
+  // Per-shard round-trip budget. Each shard RPC is bounded by
+  // min(what is left of the client deadline, shard_timeout_ms), both as
+  // the deadline sent on the wire and as the transport timeout, so a hung
+  // shard can never hold a client past its deadline or this backstop.
   uint32_t shard_timeout_ms = 2000;
   // true (default): a lost home shard (down / shed / timed out) degrades
   // its queries to partial replies. false: it becomes an ERROR
@@ -127,9 +128,10 @@ class Router : private net::Handler {
   template <typename Fn>
   auto CallShard(uint32_t shard, Fn&& fn)
       -> decltype(fn(std::declval<net::Client&>()));
-  // The wire deadline of a shard RPC for `req`: what is left of the
-  // client's deadline (req.deadline, at least 1 ms), capped by
-  // shard_timeout_ms; 0 only if both are unset.
+  // The budget of a shard RPC for `req`, sent as its wire deadline and
+  // used as its transport timeout: what is left of the client's deadline
+  // (req.deadline, at least 1 ms), capped by shard_timeout_ms; 0 only if
+  // both are unset.
   uint32_t ShardDeadlineMs(const net::Request& req) const;
   // Is this shard-RPC failure an infrastructure loss (down / shed /
   // conn-loss / the shard_timeout_ms backstop) — degrade to partial

@@ -69,29 +69,101 @@ inline double RowMaxSim(const double* srow, topics::TopicSet labels) {
 
 // Compile-time weight policies, one per ScoreVariant. Each reproduces
 // EdgeTopicWeight's arithmetic bit-for-bit (`ab` is β·α multiplied in the
-// same order; `srow` is the query topic's similarity row, `arow` the
-// target node's authority row), but is inlined into the edge loop with no
-// per-edge switch and no per-topic row recomputation.
+// same order), but is inlined into the edge loop with no per-edge switch.
+//   Weight: one (edge, topic) weight of a single-topic query; `srow` is
+//     the query topic's similarity column, `arow` the target's authority
+//     row.
+//   Accumulate: a multi-topic query's whole σ row for one edge,
+//     nsig[qi] += β·δσ(u)[qi] + δ_αβ(u) · ω(qi), from the edge's max-sim
+//     row `ms` and the target's authority row `arow` over the query
+//     topics (each read only if the variant uses it).
 struct FullWeight {  // Tr: edge similarity x authority
+  static constexpr bool kUsesSim = true;
+  static constexpr bool kUsesAuth = true;
   static double Weight(const double* srow, const double* arow, double ab,
                        topics::TopicSet labels, topics::TopicId t) {
     return ab * RowMaxSim(srow, labels) * arow[t];
   }
+  [[gnu::always_inline]] static void Accumulate(
+      double* __restrict nsig, const double* __restrict bdsig, double dab,
+      double ab, const double* __restrict ms, const double* __restrict arow,
+      size_t qn) {
+    for (size_t qi = 0; qi < qn; ++qi) {
+      nsig[qi] += bdsig[qi] + dab * (ab * ms[qi] * arow[qi]);
+    }
+  }
 };
 
 struct NoAuthWeight {  // Tr−auth: edge similarity only
+  static constexpr bool kUsesSim = true;
+  static constexpr bool kUsesAuth = false;
   static double Weight(const double* srow, const double* /*arow*/, double ab,
                        topics::TopicSet labels, topics::TopicId /*t*/) {
     return ab * RowMaxSim(srow, labels);
   }
+  [[gnu::always_inline]] static void Accumulate(
+      double* __restrict nsig, const double* __restrict bdsig, double dab,
+      double ab, const double* __restrict ms, const double* /*arow*/,
+      size_t qn) {
+    for (size_t qi = 0; qi < qn; ++qi) {
+      nsig[qi] += bdsig[qi] + dab * (ab * ms[qi]);
+    }
+  }
 };
 
 struct NoSimWeight {  // Tr−sim: authority only (similarity term = 1)
+  static constexpr bool kUsesSim = false;
+  static constexpr bool kUsesAuth = true;
   static double Weight(const double* /*srow*/, const double* arow, double ab,
                        topics::TopicSet /*labels*/, topics::TopicId t) {
     return ab * arow[t];
   }
+  [[gnu::always_inline]] static void Accumulate(
+      double* __restrict nsig, const double* __restrict bdsig, double dab,
+      double ab, const double* /*ms*/, const double* __restrict arow,
+      size_t qn) {
+    for (size_t qi = 0; qi < qn; ++qi) {
+      nsig[qi] += bdsig[qi] + dab * (ab * arow[qi]);
+    }
+  }
 };
+
+// The edge's max-sim row over the query topics: the zero row for an
+// unlabeled edge, its one label's row, or the element-wise max over its
+// labels (written to msrow). simt rows are clamped below at 0, so this
+// equals RowMaxSim's max-from-0 for every topic bit-for-bit.
+[[gnu::always_inline]] inline const double* MaxSimRow(
+    const double* simt, int nt, size_t qn, double* msrow,
+    topics::TopicSet labels) {
+  uint64_t bits = labels.bits();
+  if (bits == 0) return simt + static_cast<size_t>(nt) * qn;
+  const double* first =
+      simt + static_cast<size_t>(__builtin_ctzll(bits)) * qn;
+  bits &= bits - 1;
+  if (bits == 0) return first;
+  for (size_t qi = 0; qi < qn; ++qi) msrow[qi] = first[qi];
+  do {
+    const double* row = simt + static_cast<size_t>(__builtin_ctzll(bits)) * qn;
+    for (size_t qi = 0; qi < qn; ++qi) {
+      if (row[qi] > msrow[qi]) msrow[qi] = row[qi];
+    }
+    bits &= bits - 1;
+  } while (bits != 0);
+  return msrow;
+}
+
+// The multi-topic step is compiled for AVX2 and for the baseline ISA; the
+// loader picks the clone for the running CPU. mbr_core builds with
+// -ffp-contract=off, so no clone fuses a multiply-add and every clone
+// computes the same bits. TSan builds get the baseline step only: the
+// clone resolver runs during relocation, before the TSan runtime is up,
+// and crashes the process.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
+#define MBR_SIMD_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define MBR_SIMD_CLONES
+#endif
 
 }  // namespace
 
@@ -163,9 +235,11 @@ void Scorer::EnsureScratch(size_t qn) const {
   next_buf_ = arena_->AllocSpan<graph::NodeId>(n);
   new_buf_ = arena_->AllocSpan<graph::NodeId>(n);
   qt_ = arena_->AllocSpan<topics::TopicId>(topics::kMaxTopics);
-  wrow_ = arena_->AllocSpan<double>(topics::kMaxTopics);
-  srow_ = arena_->AllocSpan<double>(static_cast<size_t>(topics::kMaxTopics) *
-                                    topics::kMaxTopics);
+  simt_ = arena_->AllocSpan<double>(
+      static_cast<size_t>(topics::kMaxTopics + 1) * topics::kMaxTopics);
+  bdsig_ = arena_->AllocSpan<double>(topics::kMaxTopics);
+  msrow_ = arena_->AllocSpan<double>(topics::kMaxTopics);
+  garow_ = arena_->AllocSpan<double>(topics::kMaxTopics);
 
   // Establish the all-zero invariant once; queries restore the entries
   // they touch, so this O(n) fill never reruns in steady state.
@@ -196,14 +270,17 @@ const ExplorationResult& Scorer::Explore(graph::NodeId source,
     MBR_CHECK(t < nt);
     qt_[qn++] = t;
   }
-  // Similarity rows for the query topics (qn x nt doubles — negligible next
-  // to the exploration itself).
-  for (size_t qi = 0; qi < qn; ++qi) {
-    double* row = srow_.data() + qi * static_cast<size_t>(nt);
-    for (int x = 0; x < nt; ++x) {
-      row[x] = sim_.Sim(static_cast<topics::TopicId>(x), qt_[qi]);
+  // Transposed similarity table for the query topics ((nt + 1) x qn
+  // doubles — negligible next to the exploration itself). Clamping at 0
+  // changes no max-from-0, so a single label's row is its max-sim row.
+  for (int x = 0; x < nt; ++x) {
+    double* row = simt_.data() + static_cast<size_t>(x) * qn;
+    for (size_t qi = 0; qi < qn; ++qi) {
+      const double sim = sim_.Sim(static_cast<topics::TopicId>(x), qt_[qi]);
+      row[qi] = sim > 0.0 ? sim : 0.0;
     }
   }
+  std::fill_n(simt_.data() + static_cast<size_t>(nt) * qn, qn, 0.0);
 
   switch (params_.variant) {
     case ScoreVariant::kFull:
@@ -217,11 +294,74 @@ const ExplorationResult& Scorer::Explore(graph::NodeId source,
   __builtin_unreachable();
 }
 
+// When the query covers the whole vocabulary (qn == nt: TopicSet iterates
+// ascending, so qt is the identity) the target's authority row is read in
+// place; otherwise its query-topic entries are gathered into garow first.
+template <typename WeightPolicy>
+MBR_SIMD_CLONES size_t Scorer::MultiTopicStep(
+    const graph::NodeId* frontier, size_t frontier_n, size_t qn,
+    graph::NodeId* next_frontier) const {
+  const graph::LabeledGraph& g = *g_;
+  const AuthorityIndex& authority = *authority_;
+  const int nt = g.num_topics();
+  const double beta = params_.beta;
+  const double alphabeta = params_.alpha * params_.beta;
+  const double ab = params_.beta * params_.alpha;  // EdgeTopicWeight's order
+  const bool in_place = qn == static_cast<size_t>(nt);
+  const double* const delta_b = delta_b_.data();
+  const double* const delta_ab = delta_ab_.data();
+  const double* const delta_sigma = delta_sigma_.data();
+  double* const next_b = next_b_.data();
+  double* const next_ab = next_ab_.data();
+  double* const next_sigma = next_sigma_.data();
+  uint8_t* const in_next = in_next_.data();
+  const topics::TopicId* const qt = qt_.data();
+  const double* const simt = simt_.data();
+  double* const bdsig = bdsig_.data();
+  double* const msrow = msrow_.data();
+  double* const garow = garow_.data();
+
+  size_t next_n = 0;
+  for (size_t fi = 0; fi < frontier_n; ++fi) {
+    const graph::NodeId u = frontier[fi];
+    const double db = delta_b[u];
+    const double dab = delta_ab[u];
+    const double* dsig = delta_sigma + static_cast<size_t>(u) * qn;
+    for (size_t qi = 0; qi < qn; ++qi) bdsig[qi] = beta * dsig[qi];
+
+    auto nbrs = g.OutNeighbors(u);
+    auto labs = g.OutEdgeLabels(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      const graph::NodeId v = nbrs[i];
+      if (!in_next[v]) {
+        in_next[v] = 1;
+        next_frontier[next_n++] = v;
+      }
+      next_b[v] += beta * db;
+      next_ab[v] += alphabeta * dab;
+      const double* ms = nullptr;
+      if constexpr (WeightPolicy::kUsesSim) {
+        ms = MaxSimRow(simt, nt, qn, msrow, labs[i]);
+      }
+      const double* arow = nullptr;
+      if constexpr (WeightPolicy::kUsesAuth) {
+        arow = authority.AuthorityRow(v);
+        if (!in_place) {
+          for (size_t qi = 0; qi < qn; ++qi) garow[qi] = arow[qt[qi]];
+          arow = garow;
+        }
+      }
+      WeightPolicy::Accumulate(next_sigma + static_cast<size_t>(v) * qn,
+                               bdsig, dab, ab, ms, arow, qn);
+    }
+  }
+  return next_n;
+}
+
 template <typename WeightPolicy>
 const ExplorationResult& Scorer::ExploreImpl(
     graph::NodeId source, size_t qn, const std::vector<bool>* pruned) const {
   const ScorerMetrics& metrics = ScorerMetrics::Get();
-  const int nt = g_->num_topics();
   const double beta = params_.beta;
   const double alphabeta = params_.alpha * params_.beta;
   // EdgeTopicWeight multiplies β·α in this order; keep it so the policy
@@ -229,7 +369,7 @@ const ExplorationResult& Scorer::ExploreImpl(
   const double ab = params_.beta * params_.alpha;
 
   ExplorationResult& result = result_;
-  result.Reset(g_->num_nodes(), nt);
+  result.Reset(g_->num_nodes(), qt_.data(), qn);
 
   double* const delta_b = delta_b_.data();
   double* const delta_ab = delta_ab_.data();
@@ -239,9 +379,7 @@ const ExplorationResult& Scorer::ExploreImpl(
   double* const next_sigma = next_sigma_.data();
   uint8_t* const in_next = in_next_.data();
   const topics::TopicId* const qt = qt_.data();
-  double* const wrow = wrow_.data();
-  const double* const srow = srow_.data();
-  const size_t nts = static_cast<size_t>(nt);
+  const double* const simt = simt_.data();
 
   graph::NodeId* frontier = frontier_buf_.data();
   graph::NodeId* next_frontier = next_buf_.data();
@@ -281,43 +419,13 @@ const ExplorationResult& Scorer::ExploreImpl(
           next_b[v] += beta * db;
           next_ab[v] += alphabeta * dab;
           const double w = WeightPolicy::Weight(
-              srow, authority_->AuthorityRow(v), ab, labs[i], t0);
+              simt, authority_->AuthorityRow(v), ab, labs[i], t0);
           next_sigma[v] += beta * dsig0 + dab * w;
         }
       }
     } else {
-      for (size_t fi = 0; fi < frontier_n; ++fi) {
-        const graph::NodeId u = frontier[fi];
-        const double db = delta_b[u];
-        const double dab = delta_ab[u];
-        const double* dsig = delta_sigma + static_cast<size_t>(u) * qn;
-
-        auto nbrs = g_->OutNeighbors(u);
-        auto labs = g_->OutEdgeLabels(u);
-        for (size_t i = 0; i < nbrs.size(); ++i) {
-          const graph::NodeId v = nbrs[i];
-          if (!in_next[v]) {
-            in_next[v] = 1;
-            next_frontier[next_n++] = v;
-          }
-          next_b[v] += beta * db;
-          next_ab[v] += alphabeta * dab;
-          // Batched sigma kernel: materialise the per-edge weight row,
-          // then accumulate the packed per-topic rows — two flat loops the
-          // compiler can vectorise, in place of a per-(edge, topic)
-          // switch.
-          const topics::TopicSet elab = labs[i];
-          const double* const arow = authority_->AuthorityRow(v);
-          for (size_t qi = 0; qi < qn; ++qi) {
-            wrow[qi] =
-                WeightPolicy::Weight(srow + qi * nts, arow, ab, elab, qt[qi]);
-          }
-          double* nsig = next_sigma + static_cast<size_t>(v) * qn;
-          for (size_t qi = 0; qi < qn; ++qi) {
-            nsig[qi] += beta * dsig[qi] + dab * wrow[qi];
-          }
-        }
-      }
+      next_n = MultiTopicStep<WeightPolicy>(frontier, frontier_n, qn,
+                                            next_frontier);
     }
 
     // Clear the consumed deltas.
@@ -338,11 +446,11 @@ const ExplorationResult& Scorer::ExploreImpl(
       uint32_t slot = result.SlotFor(v);
       result.topo_beta_[slot] += next_b[v];
       result.topo_alphabeta_[slot] += next_ab[v];
-      double* rsig = &result.sigma_[static_cast<size_t>(slot) * nt];
+      double* rsig = result.sigma_.data() + static_cast<size_t>(slot) * qn;
       double* nsig = next_sigma + static_cast<size_t>(v) * qn;
       double node_mass = 0.0;
       for (size_t qi = 0; qi < qn; ++qi) {
-        rsig[qt[qi]] += nsig[qi];
+        rsig[qi] += nsig[qi];
         node_mass += nsig[qi];
       }
       added_mass += node_mass;

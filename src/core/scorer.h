@@ -26,10 +26,13 @@
 // triple-buffer, per-node delta rows, packed per-topic sigma rows — lives
 // in typed spans carved from a util::QueryArena, and the scorer variant
 // (Tr / Tr−auth / Tr−sim) is a compile-time weight policy, so the inner
-// edge loop carries no switch and the per-topic accumulation is a flat
-// autovectorizable kernel. In steady state Explore() performs zero heap
-// allocations and returns a reference to a reused ExplorationResult.
+// edge loop carries no switch. A multi-topic query accumulates whole
+// rows per edge (one max-sim row, one authority row) in a vectorised
+// step; every σ stays bit-for-bit the per-(edge, topic) arithmetic above.
+// In steady state Explore() performs zero heap allocations and returns a
+// reference to a reused ExplorationResult.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -46,22 +49,25 @@
 namespace mbr::core {
 
 // Scores of every node reached from the source. Node u's scores live at
-// index `slot[u]`; nodes not reached have slot kNoSlot.
+// index `slot[u]`; nodes not reached have slot kNoSlot. σ is stored only
+// for the query's topics: row `slot` holds one column per query topic,
+// in ascending topic order, and a topic→column map finds a topic's
+// column (DESIGN.md §6.6).
 class ExplorationResult {
  public:
   static constexpr uint32_t kNoSlot = 0xffffffff;
 
-  ExplorationResult() = default;
-  ExplorationResult(graph::NodeId num_nodes, int num_topics)
-      : num_topics_(num_topics), slot_(num_nodes, kNoSlot) {}
+  ExplorationResult() { column_.fill(kNoColumn); }
 
   bool Reached(graph::NodeId v) const { return slot_[v] != kNoSlot; }
 
-  // σ(source, v, t); 0 if unreached.
+  // σ(source, v, t); 0 if unreached or if t was not a query topic.
   double Sigma(graph::NodeId v, topics::TopicId t) const {
-    uint32_t s = slot_[v];
-    if (s == kNoSlot) return 0.0;
-    return sigma_[static_cast<size_t>(s) * num_topics_ + t];
+    MBR_DCHECK(t < topics::kMaxTopics);
+    const uint32_t s = slot_[v];
+    const uint8_t c = column_[t];
+    if (s == kNoSlot || c == kNoColumn) return 0.0;
+    return sigma_[static_cast<size_t>(s) * num_columns_ + c];
   }
   // topo_β(source, v); 0 if unreached.
   double TopoBeta(graph::NodeId v) const {
@@ -79,16 +85,18 @@ class ExplorationResult {
   // lies on a cycle).
   const std::vector<graph::NodeId>& reached() const { return reached_; }
 
-  int num_topics() const { return num_topics_; }
   uint32_t iterations_run() const { return iterations_run_; }
   bool converged() const { return converged_; }
 
  private:
   friend class Scorer;
 
-  // Restores the empty state in O(|previously reached|), keeping every
-  // buffer's capacity: after warmup a reused result never allocates.
-  void Reset(graph::NodeId num_nodes, int num_topics) {
+  static constexpr uint8_t kNoColumn = 0xff;
+
+  // Restores the empty state for a query over the topics qt[0..qn), in
+  // O(|previously reached|), keeping every buffer's capacity: after warmup
+  // a reused result never allocates.
+  void Reset(graph::NodeId num_nodes, const topics::TopicId* qt, size_t qn) {
     if (slot_.size() != num_nodes) {
       slot_.assign(num_nodes, kNoSlot);
     } else {
@@ -98,7 +106,11 @@ class ExplorationResult {
     sigma_.clear();
     topo_beta_.clear();
     topo_alphabeta_.clear();
-    num_topics_ = num_topics;
+    column_.fill(kNoColumn);
+    for (size_t qi = 0; qi < qn; ++qi) {
+      column_[qt[qi]] = static_cast<uint8_t>(qi);
+    }
+    num_columns_ = qn;
     iterations_run_ = 0;
     converged_ = false;
   }
@@ -107,17 +119,18 @@ class ExplorationResult {
     if (slot_[v] == kNoSlot) {
       slot_[v] = static_cast<uint32_t>(reached_.size());
       reached_.push_back(v);
-      sigma_.resize(sigma_.size() + num_topics_, 0.0);
+      sigma_.resize(sigma_.size() + num_columns_, 0.0);
       topo_beta_.push_back(0.0);
       topo_alphabeta_.push_back(0.0);
     }
     return slot_[v];
   }
 
-  int num_topics_ = 0;
+  std::array<uint8_t, topics::kMaxTopics> column_;  // topic -> σ column
+  size_t num_columns_ = 0;                          // |query topics|
   std::vector<uint32_t> slot_;
   std::vector<graph::NodeId> reached_;
-  std::vector<double> sigma_;  // reached x num_topics
+  std::vector<double> sigma_;  // reached x num_columns_
   std::vector<double> topo_beta_;
   std::vector<double> topo_alphabeta_;
   uint32_t iterations_run_ = 0;
@@ -181,6 +194,14 @@ class Scorer {
   const ExplorationResult& ExploreImpl(graph::NodeId source, size_t qn,
                                        const std::vector<bool>* pruned) const;
 
+  // The multi-topic step of ExploreImpl (DESIGN.md §6.6): extends every
+  // walk ending at frontier[0..frontier_n) by one edge, accumulating whole
+  // σ rows of qn query topics per edge. Writes the distinct targets to
+  // next_frontier in first-reached order and returns their count.
+  template <typename WeightPolicy>
+  size_t MultiTopicStep(const graph::NodeId* frontier, size_t frontier_n,
+                        size_t qn, graph::NodeId* next_frontier) const;
+
   // (Re)carves the arena-backed scratch spans when the needed capacity
   // grows (first query, or a wider topic set than ever seen). All spans
   // are zero-filled afterwards; between queries every touched entry is
@@ -205,14 +226,17 @@ class Scorer {
   // Frontier triple-buffer: current, next (deduped), and surviving-after-
   // pruning; each holds at most n node ids.
   mutable std::span<graph::NodeId> frontier_buf_, next_buf_, new_buf_;
-  // Dense query-topic list and the per-edge weight row of the batched
-  // sigma kernel (both kMaxTopics wide).
+  // Dense query-topic list (kMaxTopics wide).
   mutable std::span<topics::TopicId> qt_;
-  mutable std::span<double> wrow_;
-  // Per-query similarity rows: srow_[qi * num_topics + x] = Sim(x, qt[qi]).
-  // Turns MaxSim's per-label triangular-index math into a flat load inside
-  // the edge loop (kMaxTopics^2 doubles, filled per Explore).
-  mutable std::span<double> srow_;
+  // Transposed similarity table, filled per Explore: simt_[x * qn + qi] =
+  // Sim(x, qt[qi]) clamped below at 0, plus an all-zero row x = nt for
+  // unlabeled edges. An edge's max-sim row is one label's row, or the
+  // element-wise max over its labels ((kMaxTopics + 1) x kMaxTopics).
+  mutable std::span<double> simt_;
+  // Rows of the multi-topic step, each kMaxTopics wide: β·δσ(u) hoisted
+  // per frontier node, a multi-label edge's max-sim row, and a gathered
+  // authority row when the query topics are not the whole vocabulary.
+  mutable std::span<double> bdsig_, msrow_, garow_;
   mutable size_t scratch_nodes_ = 0;  // 0 = scratch not yet carved
   mutable size_t scratch_qn_ = 0;
 

@@ -153,11 +153,13 @@ Client& Client::operator=(Client&& other) noexcept {
 }
 
 util::Result<Client::Reply> Client::RoundTrip(
-    MessageKind kind, std::span<const uint8_t> payload) {
+    MessageKind kind, std::span<const uint8_t> payload, uint32_t timeout_ms) {
   if (fd_ < 0) return util::Status::FailedPrecondition("client moved-from");
   const uint64_t request_id = next_request_id_++;
   const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.request_timeout_ms);
+      Clock::now() + std::chrono::milliseconds(
+                         timeout_ms != 0 ? timeout_ms
+                                         : config_.request_timeout_ms);
 
   std::vector<uint8_t> frame;
   AppendFrame(kind, request_id, payload, &frame);
@@ -219,8 +221,10 @@ util::Result<RankedList> Client::Recommend(const RecommendRequest& req) {
   return std::move(reply.value().entries);
 }
 
-util::Result<ResultReply> Client::RecommendEx(const RecommendRequest& req) {
-  auto reply = RoundTrip(MessageKind::kRecommend, EncodeRecommend(req));
+util::Result<ResultReply> Client::RecommendEx(const RecommendRequest& req,
+                                              uint32_t timeout_ms) {
+  auto reply =
+      RoundTrip(MessageKind::kRecommend, EncodeRecommend(req), timeout_ms);
   if (!reply.ok()) return reply.status();
   if (reply->header.kind != MessageKind::kResult) {
     return util::Status::Internal(
@@ -248,9 +252,9 @@ util::Result<std::vector<RankedList>> Client::RecommendBatch(
 }
 
 util::Result<std::vector<ResultReply>> Client::RecommendBatchEx(
-    const std::vector<RecommendRequest>& queries) {
-  auto reply =
-      RoundTrip(MessageKind::kRecommendBatch, EncodeRecommendBatch(queries));
+    const std::vector<RecommendRequest>& queries, uint32_t timeout_ms) {
+  auto reply = RoundTrip(MessageKind::kRecommendBatch,
+                         EncodeRecommendBatch(queries), timeout_ms);
   if (!reply.ok()) return reply.status();
   if (reply->header.kind != MessageKind::kResultBatch) {
     return util::Status::Internal(

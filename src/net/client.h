@@ -51,13 +51,16 @@ class Client {
   util::Result<RankedList> Recommend(const RecommendRequest& req);
   // Like Recommend, but also surfaces the graph epoch the ranking was
   // computed under, the tier that served it and the coordinator trailer.
-  util::Result<ResultReply> RecommendEx(const RecommendRequest& req);
+  // A nonzero `timeout_ms` bounds this round trip in place of
+  // request_timeout_ms (the router's per-call shard budget).
+  util::Result<ResultReply> RecommendEx(const RecommendRequest& req,
+                                        uint32_t timeout_ms = 0);
   // Order-preserving batched variant (one RECOMMEND_BATCH frame).
   util::Result<std::vector<RankedList>> RecommendBatch(
       const std::vector<RecommendRequest>& queries);
-  // Epoch-carrying batched variant.
+  // Epoch-carrying batched variant; `timeout_ms` as for RecommendEx.
   util::Result<std::vector<ResultReply>> RecommendBatchEx(
-      const std::vector<RecommendRequest>& queries);
+      const std::vector<RecommendRequest>& queries, uint32_t timeout_ms = 0);
   // One mutation batch (kind selects FOLLOW/UNFOLLOW/RELABEL).
   // The ack counts applied vs rejected records and carries the graph epoch
   // after the batch.
@@ -91,8 +94,11 @@ class Client {
 
   Client(int fd, const ClientConfig& config) : fd_(fd), config_(config) {}
 
+  // One request/reply exchange, bounded by `timeout_ms`, or by
+  // request_timeout_ms when it is 0.
   util::Result<Reply> RoundTrip(MessageKind kind,
-                                std::span<const uint8_t> payload);
+                                std::span<const uint8_t> payload,
+                                uint32_t timeout_ms = 0);
 
   int fd_ = -1;
   ClientConfig config_;

@@ -113,6 +113,8 @@ const char* WireErrorName(WireError e) {
       return "SHUTTING_DOWN";
     case WireError::kInternal:
       return "INTERNAL";
+    case WireError::kUnavailable:
+      return "UNAVAILABLE";
   }
   return "UNKNOWN";
 }
@@ -755,7 +757,7 @@ util::Status DecodeError(std::span<const uint8_t> payload,
   uint32_t code = 0;
   MBR_RETURN_IF_ERROR(r.ReadU32(&code));
   if (code < static_cast<uint32_t>(WireError::kInvalidArgument) ||
-      code > static_cast<uint32_t>(WireError::kInternal)) {
+      code > static_cast<uint32_t>(WireError::kUnavailable)) {
     out->code = WireError::kInternal;
   } else {
     out->code = static_cast<WireError>(code);
@@ -776,6 +778,7 @@ util::Status ErrorReplyToStatus(const ErrorReply& err) {
     case WireError::kDeadlineExceeded:
       return util::Status::DeadlineExceeded(std::move(msg));
     case WireError::kShuttingDown:
+    case WireError::kUnavailable:
       return util::Status::Unavailable(std::move(msg));
     case WireError::kInternal:
       return util::Status::Internal(std::move(msg));

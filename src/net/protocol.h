@@ -250,6 +250,7 @@ enum class WireError : uint32_t {
   kDeadlineExceeded = 5,
   kShuttingDown = 6,
   kInternal = 7,
+  kUnavailable = 8,  // a backend the server depends on is lost (router)
 };
 const char* WireErrorName(WireError e);
 

@@ -56,6 +56,8 @@ Reply MakeErrorReply(const util::Status& status) {
                             ? WireError::kDeadlineExceeded
                         : code == util::StatusCode::kInvalidArgument
                             ? WireError::kInvalidArgument
+                        : code == util::StatusCode::kUnavailable
+                            ? WireError::kUnavailable
                             : WireError::kInternal,
                         status.message());
 }

@@ -139,8 +139,8 @@ struct Reply {
   std::vector<uint8_t> payload;
 };
 Reply MakeErrorReply(WireError code, const std::string& message);
-// A failed status as ERROR: DEADLINE_EXCEEDED and INVALID_ARGUMENT keep
-// their code, anything else is INTERNAL.
+// A failed status as ERROR: DEADLINE_EXCEEDED, INVALID_ARGUMENT and
+// UNAVAILABLE keep their code, anything else is INTERNAL.
 Reply MakeErrorReply(const util::Status& status);
 // The answer to a RECOMMEND (RESULT, from `results`' one entry) or a
 // RECOMMEND_BATCH (RESULT_BATCH, in query order). The frame's coordinator

@@ -594,6 +594,13 @@ TEST(CoordPartialPolicyTest, SilentShardIsCutOffByTheTimeoutBackstop) {
       EXPECT_NE(lost.status().message().find("home shard 1 lost"),
                 std::string::npos)
           << context << ": " << lost.status().ToString();
+      // The wire code is UNAVAILABLE, not INTERNAL: a client can tell a
+      // lost shard from a router fault.
+      EXPECT_EQ(lost.status().code(), util::StatusCode::kUnavailable)
+          << context << ": " << lost.status().ToString();
+      EXPECT_EQ(lost.status().message().rfind("UNAVAILABLE from server", 0),
+                0u)
+          << context << ": " << lost.status().ToString();
       EXPECT_EQ(CounterValue(*stack->router, "mbr_coord_partial_total"),
                 partial_before)
           << context;
@@ -602,6 +609,39 @@ TEST(CoordPartialPolicyTest, SilentShardIsCutOffByTheTimeoutBackstop) {
     ExpectRoutedMatchesReference(*client, reference,
                                  Probe(UserOn(*stack, 0), 0, 10), context);
   }
+
+  // A client deadline shorter than the backstop bounds the shard round
+  // trip too: the silent shard costs the client its deadline_ms, not
+  // shard_timeout_ms, and the expiry is relayed as on one node.
+  constexpr uint32_t kLongBackstopMs = 600;
+  constexpr uint32_t kClientDeadlineMs = 100;
+  auto stack = MakeStack(/*shards=*/2, PartitionStrategy::kCommunity,
+                         /*landmark_mode=*/true, /*halo_depth=*/1);
+  ASSERT_NE(stack, nullptr);
+  SilentShard silent;
+  stack->router->RequestStop();
+  stack->router->Wait();
+  stack->plan.SetEndpoint(1, {"127.0.0.1", silent.port()});
+  RouterConfig rcfg;
+  rcfg.port = 0;
+  rcfg.shard_timeout_ms = kLongBackstopMs;
+  stack->router = std::make_unique<Router>(stack->plan, rcfg);
+  ASSERT_TRUE(stack->router->Start().ok());
+  auto client = Dial(*stack);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  net::RecommendRequest req = Probe(UserOn(*stack, 1), 0, 10);
+  req.deadline_ms = kClientDeadlineMs;
+  const auto start = std::chrono::steady_clock::now();
+  auto late = client->RecommendEx(req);
+  const auto waited_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_FALSE(late.ok()) << "a silent shard answered";
+  EXPECT_EQ(late.status().code(), util::StatusCode::kDeadlineExceeded)
+      << late.status().ToString();
+  EXPECT_GE(waited_ms, kClientDeadlineMs);
+  EXPECT_LT(waited_ms, 300);
 }
 
 TEST(CoordPartialPolicyTest, SurvivingShardAnswersInFull) {

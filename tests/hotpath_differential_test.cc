@@ -346,6 +346,185 @@ TEST(HotpathDifferentialTest, RepeatQueriesOnWarmScratchAreDeterministic) {
   expect_same(b, scorer.Explore(2, Ts({0, 3, 7})));
 }
 
+TopicSet AllOf(const LabeledGraph& g) {
+  TopicSet all;
+  for (int t = 0; t < g.num_topics(); ++t) all.Add(static_cast<TopicId>(t));
+  return all;
+}
+
+// A random proper subset of the vocabulary with 2..nt-1 topics.
+TopicSet PartialSet(const LabeledGraph& g, util::Rng& rng) {
+  const int nt = g.num_topics();
+  TopicSet set;
+  const int want = 2 + static_cast<int>(rng.UniformU64(nt - 2));
+  while (set.size() < want) {
+    set.Add(static_cast<TopicId>(rng.UniformU64(nt)));
+  }
+  return set;
+}
+
+// Σ(v, t) must read 0 for every topic the query did not ask for.
+void ExpectZeroOutside(const ExplorationResult& got, TopicSet q,
+                       const LabeledGraph& g, const char* ctx) {
+  for (NodeId v : got.reached()) {
+    for (int t = 0; t < g.num_topics(); ++t) {
+      if (q.Contains(static_cast<TopicId>(t))) continue;
+      ASSERT_EQ(0.0, got.Sigma(v, static_cast<TopicId>(t)))
+          << ctx << " v=" << v << " t=" << t;
+    }
+  }
+}
+
+// The multi-topic row step under every variant: all-topic and partial
+// query sets, several sources, on two generated graphs.
+TEST(HotpathDifferentialTest, MultiTopicRowsBitIdenticalUnderEveryVariant) {
+  const ScoreVariant variants[] = {ScoreVariant::kFull, ScoreVariant::kNoAuth,
+                                   ScoreVariant::kNoSim};
+  for (uint64_t seed : {5u, 31u}) {
+    auto ds = MakeDataset(seed == 5u ? 350u : 600u, seed);
+    AuthorityIndex auth(ds.graph);
+    util::Rng rng(seed + 100);
+    for (ScoreVariant variant : variants) {
+      ScoreParams params =
+          ParamsFor(variant, /*eps=*/0.0, /*tol=*/1e-12, /*depth=*/8);
+      Scorer scorer(ds.graph, auth, topics::TwitterSimilarity(), params);
+      for (int q = 0; q < 3; ++q) {
+        const NodeId u =
+            static_cast<NodeId>(rng.UniformU64(ds.graph.num_nodes()));
+        for (TopicSet set : {AllOf(ds.graph), PartialSet(ds.graph, rng)}) {
+          RefResult ref = RefExplore(ds.graph, auth,
+                                     topics::TwitterSimilarity(), params, u,
+                                     set);
+          const ExplorationResult& got = scorer.Explore(u, set);
+          ExpectBitIdentical(ref, got, ds.graph, "multi-topic rows");
+          ExpectZeroOutside(got, set, ds.graph, "multi-topic rows");
+        }
+      }
+    }
+  }
+}
+
+TEST(HotpathDifferentialTest, MultiTopicPruningAndEpsilonBitIdentical) {
+  auto ds = MakeDataset(500, 9);
+  AuthorityIndex auth(ds.graph);
+  util::Rng rng(41);
+  std::vector<bool> pruned(ds.graph.num_nodes(), false);
+  for (int i = 0; i < 25; ++i) {
+    pruned[rng.UniformU64(ds.graph.num_nodes())] = true;
+  }
+  for (ScoreVariant variant : {ScoreVariant::kFull, ScoreVariant::kNoAuth,
+                               ScoreVariant::kNoSim}) {
+    ScoreParams params =
+        ParamsFor(variant, /*eps=*/1e-7, /*tol=*/1e-10, /*depth=*/6);
+    Scorer scorer(ds.graph, auth, topics::TwitterSimilarity(), params);
+    for (int q = 0; q < 3; ++q) {
+      const NodeId u =
+          static_cast<NodeId>(rng.UniformU64(ds.graph.num_nodes()));
+      for (TopicSet set : {AllOf(ds.graph), PartialSet(ds.graph, rng)}) {
+        RefResult ref = RefExplore(ds.graph, auth,
+                                   topics::TwitterSimilarity(), params, u,
+                                   set, &pruned);
+        ExpectBitIdentical(ref, scorer.Explore(u, set, &pruned), ds.graph,
+                           "multi-topic pruned");
+      }
+    }
+  }
+}
+
+// A graph whose edges carry no label, one label or several, scored with
+// a similarity matrix that has zero and negative entries: the max-sim row
+// of an edge must equal MaxSim's max-from-0 for every topic.
+TEST(HotpathDifferentialTest, MultiLabelAndUnlabeledEdgesBitIdentical) {
+  constexpr int kTopics = 7;
+  constexpr NodeId kNodes = 300;
+  util::Rng rng(57);
+  graph::GraphBuilder b(kNodes, kTopics);
+  auto random_labels = [&](int max_labels) {
+    TopicSet set;
+    const int k = static_cast<int>(rng.UniformU64(max_labels + 1));
+    for (int i = 0; i < k; ++i) {
+      set.Add(static_cast<TopicId>(rng.UniformU64(kTopics)));
+    }
+    return set;
+  };
+  for (NodeId u = 0; u < kNodes; ++u) {
+    b.SetNodeLabels(u, random_labels(2));
+    const int deg = 1 + static_cast<int>(rng.UniformU64(8));
+    for (int e = 0; e < deg; ++e) {
+      b.AddEdge(u, static_cast<NodeId>(rng.UniformU64(kNodes)),
+                random_labels(4));
+    }
+  }
+  LabeledGraph g = std::move(b).Build();
+  size_t unlabeled = 0, multi = 0;
+  for (NodeId u = 0; u < kNodes; ++u) {
+    for (TopicSet labels : g.OutEdgeLabels(u)) {
+      if (labels.empty()) ++unlabeled;
+      if (labels.size() > 1) ++multi;
+    }
+  }
+  ASSERT_GT(unlabeled, 0u);
+  ASSERT_GT(multi, 0u);
+
+  std::vector<double> dense(kTopics * kTopics, 1.0);
+  for (int a = 0; a < kTopics; ++a) {
+    for (int c = 0; c < a; ++c) {
+      const double s = (a + c) % 4 == 0   ? 0.0
+                       : (a + c) % 5 == 0 ? -0.25
+                                          : 0.1 * ((a * c) % 9);
+      dense[a * kTopics + c] = s;
+      dense[c * kTopics + a] = s;
+    }
+  }
+  const topics::SimilarityMatrix sim =
+      topics::SimilarityMatrix::FromDense(kTopics, dense);
+  AuthorityIndex auth(g);
+
+  for (ScoreVariant variant : {ScoreVariant::kFull, ScoreVariant::kNoAuth,
+                               ScoreVariant::kNoSim}) {
+    ScoreParams params =
+        ParamsFor(variant, /*eps=*/0.0, /*tol=*/1e-12, /*depth=*/8);
+    Scorer scorer(g, auth, sim, params);
+    for (int q = 0; q < 4; ++q) {
+      const NodeId u = static_cast<NodeId>(rng.UniformU64(kNodes));
+      for (TopicSet set : {AllOf(g), PartialSet(g, rng),
+                           TopicSet::Single(static_cast<TopicId>(q))}) {
+        RefResult ref = RefExplore(g, auth, sim, params, u, set);
+        ExpectBitIdentical(ref, scorer.Explore(u, set), g, "mixed labels");
+      }
+    }
+  }
+}
+
+// One warm scorer alternating single, partial and all-topic queries: the
+// σ columns and scratch rows change width between calls, and every result
+// must still match the reference bit for bit and read 0 outside Q.
+TEST(HotpathDifferentialTest, WarmScorerAlternatingTopicSetsBitIdentical) {
+  auto ds = MakeDataset(400, 61);
+  AuthorityIndex auth(ds.graph);
+  ScoreParams params =
+      ParamsFor(ScoreVariant::kFull, /*eps=*/1e-15, /*tol=*/1e-12,
+                /*depth=*/8);
+  util::QueryArena arena;
+  Scorer scorer(ds.graph, auth, topics::TwitterSimilarity(), params, &arena);
+  util::Rng rng(67);
+  const TopicSet partial = Ts({1, 4, 9, 16});
+  for (int round = 0; round < 3; ++round) {
+    for (TopicSet set : {TopicSet::Single(static_cast<TopicId>(round)),
+                         partial, AllOf(ds.graph),
+                         TopicSet::Single(static_cast<TopicId>(17 - round)),
+                         PartialSet(ds.graph, rng)}) {
+      const NodeId u =
+          static_cast<NodeId>(rng.UniformU64(ds.graph.num_nodes()));
+      RefResult ref = RefExplore(ds.graph, auth, topics::TwitterSimilarity(),
+                                 params, u, set);
+      const ExplorationResult& got = scorer.Explore(u, set);
+      ExpectBitIdentical(ref, got, ds.graph, "warm alternating");
+      ExpectZeroOutside(got, set, ds.graph, "warm alternating");
+    }
+  }
+}
+
 // The landmark hot path: FlatMap-accumulated approximate scores against
 // the same Proposition 4 composition done with reference exploration +
 // std::unordered_map, compared as ranked lists (bitwise scores).

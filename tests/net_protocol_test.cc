@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "net/protocol.h"
+#include "net/server.h"
 
 namespace mbr::net {
 namespace {
@@ -282,6 +283,29 @@ TEST(NetProtocolTest, ErrorRoundTripAndStatusMapping) {
   ErrorReply big{WireError::kInternal,
                  std::string(limits.max_error_msg + 1, 'x')};
   EXPECT_FALSE(DecodeError(EncodeError(big), limits, &back).ok());
+}
+
+TEST(NetProtocolTest, UnavailableHasItsOwnWireCode) {
+  WireLimits limits;
+  ErrorReply back;
+  ASSERT_TRUE(DecodeError(EncodeError({WireError::kUnavailable, "shard 1"}),
+                          limits, &back)
+                  .ok());
+  EXPECT_EQ(back.code, WireError::kUnavailable);
+  const util::Status st = ErrorReplyToStatus(back);
+  EXPECT_EQ(st.code(), util::StatusCode::kUnavailable);
+  EXPECT_EQ(st.message(), "UNAVAILABLE from server: shard 1");
+
+  // The server maps an UNAVAILABLE status onto that code.
+  Reply reply = MakeErrorReply(util::Status::Unavailable("home shard 1 lost"));
+  ASSERT_EQ(reply.kind, MessageKind::kError);
+  ASSERT_TRUE(DecodeError(reply.payload, limits, &back).ok());
+  EXPECT_EQ(back.code, WireError::kUnavailable);
+
+  // A code past the last known one still decodes, as INTERNAL.
+  ErrorReply future{static_cast<WireError>(9), "newer peer"};
+  ASSERT_TRUE(DecodeError(EncodeError(future), limits, &back).ok());
+  EXPECT_EQ(back.code, WireError::kInternal);
 }
 
 TEST(NetProtocolTest, PayloadReaderStopsAtTruncation) {

@@ -26,14 +26,18 @@
 # the background repair thread (`dynamic`), the apply/rebind lock split
 # against concurrent generation readers (`incremental`), and the router's
 # dispatchers blocking on shard RPCs against the shard servers (`coord`).
+# The TSan build compiles the scorer's multi-topic step without its AVX2
+# clone (a target_clones resolver crashes before the TSan runtime starts);
+# the ASan and UBSan builds keep the clone.
 # The server answers a single fresh-cache RECOMMEND on its event loop
 # through the engine's try-locking cache probe; the `net` and `dynamic`
 # labels cover that probe racing dispatchers and Rebind. A test that needs
 # the dispatcher path must use an exclusion list or a cold key.
 #
 # bench-smoke runs the allocation-counting smoke gate of the zero-allocation
-# hot path (DESIGN.md §6.6): a warm exact query and a warm landmark query
-# must report 0 heap allocations, else the step fails. It then runs the SLO
+# hot path (DESIGN.md §6.6): a warm exact query, a warm all-topic
+# exploration and a warm landmark query must report 0 heap allocations,
+# else the step fails. It then runs the SLO
 # ladder harness (DESIGN.md §6.8) in --smoke form: a tiny ramp that still
 # exercises calibration, the exact-tier byte-identity probes (a mismatch
 # fails the binary), and the BENCH_slo.json writer. Next, it runs the §6
