@@ -8,6 +8,19 @@
 
 namespace mbr::coord {
 
+namespace {
+
+// Milliseconds until `t`, rounded up so a wait never ends early, and at
+// least 1.
+uint32_t MsUntil(std::chrono::steady_clock::time_point t) {
+  const int64_t left_ms = std::chrono::ceil<std::chrono::milliseconds>(
+                              t - std::chrono::steady_clock::now())
+                              .count();
+  return static_cast<uint32_t>(std::max<int64_t>(left_ms, 1));
+}
+
+}  // namespace
+
 Router::Router(const ShardPlan& plan, const RouterConfig& config)
     : plan_(plan), config_(config) {
   if (config_.registry != nullptr) {
@@ -101,16 +114,18 @@ net::Reply Router::Handle(const net::Request& req) {
 }
 
 template <typename Fn>
-auto Router::CallShard(uint32_t shard, Fn&& fn)
-    -> decltype(fn(std::declval<net::Client&>())) {
+auto Router::CallShard(uint32_t shard, uint32_t budget_ms, Fn&& fn)
+    -> decltype(fn(std::declval<net::Client&>(), budget_ms)) {
   metrics_.fanout->Increment();
   util::WallTimer timer;
-  auto checkout = pool_->Checkout(shard);
+  const auto budget_end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
+  auto checkout = pool_->Checkout(shard, budget_ms);
   if (!checkout.ok()) {
     metrics_.shard_errors->Increment();
     return checkout.status();
   }
-  auto result = fn(**checkout);
+  auto result = fn(**checkout, budget_ms == 0 ? 0 : MsUntil(budget_end));
   metrics_.shard_latency_us->Record(
       static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
   if (result.ok()) {
@@ -123,11 +138,7 @@ auto Router::CallShard(uint32_t shard, Fn&& fn)
 
 uint32_t Router::ShardDeadlineMs(const net::Request& req) const {
   if (!req.deadline) return config_.shard_timeout_ms;
-  const int64_t left_ms =
-      std::chrono::ceil<std::chrono::milliseconds>(
-          *req.deadline - std::chrono::steady_clock::now())
-          .count();
-  const auto client_ms = static_cast<uint32_t>(std::max<int64_t>(left_ms, 1));
+  const uint32_t client_ms = MsUntil(*req.deadline);
   if (config_.shard_timeout_ms == 0) return client_ms;
   return std::min(client_ms, config_.shard_timeout_ms);
 }
@@ -157,21 +168,21 @@ util::Status Router::Forward(const net::Request& req, uint32_t home,
   if (req.deadline && std::chrono::steady_clock::now() >= *req.deadline) {
     return util::Status::DeadlineExceeded("query deadline expired");
   }
-  const uint32_t deadline_ms = ShardDeadlineMs(req);
   std::vector<net::RecommendRequest> queries;
   queries.reserve(slots.size());
-  for (size_t i : slots) {
-    queries.push_back(req.queries[i]);
-    queries.back().deadline_ms = deadline_ms;
-  }
+  for (size_t i : slots) queries.push_back(req.queries[i]);
   auto replies = CallShard(
-      home, [&](net::Client& c) -> util::Result<std::vector<net::ResultReply>> {
-        // The wire deadline also bounds the transport, so a shard that
-        // never answers cannot hold the client past its own deadline.
+      home, ShardDeadlineMs(req),
+      [&](net::Client& c,
+          uint32_t left_ms) -> util::Result<std::vector<net::ResultReply>> {
+        // What the dial left of the budget is both the wire deadline and
+        // the transport bound, so a shard that never answers (or never
+        // accepts) cannot hold the client past its own deadline.
+        for (net::RecommendRequest& q : queries) q.deadline_ms = left_ms;
         if (req.kind == net::MessageKind::kRecommendBatch) {
-          return c.RecommendBatchEx(queries, deadline_ms);
+          return c.RecommendBatchEx(queries, left_ms);
         }
-        auto one = c.RecommendEx(queries.front(), deadline_ms);
+        auto one = c.RecommendEx(queries.front(), left_ms);
         if (!one.ok()) return one.status();
         return std::vector<net::ResultReply>{std::move(*one)};
       });
@@ -206,7 +217,8 @@ service::StatsSnapshot Router::RollupStats() {
   service::StatsSnapshot s;
   uint32_t up = 0;
   for (uint32_t shard = 0; shard < plan_.num_shards(); ++shard) {
-    auto snap = CallShard(shard, [](net::Client& c) { return c.Stats(); });
+    auto snap = CallShard(shard, /*budget_ms=*/0,
+                          [](net::Client& c, uint32_t) { return c.Stats(); });
     if (!snap.ok()) continue;
     ++up;
     s.queries += snap->queries;

@@ -23,14 +23,24 @@
 // mbr_coord_partial_total — rather than failing or hanging the client
 // (`degrade_partial = false` turns that loss into an ERROR instead, for
 // deployments that prefer failing fast over partial answers). Queries
-// homed on live shards are untouched. Errors a single-node server would
-// return for the same query (DEADLINE_EXCEEDED, INVALID_ARGUMENT) are
-// relayed as ERROR unchanged. Mutations are rejected: the partitioned
-// tier serves read-only.
+// homed on live shards are untouched. DEADLINE_EXCEEDED and
+// INVALID_ARGUMENT are relayed as ERROR unchanged, as a single node would
+// send them (but see Deadlines below). Mutations are rejected: the
+// partitioned tier serves read-only.
+//
+// Deadlines: a routed deadline is a hard cutoff, where a single node's is
+// checked only at admission. A single-node server answers a query its
+// dispatcher started in time however late it finishes; the router stops
+// waiting for the home shard when the client's deadline runs out, so a
+// live shard that answers just after it costs the client
+// DEADLINE_EXCEEDED. The router's clock also starts before the shard's,
+// which counts the wire deadline from receipt.
 //
 // Shard connections: a net::ClientPool per router, dialed from the plan's
-// endpoints; each RPC's transport timeout is its ShardDeadlineMs budget.
-// It keeps at most ClientPool::kMaxIdle idle connections per shard; a
+// endpoints. Each RPC's ShardDeadlineMs budget bounds its dial and round
+// trip together: the dial may spend up to all of it (and at most the
+// endpoint's connect timeout), and the round trip gets what is left. The
+// pool keeps at most ClientPool::kMaxIdle idle connections per shard; a
 // connection whose RPC failed is dropped, and the next RPC dials once, so
 // a shard that is still down costs one refused connect and degrades as
 // above.
@@ -65,10 +75,10 @@ struct RouterConfig {
   uint16_t port = 0;  // 0 = ephemeral (see Router::port())
   // Client connections; also the admission bound and dispatcher count.
   uint32_t max_connections = 64;
-  // Per-shard round-trip budget. Each shard RPC is bounded by
-  // min(what is left of the client deadline, shard_timeout_ms), both as
-  // the deadline sent on the wire and as the transport timeout, so a hung
-  // shard can never hold a client past its deadline or this backstop.
+  // Per-shard round-trip budget. Each shard RPC (dial included) is
+  // bounded by min(what is left of the client deadline, shard_timeout_ms),
+  // so a shard that never accepts or never answers can hold a client
+  // neither past its deadline nor past this backstop.
   uint32_t shard_timeout_ms = 2000;
   // true (default): a lost home shard (down / shed / timed out) degrades
   // its queries to partial replies. false: it becomes an ERROR
@@ -118,25 +128,29 @@ class Router : private net::Handler {
   // Forwards the queries of `req` at `slots` (all homed on `home`) in one
   // shard RPC of req's kind and fills their `routed` replies: the home
   // shard's lists, epochs and tiers, or partial replies when the shard is
-  // lost. A non-OK status is relayed to the client as ERROR (the same
-  // statuses a single-node server would send).
+  // lost. A non-OK status is relayed to the client as ERROR (the statuses
+  // a single-node server sends, plus a deadline expiry while a live home
+  // shard is still scoring: see Deadlines above).
   util::Status Forward(const net::Request& req, uint32_t home,
                        const std::vector<size_t>& slots,
                        std::vector<net::ResultReply>* routed);
-  // Runs `fn(client)` against `shard` through the pool, recording shard
-  // latency and errors; the connection returns to the pool only on success.
+  // Runs `fn(client, left_ms)` against `shard` through the pool, recording
+  // shard latency and errors; the connection returns to the pool only on
+  // success. A nonzero `budget_ms` bounds the dial, and `left_ms` is what
+  // the dial left of it (at least 1 ms); with 0 the endpoint's connect
+  // and request timeouts apply and `left_ms` is 0.
   template <typename Fn>
-  auto CallShard(uint32_t shard, Fn&& fn)
-      -> decltype(fn(std::declval<net::Client&>()));
-  // The budget of a shard RPC for `req`, sent as its wire deadline and
-  // used as its transport timeout: what is left of the client's deadline
-  // (req.deadline, at least 1 ms), capped by shard_timeout_ms; 0 only if
-  // both are unset.
+  auto CallShard(uint32_t shard, uint32_t budget_ms, Fn&& fn)
+      -> decltype(fn(std::declval<net::Client&>(), budget_ms));
+  // The budget of a shard RPC for `req`: what is left of the client's
+  // deadline (req.deadline, at least 1 ms), capped by shard_timeout_ms; 0
+  // only if both are unset. What the dial leaves of it is sent as the
+  // wire deadline and used as the transport timeout.
   uint32_t ShardDeadlineMs(const net::Request& req) const;
   // Is this shard-RPC failure an infrastructure loss (down / shed /
   // conn-loss / the shard_timeout_ms backstop) — degrade to partial
-  // replies — or an error a single-node server would also have returned
-  // for these queries (relay as ERROR)? A deadline expiry counts as loss
+  // replies — or an error to relay as ERROR (invalid arguments, the
+  // client's deadline expiring)? A deadline expiry counts as loss
   // only when the client itself set no deadline (the expired budget was
   // purely the router's backstop).
   bool IsShardLoss(const util::Status& status, const net::Request& req) const;

@@ -84,10 +84,10 @@ struct FullWeight {  // Tr: edge similarity x authority
                        topics::TopicSet labels, topics::TopicId t) {
     return ab * RowMaxSim(srow, labels) * arow[t];
   }
-  [[gnu::always_inline]] static void Accumulate(
-      double* __restrict nsig, const double* __restrict bdsig, double dab,
-      double ab, const double* __restrict ms, const double* __restrict arow,
-      size_t qn) {
+  static void Accumulate(double* __restrict nsig,
+                         const double* __restrict bdsig, double dab,
+                         double ab, const double* __restrict ms,
+                         const double* __restrict arow, size_t qn) {
     for (size_t qi = 0; qi < qn; ++qi) {
       nsig[qi] += bdsig[qi] + dab * (ab * ms[qi] * arow[qi]);
     }
@@ -101,10 +101,10 @@ struct NoAuthWeight {  // Tr−auth: edge similarity only
                        topics::TopicSet labels, topics::TopicId /*t*/) {
     return ab * RowMaxSim(srow, labels);
   }
-  [[gnu::always_inline]] static void Accumulate(
-      double* __restrict nsig, const double* __restrict bdsig, double dab,
-      double ab, const double* __restrict ms, const double* /*arow*/,
-      size_t qn) {
+  static void Accumulate(double* __restrict nsig,
+                         const double* __restrict bdsig, double dab,
+                         double ab, const double* __restrict ms,
+                         const double* /*arow*/, size_t qn) {
     for (size_t qi = 0; qi < qn; ++qi) {
       nsig[qi] += bdsig[qi] + dab * (ab * ms[qi]);
     }
@@ -118,10 +118,10 @@ struct NoSimWeight {  // Tr−sim: authority only (similarity term = 1)
                        topics::TopicSet /*labels*/, topics::TopicId t) {
     return ab * arow[t];
   }
-  [[gnu::always_inline]] static void Accumulate(
-      double* __restrict nsig, const double* __restrict bdsig, double dab,
-      double ab, const double* /*ms*/, const double* __restrict arow,
-      size_t qn) {
+  static void Accumulate(double* __restrict nsig,
+                         const double* __restrict bdsig, double dab,
+                         double ab, const double* /*ms*/,
+                         const double* __restrict arow, size_t qn) {
     for (size_t qi = 0; qi < qn; ++qi) {
       nsig[qi] += bdsig[qi] + dab * (ab * arow[qi]);
     }
@@ -132,9 +132,8 @@ struct NoSimWeight {  // Tr−sim: authority only (similarity term = 1)
 // unlabeled edge, its one label's row, or the element-wise max over its
 // labels (written to msrow). simt rows are clamped below at 0, so this
 // equals RowMaxSim's max-from-0 for every topic bit-for-bit.
-[[gnu::always_inline]] inline const double* MaxSimRow(
-    const double* simt, int nt, size_t qn, double* msrow,
-    topics::TopicSet labels) {
+inline const double* MaxSimRow(const double* simt, int nt, size_t qn,
+                               double* msrow, topics::TopicSet labels) {
   uint64_t bits = labels.bits();
   if (bits == 0) return simt + static_cast<size_t>(nt) * qn;
   const double* first =
@@ -151,19 +150,6 @@ struct NoSimWeight {  // Tr−sim: authority only (similarity term = 1)
   } while (bits != 0);
   return msrow;
 }
-
-// The multi-topic step is compiled for AVX2 and for the baseline ISA; the
-// loader picks the clone for the running CPU. mbr_core builds with
-// -ffp-contract=off, so no clone fuses a multiply-add and every clone
-// computes the same bits. TSan builds get the baseline step only: the
-// clone resolver runs during relocation, before the TSan runtime is up,
-// and crashes the process.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define MBR_SIMD_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define MBR_SIMD_CLONES
-#endif
 
 }  // namespace
 
@@ -298,9 +284,8 @@ const ExplorationResult& Scorer::Explore(graph::NodeId source,
 // ascending, so qt is the identity) the target's authority row is read in
 // place; otherwise its query-topic entries are gathered into garow first.
 template <typename WeightPolicy>
-MBR_SIMD_CLONES size_t Scorer::MultiTopicStep(
-    const graph::NodeId* frontier, size_t frontier_n, size_t qn,
-    graph::NodeId* next_frontier) const {
+size_t Scorer::MultiTopicStep(const graph::NodeId* frontier, size_t frontier_n,
+                              size_t qn, graph::NodeId* next_frontier) const {
   const graph::LabeledGraph& g = *g_;
   const AuthorityIndex& authority = *authority_;
   const int nt = g.num_topics();

@@ -27,8 +27,9 @@
 // in typed spans carved from a util::QueryArena, and the scorer variant
 // (Tr / Tr−auth / Tr−sim) is a compile-time weight policy, so the inner
 // edge loop carries no switch. A multi-topic query accumulates whole
-// rows per edge (one max-sim row, one authority row) in a vectorised
-// step; every σ stays bit-for-bit the per-(edge, topic) arithmetic above.
+// rows per edge (one max-sim row, one authority row) over contiguous
+// arrays; every σ stays bit-for-bit the per-(edge, topic) arithmetic
+// above.
 // In steady state Explore() performs zero heap allocations and returns a
 // reference to a reused ExplorationResult.
 

@@ -1,5 +1,6 @@
 #include "net/client_pool.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/logging.h"
@@ -14,7 +15,8 @@ ClientPool::ClientPool(std::vector<ClientConfig> endpoints)
   }
 }
 
-util::Result<std::unique_ptr<Client>> ClientPool::Checkout(size_t i) {
+util::Result<std::unique_ptr<Client>> ClientPool::Checkout(
+    size_t i, uint32_t connect_timeout_ms) {
   MBR_CHECK(i < slots_.size());
   {
     std::lock_guard<std::mutex> lock(slots_[i]->mu);
@@ -24,7 +26,12 @@ util::Result<std::unique_ptr<Client>> ClientPool::Checkout(size_t i) {
       return c;
     }
   }
-  auto dialed = Client::Connect(endpoints_[i]);
+  ClientConfig config = endpoints_[i];
+  if (connect_timeout_ms != 0) {
+    config.connect_timeout_ms =
+        std::min(config.connect_timeout_ms, connect_timeout_ms);
+  }
+  auto dialed = Client::Connect(config);
   if (!dialed.ok()) return dialed.status();
   return std::make_unique<Client>(std::move(*dialed));
 }

@@ -32,9 +32,12 @@ class ClientPool {
   explicit ClientPool(std::vector<ClientConfig> endpoints);
 
   // An idle pooled connection to endpoint `i`, or a freshly dialed one.
-  // Connect failures surface as the Client::Connect status (kUnavailable
-  // for a down shard).
-  util::Result<std::unique_ptr<Client>> Checkout(size_t i);
+  // A nonzero `connect_timeout_ms` caps the endpoint's connect timeout for
+  // this dial. Connect failures surface as the Client::Connect status
+  // (kUnavailable for a down shard, DEADLINE_EXCEEDED for a dial that
+  // timed out).
+  util::Result<std::unique_ptr<Client>> Checkout(
+      size_t i, uint32_t connect_timeout_ms = 0);
 
   // Returns a healthy connection for reuse. Only call after a successful
   // round trip; on failure simply destroy the client instead.

@@ -15,19 +15,25 @@
 // mbr_coord_partial_total is bumped on the router's registry, while
 // queries homed on live shards are answered in full. A shard that accepts
 // connections and never answers is cut off by the router's
-// shard_timeout_ms backstop under the same policy.
+// shard_timeout_ms backstop under the same policy. A client deadline is a
+// hard cutoff on the shard RPC, dial included: a silent or late home shard
+// costs the client DEADLINE_EXCEEDED at its deadline.
 
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coord/router.h"
@@ -516,10 +522,11 @@ TEST(CoordPartialPolicyTest, KilledShardDegradesToPartialNeverFails) {
 
 // A loopback socket that listens and never accepts: the kernel completes
 // connects into its backlog and buffers requests nobody reads, so a shard
-// at this endpoint accepts and never answers.
+// at this endpoint accepts and never answers. Once the backlog is full,
+// the kernel drops further SYNs, so a connect to it never completes.
 class SilentShard {
  public:
-  SilentShard() {
+  explicit SilentShard(int backlog = 16) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
     sockaddr_in addr{};
@@ -527,20 +534,47 @@ class SilentShard {
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     socklen_t len = sizeof(addr);
     EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), len), 0);
-    EXPECT_EQ(::listen(fd_, 16), 0);
+    EXPECT_EQ(::listen(fd_, backlog), 0);
     EXPECT_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len),
               0);
     port_ = ntohs(addr.sin_port);
   }
-  ~SilentShard() { ::close(fd_); }
+  ~SilentShard() {
+    for (int fd : fillers_) ::close(fd);
+    ::close(fd_);
+  }
   SilentShard(const SilentShard&) = delete;
   SilentShard& operator=(const SilentShard&) = delete;
 
   uint16_t port() const { return port_; }
 
+  // Connects until a connect stays pending for 200 ms: from then on the
+  // backlog is full and a dial to this endpoint hangs. False if it never
+  // filled within 32 connects.
+  bool FillBacklog() {
+    for (int i = 0; i < 32; ++i) {
+      const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+      if (fd < 0) return false;
+      fillers_.push_back(fd);
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      addr.sin_port = htons(port_);
+      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+          0) {
+        continue;
+      }
+      if (errno != EINPROGRESS) return false;
+      pollfd p{fd, POLLOUT, 0};
+      if (::poll(&p, 1, 200) == 0) return true;
+    }
+    return false;
+  }
+
  private:
   int fd_ = -1;
   uint16_t port_ = 0;
+  std::vector<int> fillers_;
 };
 
 TEST(CoordPartialPolicyTest, SilentShardIsCutOffByTheTimeoutBackstop) {
@@ -610,38 +644,101 @@ TEST(CoordPartialPolicyTest, SilentShardIsCutOffByTheTimeoutBackstop) {
                                  Probe(UserOn(*stack, 0), 0, 10), context);
   }
 
-  // A client deadline shorter than the backstop bounds the shard round
-  // trip too: the silent shard costs the client its deadline_ms, not
-  // shard_timeout_ms, and the expiry is relayed as on one node.
+  // A client deadline shorter than the backstop bounds the shard RPC too,
+  // dial included: a silent shard costs the client its deadline_ms, not
+  // shard_timeout_ms or the 2 s connect timeout, and the expiry is relayed
+  // as on one node. The shard either accepts and never answers, or has a
+  // full backlog, so the router's dial never completes.
   constexpr uint32_t kLongBackstopMs = 600;
   constexpr uint32_t kClientDeadlineMs = 100;
+  for (bool full_backlog : {false, true}) {
+    const std::string context = full_backlog ? "full backlog" : "accepts";
+    auto stack = MakeStack(/*shards=*/2, PartitionStrategy::kCommunity,
+                           /*landmark_mode=*/true, /*halo_depth=*/1);
+    ASSERT_NE(stack, nullptr) << context;
+    SilentShard silent(/*backlog=*/full_backlog ? 0 : 16);
+    if (full_backlog) {
+      ASSERT_TRUE(silent.FillBacklog()) << context;
+    }
+    stack->router->RequestStop();
+    stack->router->Wait();
+    stack->plan.SetEndpoint(1, {"127.0.0.1", silent.port()});
+    RouterConfig rcfg;
+    rcfg.port = 0;
+    rcfg.shard_timeout_ms = kLongBackstopMs;
+    stack->router = std::make_unique<Router>(stack->plan, rcfg);
+    ASSERT_TRUE(stack->router->Start().ok()) << context;
+    auto client = Dial(*stack);
+    ASSERT_TRUE(client.ok()) << context << ": " << client.status().ToString();
+    net::RecommendRequest req = Probe(UserOn(*stack, 1), 0, 10);
+    req.deadline_ms = kClientDeadlineMs;
+    const auto start = std::chrono::steady_clock::now();
+    auto late = client->RecommendEx(req);
+    const auto waited_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    ASSERT_FALSE(late.ok()) << context << ": a silent shard answered";
+    EXPECT_EQ(late.status().code(), util::StatusCode::kDeadlineExceeded)
+        << context << ": " << late.status().ToString();
+    EXPECT_GE(waited_ms, kClientDeadlineMs) << context;
+    EXPECT_LT(waited_ms, 300) << context;
+  }
+}
+
+TEST(CoordPartialPolicyTest, LiveShardAnsweringPastTheDeadlineIsCutOff) {
+  // A routed deadline is a hard cutoff, where a single node's is checked
+  // only at admission: a single node answers a query its dispatcher
+  // started in time however late it finishes, but the router stops
+  // waiting at the client's deadline. So a live home shard still scoring
+  // then costs the client DEADLINE_EXCEEDED, not a late ranking. The
+  // shard stays live and answers in full once it is released.
+  constexpr uint32_t kClientDeadlineMs = 100;
+  std::atomic<bool> hold{false};
+  std::atomic<bool> entered{false};
+  const Corpus& c = SharedCorpus();
+  service::QueryEngine reference(*c.graph, *c.authority,
+                                 topics::TwitterSimilarity(),
+                                 c.EngineConfigFor(/*landmark_mode=*/true));
   auto stack = MakeStack(/*shards=*/2, PartitionStrategy::kCommunity,
                          /*landmark_mode=*/true, /*halo_depth=*/1);
   ASSERT_NE(stack, nullptr);
-  SilentShard silent;
-  stack->router->RequestStop();
-  stack->router->Wait();
-  stack->plan.SetEndpoint(1, {"127.0.0.1", silent.port()});
-  RouterConfig rcfg;
-  rcfg.port = 0;
-  rcfg.shard_timeout_ms = kLongBackstopMs;
-  stack->router = std::make_unique<Router>(stack->plan, rcfg);
-  ASSERT_TRUE(stack->router->Start().ok());
+  // Installed before any query reaches shard 1. While armed it holds a
+  // scored query inside the engine (under the shared rebind lock, after
+  // admission) for 500 ms, then lets it finish; it answers false, so no
+  // reply changes tier.
+  stack->contexts[1]->engine->SetStaleProbe([&hold, &entered] {
+    if (hold.load()) {
+      entered.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    }
+    return false;
+  });
   auto client = Dial(*stack);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  net::RecommendRequest req = Probe(UserOn(*stack, 1), 0, 10);
+
+  const uint32_t on1 = UserOn(*stack, 1);
+  net::RecommendRequest req = Probe(on1, 0, 10);
   req.deadline_ms = kClientDeadlineMs;
+  hold.store(true);
   const auto start = std::chrono::steady_clock::now();
   auto late = client->RecommendEx(req);
   const auto waited_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start)
           .count();
-  ASSERT_FALSE(late.ok()) << "a silent shard answered";
+  hold.store(false);
+  ASSERT_FALSE(late.ok()) << "the router waited out a late shard";
   EXPECT_EQ(late.status().code(), util::StatusCode::kDeadlineExceeded)
       << late.status().ToString();
   EXPECT_GE(waited_ms, kClientDeadlineMs);
   EXPECT_LT(waited_ms, 300);
+
+  // The held query finishes; the shard then answers the next query (no
+  // deadline) in full, and it had started the held one.
+  ExpectRoutedMatchesReference(*client, reference, Probe(on1, 1, 10),
+                               "after the hold");
+  EXPECT_TRUE(entered.load()) << "the shard never started the held query";
 }
 
 TEST(CoordPartialPolicyTest, SurvivingShardAnswersInFull) {

@@ -26,9 +26,6 @@
 # the background repair thread (`dynamic`), the apply/rebind lock split
 # against concurrent generation readers (`incremental`), and the router's
 # dispatchers blocking on shard RPCs against the shard servers (`coord`).
-# The TSan build compiles the scorer's multi-topic step without its AVX2
-# clone (a target_clones resolver crashes before the TSan runtime starts);
-# the ASan and UBSan builds keep the clone.
 # The server answers a single fresh-cache RECOMMEND on its event loop
 # through the engine's try-locking cache probe; the `net` and `dynamic`
 # labels cover that probe racing dispatchers and Rebind. A test that needs
