@@ -10,14 +10,17 @@
 //   --hotpath_json=PATH    measures the zero-allocation hot paths (exact
 //                          exploration, all-topic exploration + landmark
 //                          approximation) and
-//                          writes ns/query, allocations/query and frontier
-//                          widths as JSON (checked in as
+//                          writes ns/query (median, min and max over
+//                          kPassSets timed pass sets), allocations/query
+//                          and frontier widths as JSON (checked in as
 //                          BENCH_hotpath.json), then exits.
 // Heap traffic is observed by replacing global operator new/delete with
 // counting forwarders — only in this binary.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -50,6 +53,19 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+// Over-aligned allocations (util::QueryArena's blocks) are counted too;
+// the array and sized forms forward to these two.
+void* operator new(std::size_t n, std::align_val_t al) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(al);
+  const std::size_t size = std::max<std::size_t>(1, (n + a - 1) / a) * a;
+  void* p = std::aligned_alloc(a, size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 
 #include "baselines/twitterrank.h"
 #include "core/authority.h"
@@ -266,18 +282,24 @@ BENCHMARK(BM_NaiveBayesTrain)->Unit(benchmark::kMillisecond);
 //
 // Each probe runs a fixed cycle of query sources: one full warmup pass
 // brings every reusable buffer (arena scratch, ExplorationResult vectors,
-// FlatMap tables, TopK heap + output list) to its high-water mark, then the
+// score tables, TopK heap + output list) to its high-water mark, then the
 // measured passes replay the same sources. In steady state a warm query
 // must not touch the heap at all — the probes report the observed
 // allocations/query so the gate is a measurement, not an assertion in the
 // library.
 
 struct HotpathResult {
-  double ns_per_query = 0.0;
+  double ns_per_query = 0.0;  // median over the timed pass sets
+  double ns_min = 0.0;        // fastest pass set
+  double ns_max = 0.0;        // slowest pass set
   double allocs_per_query = 0.0;
   double mean_frontier = 0.0;  // nodes reached per query
-  uint64_t queries = 0;
+  uint64_t queries = 0;        // timed queries over all pass sets
 };
+
+// Timed pass sets per probe. One set's mean moves with the shared host's
+// load; the median of several, with its min and max, shows the spread.
+constexpr int kPassSets = 5;
 
 std::vector<graph::NodeId> SourceCycle(uint32_t num_nodes, int cycle,
                                        uint64_t seed) {
@@ -291,25 +313,32 @@ std::vector<graph::NodeId> SourceCycle(uint32_t num_nodes, int cycle,
 }
 
 // Runs `run` (which returns the nodes one query reached) over `sources`
-// once to bring every buffer to its high-water mark, then `passes` more
-// times under the timer and the allocation counter.
+// once to bring every buffer to its high-water mark, then kPassSets timed
+// sets of `passes` more passes each, under the allocation counter.
 template <typename Fn>
 HotpathResult TimeWarmPasses(const std::vector<graph::NodeId>& sources,
                              int passes, Fn&& run) {
   for (graph::NodeId u : sources) run(u);  // warmup pass
+  const uint64_t per_set = static_cast<uint64_t>(passes) * sources.size();
+  std::array<double, kPassSets> ns{};
   uint64_t frontier = 0;
   const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  util::WallTimer timer;
-  for (int p = 0; p < passes; ++p) {
-    for (graph::NodeId u : sources) frontier += run(u);
+  for (double& set_ns : ns) {
+    util::WallTimer timer;
+    for (int p = 0; p < passes; ++p) {
+      for (graph::NodeId u : sources) frontier += run(u);
+    }
+    set_ns = timer.ElapsedSeconds() * 1e9 / static_cast<double>(per_set);
   }
-  const double seconds = timer.ElapsedSeconds();
   const uint64_t allocs =
       g_allocs.load(std::memory_order_relaxed) - allocs_before;
 
+  std::sort(ns.begin(), ns.end());
   HotpathResult r;
-  r.queries = static_cast<uint64_t>(passes) * sources.size();
-  r.ns_per_query = seconds * 1e9 / static_cast<double>(r.queries);
+  r.queries = per_set * kPassSets;
+  r.ns_per_query = ns[kPassSets / 2];
+  r.ns_min = ns.front();
+  r.ns_max = ns.back();
   r.allocs_per_query =
       static_cast<double>(allocs) / static_cast<double>(r.queries);
   r.mean_frontier =
@@ -394,8 +423,7 @@ HotpathResult MeasureApproxHotpath(const datagen::GeneratedDataset& ds,
 
   return TimeWarmPasses(sources, passes, [&](graph::NodeId u) {
     landmark::QueryStats qs;
-    const util::FlatMap<graph::NodeId, double>& scores =
-        approx.ScoresFlat(u, 0, &qs);
+    const landmark::ScoreTable& scores = approx.ScoresFlat(u, 0, &qs);
     topk.Reset(10);
     for (const auto& [v, s] : scores) {
       if (s > 0.0) topk.Offer(v, s);
@@ -464,8 +492,7 @@ void BM_HotpathApproxQuery(benchmark::State& state) {
   std::vector<graph::NodeId> sources = SourceCycle(ds.graph.num_nodes(), 32, 1);
   size_t i = 0;
   auto run = [&](graph::NodeId u) {
-    const util::FlatMap<graph::NodeId, double>& scores =
-        approx.ScoresFlat(u, 0);
+    const landmark::ScoreTable& scores = approx.ScoresFlat(u, 0);
     topk.Reset(10);
     for (const auto& [v, s] : scores) {
       if (s > 0.0) topk.Offer(v, s);
@@ -486,9 +513,10 @@ void BM_HotpathApproxQuery(benchmark::State& state) {
 BENCHMARK(BM_HotpathApproxQuery)->Arg(20)->Arg(100)->Unit(benchmark::kMicrosecond);
 
 void PrintHotpathResult(const char* name, const HotpathResult& r) {
-  std::printf("%-28s %12.0f ns/query  %6.2f allocs/query  frontier %8.1f  (%llu queries)\n",
-              name, r.ns_per_query, r.allocs_per_query, r.mean_frontier,
-              static_cast<unsigned long long>(r.queries));
+  std::printf("%-28s %12.0f ns/query [%.0f, %.0f]  %6.2f allocs/query  "
+              "frontier %8.1f  (%llu queries)\n",
+              name, r.ns_per_query, r.ns_min, r.ns_max, r.allocs_per_query,
+              r.mean_frontier, static_cast<unsigned long long>(r.queries));
 }
 
 // --smoke: the CI gate. Small graph, few passes; fails if a warm query on
@@ -534,12 +562,14 @@ void AppendHotpathJson(std::string* out, const char* path_name,
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "    {\"path\": \"%s\", \"%s\": %llu, \"ns_per_query\": %.0f, "
+                "\"ns_min\": %.0f, \"ns_max\": %.0f, \"pass_sets\": %d, "
                 "\"allocs_per_query\": %.4f, \"mean_frontier_nodes\": %.1f, "
                 "\"queries\": %llu}%s\n",
                 path_name, size_key,
                 static_cast<unsigned long long>(size_value), r.ns_per_query,
-                r.allocs_per_query, r.mean_frontier,
-                static_cast<unsigned long long>(r.queries), last ? "" : ",");
+                r.ns_min, r.ns_max, kPassSets, r.allocs_per_query,
+                r.mean_frontier, static_cast<unsigned long long>(r.queries),
+                last ? "" : ",");
   *out += buf;
 }
 

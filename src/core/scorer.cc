@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -209,14 +210,23 @@ void Scorer::EnsureScratch(size_t qn) const {
   scratch_nodes_ = n;
   scratch_qn_ = std::max(want_qn, scratch_qn_);
   arena_->Reset();
-  delta_b_ = arena_->AllocSpan<double>(n);
-  delta_ab_ = arena_->AllocSpan<double>(n);
-  next_b_ = arena_->AllocSpan<double>(n);
-  next_ab_ = arena_->AllocSpan<double>(n);
-  const size_t sig = static_cast<size_t>(n) * scratch_qn_;
-  delta_sigma_ = arena_->AllocSpan<double>(sig);
-  next_sigma_ = arena_->AllocSpan<double>(sig);
-  in_next_ = arena_->AllocSpan<uint8_t>(n);
+  // The node state: n records, or the rows (four n-wide doubles, two
+  // n x scratch_qn_ σ rows, n in-next bytes), whichever is larger. The
+  // rows are carved from the front of the same block.
+  const size_t nodes = n;
+  const size_t sig = nodes * scratch_qn_;
+  const size_t row_doubles = 4 * nodes + 2 * sig;
+  const size_t row_bytes = row_doubles * sizeof(double) + nodes;
+  records_ = arena_->AllocSpan<NodeRecord>(std::max(
+      nodes, (row_bytes + sizeof(NodeRecord) - 1) / sizeof(NodeRecord)));
+  double* const rows = reinterpret_cast<double*>(records_.data());
+  delta_b_ = {rows, nodes};
+  delta_ab_ = {rows + nodes, nodes};
+  next_b_ = {rows + 2 * nodes, nodes};
+  next_ab_ = {rows + 3 * nodes, nodes};
+  delta_sigma_ = {rows + 4 * nodes, sig};
+  next_sigma_ = {rows + 4 * nodes + sig, sig};
+  in_next_ = {reinterpret_cast<uint8_t*>(rows + row_doubles), nodes};
   frontier_buf_ = arena_->AllocSpan<graph::NodeId>(n);
   next_buf_ = arena_->AllocSpan<graph::NodeId>(n);
   new_buf_ = arena_->AllocSpan<graph::NodeId>(n);
@@ -227,16 +237,163 @@ void Scorer::EnsureScratch(size_t qn) const {
   msrow_ = arena_->AllocSpan<double>(topics::kMaxTopics);
   garow_ = arena_->AllocSpan<double>(topics::kMaxTopics);
 
-  // Establish the all-zero invariant once; queries restore the entries
-  // they touch, so this O(n) fill never reruns in steady state.
-  std::fill(delta_b_.begin(), delta_b_.end(), 0.0);
-  std::fill(delta_ab_.begin(), delta_ab_.end(), 0.0);
-  std::fill(next_b_.begin(), next_b_.end(), 0.0);
-  std::fill(next_ab_.begin(), next_ab_.end(), 0.0);
-  std::fill(delta_sigma_.begin(), delta_sigma_.end(), 0.0);
-  std::fill(next_sigma_.begin(), next_sigma_.end(), 0.0);
-  std::fill(in_next_.begin(), in_next_.end(), 0);
+  // Establish the all-zero invariant once, over every byte of the block
+  // (both layouts read it); queries restore the entries they touch, so
+  // this O(n) fill never reruns in steady state.
+  std::memset(static_cast<void*>(records_.data()), 0, records_.size_bytes());
 }
+
+// The node-state layouts of ExploreImpl. Each hands the skeleton a
+// reference to a node's next and δ of β, αβ and σ (a σ row of width()
+// doubles) and its in-next flag, and extends every walk ending at
+// frontier[0..frontier_n) by one edge (Step): Step writes the distinct
+// targets to next_frontier in first-reached order and returns their count.
+
+// |Q| = 1: one NodeRecord per node, σ width a compile-time 1.
+class Scorer::RecordState {
+ public:
+  explicit RecordState(const Scorer& s) : s_(s), rec_(s.records_.data()) {}
+
+  static constexpr size_t width() { return 1; }
+  double& NextB(graph::NodeId v) const { return rec_[v].next_b; }
+  double& NextAb(graph::NodeId v) const { return rec_[v].next_ab; }
+  double* NextSigma(graph::NodeId v) const { return &rec_[v].next_sigma; }
+  double& DeltaB(graph::NodeId v) const { return rec_[v].delta_b; }
+  double& DeltaAb(graph::NodeId v) const { return rec_[v].delta_ab; }
+  double* DeltaSigma(graph::NodeId v) const { return &rec_[v].delta_sigma; }
+  uint64_t& InNext(graph::NodeId v) const { return rec_[v].in_next; }
+
+  template <typename WeightPolicy>
+  size_t Step(const graph::NodeId* frontier, size_t frontier_n,
+              graph::NodeId* next_frontier) const {
+    const graph::LabeledGraph& g = *s_.g_;
+    const AuthorityIndex& authority = *s_.authority_;
+    const double beta = s_.params_.beta;
+    const double alphabeta = s_.params_.alpha * s_.params_.beta;
+    const double ab = s_.params_.beta * s_.params_.alpha;  // EdgeTopicWeight's
+    const double* const simt = s_.simt_.data();
+    const topics::TopicId t0 = s_.qt_[0];
+    NodeRecord* const rec = rec_;
+
+    size_t next_n = 0;
+    for (size_t fi = 0; fi < frontier_n; ++fi) {
+      const NodeRecord& ru = rec[frontier[fi]];
+      const double db = ru.delta_b;
+      const double dab = ru.delta_ab;
+      const double dsig = ru.delta_sigma;
+      auto nbrs = g.OutNeighbors(frontier[fi]);
+      auto labs = g.OutEdgeLabels(frontier[fi]);
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        const graph::NodeId v = nbrs[i];
+        NodeRecord& rv = rec[v];
+        if (!rv.in_next) {
+          rv.in_next = 1;
+          next_frontier[next_n++] = v;
+        }
+        rv.next_b += beta * db;
+        rv.next_ab += alphabeta * dab;
+        const double w = WeightPolicy::Weight(
+            simt, authority.AuthorityRow(v), ab, labs[i], t0);
+        rv.next_sigma += beta * dsig + dab * w;
+      }
+    }
+    return next_n;
+  }
+
+ private:
+  const Scorer& s_;
+  NodeRecord* rec_;
+};
+
+// Any other |Q|: n-wide δ/next rows for β and αβ, n x |Q| σ rows and an
+// in-next byte per node. Step accumulates a whole σ row per edge
+// (DESIGN.md §6.6).
+class Scorer::RowState {
+ public:
+  RowState(const Scorer& s, size_t qn) : s_(s), qn_(qn) {}
+
+  size_t width() const { return qn_; }
+  double& NextB(graph::NodeId v) const { return s_.next_b_[v]; }
+  double& NextAb(graph::NodeId v) const { return s_.next_ab_[v]; }
+  double* NextSigma(graph::NodeId v) const {
+    return s_.next_sigma_.data() + static_cast<size_t>(v) * qn_;
+  }
+  double& DeltaB(graph::NodeId v) const { return s_.delta_b_[v]; }
+  double& DeltaAb(graph::NodeId v) const { return s_.delta_ab_[v]; }
+  double* DeltaSigma(graph::NodeId v) const {
+    return s_.delta_sigma_.data() + static_cast<size_t>(v) * qn_;
+  }
+  uint8_t& InNext(graph::NodeId v) const { return s_.in_next_[v]; }
+
+  // When the query covers the whole vocabulary (qn == nt: TopicSet
+  // iterates ascending, so qt is the identity) the target's authority row
+  // is read in place; otherwise its query-topic entries are gathered into
+  // garow first.
+  template <typename WeightPolicy>
+  size_t Step(const graph::NodeId* frontier, size_t frontier_n,
+              graph::NodeId* next_frontier) const {
+    const graph::LabeledGraph& g = *s_.g_;
+    const AuthorityIndex& authority = *s_.authority_;
+    const int nt = g.num_topics();
+    const size_t qn = qn_;
+    const double beta = s_.params_.beta;
+    const double alphabeta = s_.params_.alpha * s_.params_.beta;
+    const double ab = s_.params_.beta * s_.params_.alpha;  // EdgeTopicWeight's
+    const bool in_place = qn == static_cast<size_t>(nt);
+    const double* const delta_b = s_.delta_b_.data();
+    const double* const delta_ab = s_.delta_ab_.data();
+    const double* const delta_sigma = s_.delta_sigma_.data();
+    double* const next_b = s_.next_b_.data();
+    double* const next_ab = s_.next_ab_.data();
+    double* const next_sigma = s_.next_sigma_.data();
+    uint8_t* const in_next = s_.in_next_.data();
+    const topics::TopicId* const qt = s_.qt_.data();
+    const double* const simt = s_.simt_.data();
+    double* const bdsig = s_.bdsig_.data();
+    double* const msrow = s_.msrow_.data();
+    double* const garow = s_.garow_.data();
+
+    size_t next_n = 0;
+    for (size_t fi = 0; fi < frontier_n; ++fi) {
+      const graph::NodeId u = frontier[fi];
+      const double db = delta_b[u];
+      const double dab = delta_ab[u];
+      const double* dsig = delta_sigma + static_cast<size_t>(u) * qn;
+      for (size_t qi = 0; qi < qn; ++qi) bdsig[qi] = beta * dsig[qi];
+
+      auto nbrs = g.OutNeighbors(u);
+      auto labs = g.OutEdgeLabels(u);
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        const graph::NodeId v = nbrs[i];
+        if (!in_next[v]) {
+          in_next[v] = 1;
+          next_frontier[next_n++] = v;
+        }
+        next_b[v] += beta * db;
+        next_ab[v] += alphabeta * dab;
+        const double* ms = nullptr;
+        if constexpr (WeightPolicy::kUsesSim) {
+          ms = MaxSimRow(simt, nt, qn, msrow, labs[i]);
+        }
+        const double* arow = nullptr;
+        if constexpr (WeightPolicy::kUsesAuth) {
+          arow = authority.AuthorityRow(v);
+          if (!in_place) {
+            for (size_t qi = 0; qi < qn; ++qi) garow[qi] = arow[qt[qi]];
+            arow = garow;
+          }
+        }
+        WeightPolicy::Accumulate(next_sigma + static_cast<size_t>(v) * qn,
+                                 bdsig, dab, ab, ms, arow, qn);
+      }
+    }
+    return next_n;
+  }
+
+ private:
+  const Scorer& s_;
+  size_t qn_;
+};
 
 const ExplorationResult& Scorer::Explore(graph::NodeId source,
                                          topics::TopicSet query_topics,
@@ -268,103 +425,38 @@ const ExplorationResult& Scorer::Explore(graph::NodeId source,
   }
   std::fill_n(simt_.data() + static_cast<size_t>(nt) * qn, qn, 0.0);
 
+  // The query's width picks the node-state layout.
+  const RecordState record(*this);
+  const RowState rows(*this, qn);
   switch (params_.variant) {
     case ScoreVariant::kFull:
-      return ExploreImpl<FullWeight>(source, qn, pruned);
+      return qn == 1 ? ExploreImpl<FullWeight>(source, record, pruned)
+                     : ExploreImpl<FullWeight>(source, rows, pruned);
     case ScoreVariant::kNoAuth:
-      return ExploreImpl<NoAuthWeight>(source, qn, pruned);
+      return qn == 1 ? ExploreImpl<NoAuthWeight>(source, record, pruned)
+                     : ExploreImpl<NoAuthWeight>(source, rows, pruned);
     case ScoreVariant::kNoSim:
-      return ExploreImpl<NoSimWeight>(source, qn, pruned);
+      return qn == 1 ? ExploreImpl<NoSimWeight>(source, record, pruned)
+                     : ExploreImpl<NoSimWeight>(source, rows, pruned);
   }
   MBR_CHECK(false && "unknown ScoreVariant");
   __builtin_unreachable();
 }
 
-// When the query covers the whole vocabulary (qn == nt: TopicSet iterates
-// ascending, so qt is the identity) the target's authority row is read in
-// place; otherwise its query-topic entries are gathered into garow first.
-template <typename WeightPolicy>
-size_t Scorer::MultiTopicStep(const graph::NodeId* frontier, size_t frontier_n,
-                              size_t qn, graph::NodeId* next_frontier) const {
-  const graph::LabeledGraph& g = *g_;
-  const AuthorityIndex& authority = *authority_;
-  const int nt = g.num_topics();
-  const double beta = params_.beta;
-  const double alphabeta = params_.alpha * params_.beta;
-  const double ab = params_.beta * params_.alpha;  // EdgeTopicWeight's order
-  const bool in_place = qn == static_cast<size_t>(nt);
-  const double* const delta_b = delta_b_.data();
-  const double* const delta_ab = delta_ab_.data();
-  const double* const delta_sigma = delta_sigma_.data();
-  double* const next_b = next_b_.data();
-  double* const next_ab = next_ab_.data();
-  double* const next_sigma = next_sigma_.data();
-  uint8_t* const in_next = in_next_.data();
-  const topics::TopicId* const qt = qt_.data();
-  const double* const simt = simt_.data();
-  double* const bdsig = bdsig_.data();
-  double* const msrow = msrow_.data();
-  double* const garow = garow_.data();
-
-  size_t next_n = 0;
-  for (size_t fi = 0; fi < frontier_n; ++fi) {
-    const graph::NodeId u = frontier[fi];
-    const double db = delta_b[u];
-    const double dab = delta_ab[u];
-    const double* dsig = delta_sigma + static_cast<size_t>(u) * qn;
-    for (size_t qi = 0; qi < qn; ++qi) bdsig[qi] = beta * dsig[qi];
-
-    auto nbrs = g.OutNeighbors(u);
-    auto labs = g.OutEdgeLabels(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const graph::NodeId v = nbrs[i];
-      if (!in_next[v]) {
-        in_next[v] = 1;
-        next_frontier[next_n++] = v;
-      }
-      next_b[v] += beta * db;
-      next_ab[v] += alphabeta * dab;
-      const double* ms = nullptr;
-      if constexpr (WeightPolicy::kUsesSim) {
-        ms = MaxSimRow(simt, nt, qn, msrow, labs[i]);
-      }
-      const double* arow = nullptr;
-      if constexpr (WeightPolicy::kUsesAuth) {
-        arow = authority.AuthorityRow(v);
-        if (!in_place) {
-          for (size_t qi = 0; qi < qn; ++qi) garow[qi] = arow[qt[qi]];
-          arow = garow;
-        }
-      }
-      WeightPolicy::Accumulate(next_sigma + static_cast<size_t>(v) * qn,
-                               bdsig, dab, ab, ms, arow, qn);
-    }
-  }
-  return next_n;
-}
-
-template <typename WeightPolicy>
+template <typename WeightPolicy, typename State>
 const ExplorationResult& Scorer::ExploreImpl(
-    graph::NodeId source, size_t qn, const std::vector<bool>* pruned) const {
+    graph::NodeId source, State state, const std::vector<bool>* pruned) const {
   const ScorerMetrics& metrics = ScorerMetrics::Get();
-  const double beta = params_.beta;
-  const double alphabeta = params_.alpha * params_.beta;
-  // EdgeTopicWeight multiplies β·α in this order; keep it so the policy
-  // kernels are bit-identical to the reference arithmetic.
-  const double ab = params_.beta * params_.alpha;
+  const size_t qn = state.width();
+  const auto clear_delta = [&](graph::NodeId u) {
+    state.DeltaB(u) = 0.0;
+    state.DeltaAb(u) = 0.0;
+    double* dsig = state.DeltaSigma(u);
+    for (size_t qi = 0; qi < qn; ++qi) dsig[qi] = 0.0;
+  };
 
   ExplorationResult& result = result_;
   result.Reset(g_->num_nodes(), qt_.data(), qn);
-
-  double* const delta_b = delta_b_.data();
-  double* const delta_ab = delta_ab_.data();
-  double* const next_b = next_b_.data();
-  double* const next_ab = next_ab_.data();
-  double* const delta_sigma = delta_sigma_.data();
-  double* const next_sigma = next_sigma_.data();
-  uint8_t* const in_next = in_next_.data();
-  const topics::TopicId* const qt = qt_.data();
-  const double* const simt = simt_.data();
 
   graph::NodeId* frontier = frontier_buf_.data();
   graph::NodeId* next_frontier = next_buf_.data();
@@ -372,67 +464,35 @@ const ExplorationResult& Scorer::ExploreImpl(
   size_t frontier_n = 0;
 
   frontier[frontier_n++] = source;
-  delta_b[source] = 1.0;
-  delta_ab[source] = 1.0;
-  // delta_sigma[source] stays 0: σ(u,u)=0 initially (walks of length 0
-  // carry no topical mass).
+  state.DeltaB(source) = 1.0;
+  state.DeltaAb(source) = 1.0;
+  // δσ(source) stays 0: σ(u,u)=0 initially (walks of length 0 carry no
+  // topical mass).
 
   uint32_t depth = 0;
   while (depth < params_.max_depth && frontier_n > 0) {
     metrics.frontier_size->Record(frontier_n);
-    size_t next_n = 0;
+    const size_t next_n = state.template Step<WeightPolicy>(
+        frontier, frontier_n, next_frontier);
     double added_mass = 0.0;
 
-    if (qn == 1) {
-      // Single-topic fast path — the serving case. One sigma cell per
-      // node, no per-topic loops.
-      const topics::TopicId t0 = qt[0];
-      for (size_t fi = 0; fi < frontier_n; ++fi) {
-        const graph::NodeId u = frontier[fi];
-        const double db = delta_b[u];
-        const double dab = delta_ab[u];
-        const double dsig0 = delta_sigma[u];
-
-        auto nbrs = g_->OutNeighbors(u);
-        auto labs = g_->OutEdgeLabels(u);
-        for (size_t i = 0; i < nbrs.size(); ++i) {
-          const graph::NodeId v = nbrs[i];
-          if (!in_next[v]) {
-            in_next[v] = 1;
-            next_frontier[next_n++] = v;
-          }
-          next_b[v] += beta * db;
-          next_ab[v] += alphabeta * dab;
-          const double w = WeightPolicy::Weight(
-              simt, authority_->AuthorityRow(v), ab, labs[i], t0);
-          next_sigma[v] += beta * dsig0 + dab * w;
-        }
-      }
-    } else {
-      next_n = MultiTopicStep<WeightPolicy>(frontier, frontier_n, qn,
-                                            next_frontier);
-    }
-
     // Clear the consumed deltas.
-    for (size_t fi = 0; fi < frontier_n; ++fi) {
-      const graph::NodeId u = frontier[fi];
-      delta_b[u] = 0.0;
-      delta_ab[u] = 0.0;
-      double* dsig = delta_sigma + static_cast<size_t>(u) * qn;
-      for (size_t qi = 0; qi < qn; ++qi) dsig[qi] = 0.0;
-    }
+    for (size_t fi = 0; fi < frontier_n; ++fi) clear_delta(frontier[fi]);
 
     // Commit the new walk length: accumulate totals, move next -> delta,
     // prune below-epsilon frontier entries and landmark-pruned nodes.
     size_t new_n = 0;
     for (size_t ni = 0; ni < next_n; ++ni) {
       const graph::NodeId v = next_frontier[ni];
-      in_next[v] = 0;
-      uint32_t slot = result.SlotFor(v);
-      result.topo_beta_[slot] += next_b[v];
-      result.topo_alphabeta_[slot] += next_ab[v];
+      state.InNext(v) = 0;
+      uint32_t slot = result.slot_[v];
+      if (slot == ExplorationResult::kNoSlot) slot = result.Append(v, qn);
+      double& nb = state.NextB(v);
+      double& nab = state.NextAb(v);
+      double* nsig = state.NextSigma(v);
+      result.topo_beta_[slot] += nb;
+      result.topo_alphabeta_[slot] += nab;
       double* rsig = result.sigma_.data() + static_cast<size_t>(slot) * qn;
-      double* nsig = next_sigma + static_cast<size_t>(v) * qn;
       double node_mass = 0.0;
       for (size_t qi = 0; qi < qn; ++qi) {
         rsig[qi] += nsig[qi];
@@ -442,21 +502,20 @@ const ExplorationResult& Scorer::ExploreImpl(
 
       bool expand = true;
       if (pruned != nullptr && (*pruned)[v]) expand = false;
-      if (params_.frontier_epsilon > 0.0 &&
-          next_b[v] < params_.frontier_epsilon &&
-          next_ab[v] < params_.frontier_epsilon &&
+      if (params_.frontier_epsilon > 0.0 && nb < params_.frontier_epsilon &&
+          nab < params_.frontier_epsilon &&
           node_mass < params_.frontier_epsilon) {
         expand = false;
       }
       if (expand) {
-        delta_b[v] = next_b[v];
-        delta_ab[v] = next_ab[v];
-        double* dsig = delta_sigma + static_cast<size_t>(v) * qn;
+        state.DeltaB(v) = nb;
+        state.DeltaAb(v) = nab;
+        double* dsig = state.DeltaSigma(v);
         for (size_t qi = 0; qi < qn; ++qi) dsig[qi] = nsig[qi];
         new_frontier[new_n++] = v;
       }
-      next_b[v] = 0.0;
-      next_ab[v] = 0.0;
+      nb = 0.0;
+      nab = 0.0;
       for (size_t qi = 0; qi < qn; ++qi) nsig[qi] = 0.0;
     }
 
@@ -481,13 +540,7 @@ const ExplorationResult& Scorer::ExploreImpl(
     result.converged_ = true;
   } else {
     // Restore the invariant: zero the deltas the aborted frontier left.
-    for (size_t fi = 0; fi < frontier_n; ++fi) {
-      const graph::NodeId u = frontier[fi];
-      delta_b[u] = 0.0;
-      delta_ab[u] = 0.0;
-      double* dsig = delta_sigma + static_cast<size_t>(u) * qn;
-      for (size_t qi = 0; qi < qn; ++qi) dsig[qi] = 0.0;
-    }
+    for (size_t fi = 0; fi < frontier_n; ++fi) clear_delta(frontier[fi]);
   }
   metrics.iterations->Record(result.iterations_run_);
   if (result.converged_) {

@@ -23,14 +23,19 @@
 // landmark nodes so paths through a landmark are not double-counted, §5.4).
 //
 // Hot-path layout (DESIGN.md §6.6): the per-query working set — frontier
-// triple-buffer, per-node delta rows, packed per-topic sigma rows — lives
-// in typed spans carved from a util::QueryArena, and the scorer variant
-// (Tr / Tr−auth / Tr−sim) is a compile-time weight policy, so the inner
-// edge loop carries no switch. A multi-topic query accumulates whole
-// rows per edge (one max-sim row, one authority row) over contiguous
-// arrays; every σ stays bit-for-bit the per-(edge, topic) arithmetic
-// above.
-// In steady state Explore() performs zero heap allocations and returns a
+// triple-buffer and per-node running state — lives in typed spans carved
+// from a util::QueryArena, and the scorer variant (Tr / Tr−auth / Tr−sim)
+// is a compile-time weight policy, so the inner edge loop carries no
+// switch. One traversal skeleton runs over either of two node-state
+// layouts carved from the same zeroed block:
+//   - a single-topic query (the exact tier, the depth-2 landmark BFS)
+//     keeps each node's next and δ of β, αβ and σ and its in-next flag in
+//     one 64-byte record, so an edge touches one cache line of its target;
+//   - a multi-topic query (landmark pre-processing and repair) keeps rows
+//     and accumulates whole σ rows per edge (one max-sim row, one
+//     authority row) over contiguous arrays.
+// Every σ stays bit-for-bit the per-(edge, topic) arithmetic above. In
+// steady state Explore() performs zero heap allocations and returns a
 // reference to a reused ExplorationResult.
 
 #include <array>
@@ -116,15 +121,19 @@ class ExplorationResult {
     converged_ = false;
   }
 
-  uint32_t SlotFor(graph::NodeId v) {
-    if (slot_[v] == kNoSlot) {
-      slot_[v] = static_cast<uint32_t>(reached_.size());
-      reached_.push_back(v);
-      sigma_.resize(sigma_.size() + num_columns_, 0.0);
-      topo_beta_.push_back(0.0);
-      topo_alphabeta_.push_back(0.0);
+  // Gives the newly reached node v a zeroed slot of `width` σ columns.
+  uint32_t Append(graph::NodeId v, size_t width) {
+    const auto slot = static_cast<uint32_t>(reached_.size());
+    slot_[v] = slot;
+    reached_.push_back(v);
+    if (width == 1) {
+      sigma_.push_back(0.0);
+    } else {
+      sigma_.resize(sigma_.size() + width, 0.0);
     }
-    return slot_[v];
+    topo_beta_.push_back(0.0);
+    topo_alphabeta_.push_back(0.0);
+    return slot;
   }
 
   std::array<uint8_t, topics::kMaxTopics> column_;  // topic -> σ column
@@ -189,24 +198,31 @@ class Scorer {
                          topics::TopicId t) const;
 
  private:
-  // One weight-policy instantiation per ScoreVariant; Explore() dispatches
-  // once per query so the inner loop is branch-free on the variant.
-  template <typename WeightPolicy>
-  const ExplorationResult& ExploreImpl(graph::NodeId source, size_t qn,
+  // One node's running state in a single-topic exploration: next and δ
+  // of topo_β, topo_αβ and σ, and the in-next flag, in one cache line.
+  struct alignas(64) NodeRecord {
+    double next_b, next_ab, next_sigma;
+    double delta_b, delta_ab, delta_sigma;
+    uint64_t in_next;
+  };
+  static_assert(sizeof(NodeRecord) == 64);
+
+  // The two node-state layouts ExploreImpl runs over (scorer.cc): one
+  // NodeRecord per node for |Q| = 1, rows for any other |Q|.
+  class RecordState;
+  class RowState;
+
+  // Algorithm 1's traversal. One instantiation per (ScoreVariant, layout):
+  // Explore() dispatches once per query, so the inner loop is branch-free
+  // on the variant and the single-topic width is a compile-time 1.
+  template <typename WeightPolicy, typename State>
+  const ExplorationResult& ExploreImpl(graph::NodeId source, State state,
                                        const std::vector<bool>* pruned) const;
 
-  // The multi-topic step of ExploreImpl (DESIGN.md §6.6): extends every
-  // walk ending at frontier[0..frontier_n) by one edge, accumulating whole
-  // σ rows of qn query topics per edge. Writes the distinct targets to
-  // next_frontier in first-reached order and returns their count.
-  template <typename WeightPolicy>
-  size_t MultiTopicStep(const graph::NodeId* frontier, size_t frontier_n,
-                        size_t qn, graph::NodeId* next_frontier) const;
-
   // (Re)carves the arena-backed scratch spans when the needed capacity
-  // grows (first query, or a wider topic set than ever seen). All spans
-  // are zero-filled afterwards; between queries every touched entry is
-  // restored to zero, so a fresh call never sees stale state.
+  // grows (first query, or a wider topic set than ever seen). The node
+  // state is zero-filled afterwards; between queries every touched entry
+  // is restored to zero, so a fresh call never sees stale state.
   void EnsureScratch(size_t qn) const;
 
   // Pointers (not references) so Rebind() can swap generations in place;
@@ -219,8 +235,13 @@ class Scorer {
   std::unique_ptr<util::QueryArena> owned_arena_;
   util::QueryArena* arena_;  // owned_arena_.get() or the caller's
 
-  // Arena-backed scratch. delta/next rows are n wide; sigma rows are
-  // packed n x scratch_qn_ (stride = the query's topic count).
+  // Arena-backed scratch. One zeroed block holds the node state of either
+  // layout, sized for the larger: records_ spans the block (node v's
+  // record is records_[v]) and the rows are carved from its front, so a
+  // scorer that alternates widths re-zeroes nothing. delta/next rows are
+  // n wide; sigma rows are packed n x scratch_qn_ (stride = the query's
+  // topic count).
+  mutable std::span<NodeRecord> records_;
   mutable std::span<double> delta_b_, delta_ab_, next_b_, next_ab_;
   mutable std::span<double> delta_sigma_, next_sigma_;
   mutable std::span<uint8_t> in_next_;

@@ -40,10 +40,12 @@ ApproxRecommender::ApproxRecommender(const graph::LabeledGraph& g,
         c.params.max_depth = config.query_depth;
         return c;
       }()),
-      scorer_(g, authority, sim, config_.params, arena) {}
+      scorer_(g, authority, sim, config_.params, arena),
+      num_nodes_(g.num_nodes()) {}
 
-const util::FlatMap<graph::NodeId, double>& ApproxRecommender::ScoresFlat(
-    graph::NodeId u, topics::TopicId t, QueryStats* stats) const {
+const ScoreTable& ApproxRecommender::ScoresFlat(graph::NodeId u,
+                                                topics::TopicId t,
+                                                QueryStats* stats) const {
   util::WallTimer timer;
   const std::vector<bool>* pruned =
       config_.prune_at_landmarks ? &index_.landmark_mask() : nullptr;
@@ -53,12 +55,12 @@ const util::FlatMap<graph::NodeId, double>& ApproxRecommender::ScoresFlat(
   }();
 
   MBR_SPAN("landmark.combine");
-  util::FlatMap<graph::NodeId, double>& scores = scores_;
-  scores.Clear();
+  ScoreTable& scores = scores_;
+  scores.Clear(num_nodes_);
   uint32_t landmarks_met = 0;
 
   for (graph::NodeId v : res.reached()) {
-    if (v != u) scores[v] += res.Sigma(v, t);
+    if (v != u) scores.Add(v, res.Sigma(v, t));
     if (!index_.IsLandmark(v) || v == u) continue;
     ++landmarks_met;
     // Proposition 4 composition with λ = v's stored lists:
@@ -67,7 +69,7 @@ const util::FlatMap<graph::NodeId, double>& ApproxRecommender::ScoresFlat(
     const double topo_ab_ul = res.TopoAlphaBeta(v);
     for (const StoredRec& rec : index_.Recommendations(v, t)) {
       if (rec.node == u) continue;
-      scores[rec.node] += sigma_ul * rec.topo_beta + topo_ab_ul * rec.sigma;
+      scores.Add(rec.node, sigma_ul * rec.topo_beta + topo_ab_ul * rec.sigma);
     }
   }
 
@@ -83,7 +85,7 @@ const util::FlatMap<graph::NodeId, double>& ApproxRecommender::ScoresFlat(
 
 std::unordered_map<graph::NodeId, double> ApproxRecommender::ApproximateScores(
     graph::NodeId u, topics::TopicId t, QueryStats* stats) const {
-  const util::FlatMap<graph::NodeId, double>& flat = ScoresFlat(u, t, stats);
+  const ScoreTable& flat = ScoresFlat(u, t, stats);
   std::unordered_map<graph::NodeId, double> out;
   out.reserve(flat.size() * 2);
   for (const auto& [v, s] : flat) out.emplace(v, s);
@@ -126,15 +128,13 @@ util::Status ApproxRecommender::ExploreDecomposed(
 util::Result<core::Ranking> ApproxRecommender::Recommend(
     const core::Query& q) const {
   MBR_RETURN_IF_ERROR(CheckDeadline(q));
-  const util::FlatMap<graph::NodeId, double>& scores =
-      ScoresFlat(q.user, q.topic);
+  const ScoreTable& scores = ScoresFlat(q.user, q.topic);
   MBR_RETURN_IF_ERROR(CheckDeadline(q));
   if (q.scoring_mode()) {
     core::Ranking r;
     r.entries.reserve(q.candidates.size());
     for (graph::NodeId v : q.candidates) {
-      const double* s = scores.Find(v);
-      r.entries.push_back({v, s == nullptr ? 0.0 : *s});
+      r.entries.push_back({v, scores.Get(v)});
     }
     return r;
   }
@@ -149,10 +149,10 @@ std::vector<util::ScoredId> ApproxRecommender::RecommendQuery(
     graph::NodeId u, const std::vector<core::WeightedTopic>& query,
     size_t n) const {
   MBR_CHECK(!query.empty());
-  combined_.Clear();
+  combined_.Clear(num_nodes_);
   for (const core::WeightedTopic& wt : query) {
     for (const auto& [v, s] : ScoresFlat(u, wt.topic)) {
-      combined_[v] += wt.weight * s;
+      combined_.Add(v, wt.weight * s);
     }
   }
   util::TopK topk(n);

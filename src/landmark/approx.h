@@ -26,13 +26,15 @@
 // brute-force oracle.
 //
 // Hot path (DESIGN.md §6.6): score accumulation runs in a reused
-// util::FlatMap, the exploration scratch lives in the (optionally
-// per-worker) util::QueryArena, and ScoresFlat() hands the table out by
-// reference — zero heap allocations per warm query. ApproximateScores()
-// is the offline-friendly copy of the same table.
+// ScoreTable (a dense value array plus a first-touched node list, cleared
+// and iterated in O(touched)), the exploration scratch lives in the
+// (optionally per-worker) util::QueryArena, and ScoresFlat() hands the
+// table out by reference — zero heap allocations per warm query.
+// ApproximateScores() is the offline-friendly copy of the same table.
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/authority.h"
@@ -43,7 +45,6 @@
 #include "landmark/index.h"
 #include "topics/similarity_matrix.h"
 #include "util/arena.h"
-#include "util/flat_map.h"
 
 namespace mbr::landmark {
 
@@ -77,6 +78,69 @@ struct DecomposedRecord {
   double topo_alphabeta = 0.0;  // topo_αβ(u, node); 0 for non-landmarks
 };
 
+// σ̃ of one query, accumulated per node: a value array indexed by node and
+// the nodes in first-touched order. Adding, clearing and iterating cost
+// O(1) per touched node, whatever the graph's size; the dense arrays are
+// sized once per graph, so a warm table never allocates. Iteration yields
+// (node, σ̃) pairs in first-touched order.
+class ScoreTable {
+ public:
+  // Empties the table for a graph of `num_nodes` nodes.
+  void Clear(graph::NodeId num_nodes) {
+    for (graph::NodeId v : touched_) {
+      value_[v] = 0.0;
+      seen_[v] = 0;
+    }
+    touched_.clear();
+    if (value_.size() != num_nodes) {
+      value_.assign(num_nodes, 0.0);
+      seen_.assign(num_nodes, 0);
+      touched_.reserve(num_nodes);
+    }
+  }
+
+  void Add(graph::NodeId v, double x) {
+    if (!seen_[v]) {
+      seen_[v] = 1;
+      touched_.push_back(v);
+    }
+    value_[v] += x;
+  }
+
+  // σ̃ of v; 0 if v was never touched (or is not a node).
+  double Get(graph::NodeId v) const {
+    return v < value_.size() ? value_[v] : 0.0;
+  }
+  size_t size() const { return touched_.size(); }
+
+  class const_iterator {
+   public:
+    const_iterator(const graph::NodeId* it, const double* value)
+        : it_(it), value_(value) {}
+    std::pair<graph::NodeId, double> operator*() const {
+      return {*it_, value_[*it_]};
+    }
+    const_iterator& operator++() {
+      ++it_;
+      return *this;
+    }
+    bool operator!=(const const_iterator& o) const { return it_ != o.it_; }
+
+   private:
+    const graph::NodeId* it_;
+    const double* value_;
+  };
+  const_iterator begin() const { return {touched_.data(), value_.data()}; }
+  const_iterator end() const {
+    return {touched_.data() + touched_.size(), value_.data()};
+  }
+
+ private:
+  std::vector<double> value_;
+  std::vector<uint8_t> seen_;
+  std::vector<graph::NodeId> touched_;
+};
+
 // Thread affinity: an ApproxRecommender owns a core::Scorer and reused
 // score tables and inherits the scorer's single-caller contract — create
 // one instance per serving thread (service::QueryEngine does). The
@@ -108,8 +172,8 @@ class ApproxRecommender : public core::Recommender {
   // contributions). Stats for the run are written to *stats if non-null.
   // The returned reference is owned by the recommender and valid until the
   // next query on this instance (single-caller, like the scorer).
-  const util::FlatMap<graph::NodeId, double>& ScoresFlat(
-      graph::NodeId u, topics::TopicId t, QueryStats* stats = nullptr) const;
+  const ScoreTable& ScoresFlat(graph::NodeId u, topics::TopicId t,
+                               QueryStats* stats = nullptr) const;
 
   // Offline-friendly copy of ScoresFlat() for callers that keep or merge
   // tables (evaluation harness, distributed simulation, tests).
@@ -138,10 +202,11 @@ class ApproxRecommender : public core::Recommender {
   const LandmarkIndex& index_;
   ApproxConfig config_;
   core::Scorer scorer_;
-  // Reused per-query score tables (cleared, never shrunk): direct +
-  // composed scores, and the multi-topic combination of RecommendQuery.
-  mutable util::FlatMap<graph::NodeId, double> scores_;
-  mutable util::FlatMap<graph::NodeId, double> combined_;
+  const graph::NodeId num_nodes_;
+  // Reused per-query score tables: direct + composed scores, and the
+  // multi-topic combination of RecommendQuery.
+  mutable ScoreTable scores_;
+  mutable ScoreTable combined_;
 };
 
 }  // namespace mbr::landmark

@@ -185,7 +185,7 @@ struct ServerCounters {
   uint64_t closed = 0;           // connections fully closed
   uint64_t requests = 0;         // work requests admitted
   uint64_t shed_overload = 0;    // OVERLOADED replies
-  uint64_t shed_deadline = 0;    // DEADLINE_EXCEEDED replies
+  uint64_t shed_deadline = 0;    // deadline expired before dispatch
   uint64_t protocol_errors = 0;  // malformed frames / bad payloads
 };
 

@@ -4,7 +4,7 @@
 // Per-worker bump allocator for query-scoped scratch memory.
 //
 // The serving hot path (core::Scorer, landmark::ApproxRecommender) keeps
-// its frontier and per-topic accumulation rows in typed spans carved out of
+// its frontier and per-node running state in typed spans carved out of
 // one QueryArena. The arena hands out raw storage with a pointer bump —
 // no per-allocation bookkeeping, no per-query malloc — and Reset() reclaims
 // everything in O(#blocks) while keeping the backing memory, so a warm
@@ -14,15 +14,23 @@
 // heap (the zero-allocation invariant tracked by bench/micro_benchmarks
 // and BENCH_hotpath.json).
 //
+// Blocks are allocated uninitialised and kBlockAlign (64-byte) aligned.
+// Nothing is zero-filled, so the bytes of a block that no span touches
+// (the slack of a doubling spill block) never become resident; and a span
+// of any type aligned up to a cache line comes back aligned whatever was
+// carved before it (core::Scorer's 64-byte node records rely on this).
+//
 // Contract: an arena is single-caller, like the Scorer that owns it —
 // service::QueryEngine creates one arena per worker thread and threads it
 // through BuildWorkers so it survives Rebind (the blocks outlive the
 // scorers carved from them). Reset() invalidates every span previously
 // handed out; only the owner that performs the Reset may hold spans.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -33,6 +41,10 @@ namespace mbr::util {
 
 class QueryArena {
  public:
+  // Every block starts at a multiple of this many bytes, so a span may
+  // ask for any alignment up to it.
+  static constexpr size_t kBlockAlign = 64;
+
   QueryArena() = default;
   explicit QueryArena(size_t initial_bytes) {
     if (initial_bytes > 0) AddBlock(initial_bytes);
@@ -81,8 +93,13 @@ class QueryArena {
   size_t num_blocks() const { return blocks_.size(); }
 
  private:
+  struct AlignedDelete {
+    void operator()(std::byte* p) const {
+      ::operator delete(p, std::align_val_t{kBlockAlign});
+    }
+  };
   struct Block {
-    std::unique_ptr<std::byte[]> data;
+    std::unique_ptr<std::byte, AlignedDelete> data;
     size_t size = 0;
     size_t used = 0;
   };
@@ -92,12 +109,14 @@ class QueryArena {
   void AddBlock(size_t bytes) {
     Block b;
     b.size = bytes < kMinBlockBytes ? kMinBlockBytes : bytes;
-    b.data = std::make_unique<std::byte[]>(b.size);
+    b.data.reset(static_cast<std::byte*>(
+        ::operator new(b.size, std::align_val_t{kBlockAlign})));
     blocks_.push_back(std::move(b));
   }
 
   void* AllocBytes(size_t bytes, size_t align) {
-    MBR_DCHECK(align > 0 && (align & (align - 1)) == 0);
+    MBR_CHECK(align > 0 && (align & (align - 1)) == 0 &&
+              align <= kBlockAlign);
     if (!blocks_.empty()) {
       Block& b = blocks_.back();
       size_t aligned = (b.used + align - 1) & ~(align - 1);
@@ -109,11 +128,10 @@ class QueryArena {
       }
     }
     // Spill: open a new block at least twice the current reserve so the
-    // block count stays logarithmic in the final working-set size.
+    // block count stays logarithmic in the final working-set size. Its
+    // base is kBlockAlign-aligned, so offset 0 suits `align`.
     AddBlock(std::max(bytes + align, 2 * bytes_reserved()));
     Block& b = blocks_.back();
-    size_t aligned = (align - 1) & ~(align - 1);  // == 0; data is max-aligned
-    (void)aligned;
     void* p = b.data.get();
     b.used = bytes;
     bytes_used_ += bytes;

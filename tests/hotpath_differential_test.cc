@@ -6,11 +6,12 @@
 // graphs, sources, topic sets and pruning masks. Also pins:
 //   * repeat determinism: re-running a query on a reused scorer (scratch
 //     warm, interleaved with other queries) reproduces every bit;
-//   * the landmark approximation built on FlatMap/ScoresFlat against a
+//   * the landmark approximation built on ScoreTable/ScoresFlat against a
 //     reference composition done in std::unordered_map.
 
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -525,9 +526,11 @@ TEST(HotpathDifferentialTest, WarmScorerAlternatingTopicSetsBitIdentical) {
   }
 }
 
-// The landmark hot path: FlatMap-accumulated approximate scores against
+// The landmark hot path: ScoreTable-accumulated approximate scores against
 // the same Proposition 4 composition done with reference exploration +
-// std::unordered_map, compared as ranked lists (bitwise scores).
+// std::unordered_map, compared as ranked lists (bitwise scores). A wide
+// query (from the node of largest out-degree) runs first and last, so the
+// warm table must drop everything the previous query touched.
 TEST(HotpathDifferentialTest, LandmarkApproxMatchesReferenceComposition) {
   auto ds = MakeDataset(600, 23);
   AuthorityIndex auth(ds.graph);
@@ -547,12 +550,22 @@ TEST(HotpathDifferentialTest, LandmarkApproxMatchesReferenceComposition) {
   ScoreParams qparams = acfg.params;
   qparams.max_depth = acfg.query_depth;
 
+  NodeId widest = 0;
+  for (NodeId v = 1; v < ds.graph.num_nodes(); ++v) {
+    if (ds.graph.OutDegree(v) > ds.graph.OutDegree(widest)) widest = v;
+  }
+  const std::pair<NodeId, TopicId> wide{widest, 0};
+  std::vector<std::pair<NodeId, TopicId>> queries{wide};
   util::Rng rng(29);
   for (int q = 0; q < 6; ++q) {
     NodeId u = static_cast<NodeId>(rng.UniformU64(ds.graph.num_nodes()));
     TopicId t = static_cast<TopicId>(
         rng.UniformU64(static_cast<uint64_t>(ds.graph.num_topics())));
+    queries.push_back({u, t});
+  }
+  queries.push_back(wide);
 
+  for (const auto& [u, t] : queries) {
     RefResult res = RefExplore(ds.graph, auth, topics::TwitterSimilarity(),
                                qparams, u, TopicSet::Single(t),
                                &index.landmark_mask());
@@ -568,7 +581,10 @@ TEST(HotpathDifferentialTest, LandmarkApproxMatchesReferenceComposition) {
       }
     }
 
-    const util::FlatMap<NodeId, double>& got = approx.ScoresFlat(u, t);
+    const landmark::ScoreTable& got = approx.ScoresFlat(u, t);
+    if (u == widest) {
+      EXPECT_GT(got.size(), ds.graph.num_nodes() / 2) << "not a wide query";
+    }
     ASSERT_EQ(want.size(), got.size()) << "u=" << u << " t=" << int(t);
     for (const auto& [v, s] : got) {
       auto it = want.find(v);
@@ -578,7 +594,7 @@ TEST(HotpathDifferentialTest, LandmarkApproxMatchesReferenceComposition) {
 
     // Ranked projection through TopK: identical entries in identical
     // order (RankedBefore is a strict total order on distinct ids, so the
-    // FlatMap's iteration order cannot leak into the ranking).
+    // table's iteration order cannot leak into the ranking).
     util::TopK want_topk(10);
     for (const auto& [v, s] : want) {
       if (s > 0.0) want_topk.Offer(v, s);

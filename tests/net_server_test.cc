@@ -405,7 +405,10 @@ TEST_F(NetServerTest, ClientDeadlineShedsQueuedRequests) {
     if (!r.ok()) {
       ASSERT_EQ(r.status().code(), util::StatusCode::kDeadlineExceeded)
           << r.status().ToString();
-      deadline_seen = true;
+      // When the batch drains within the probe's 1 ms, the probe is
+      // dispatched in time and its deadline expires inside the engine
+      // instead: the same error, but no shed. Only a shed ends the loop.
+      deadline_seen = server_->counters().shed_deadline > 0;
     }
     batch_thread.join();
   }

@@ -102,6 +102,41 @@ TEST(QueryArenaTest, SteadyStateAfterWarmup) {
   }
 }
 
+// A cache-line-aligned type comes back cache-line aligned wherever it is
+// carved: after an odd-sized span, as the first span of a spill block, and
+// in the one block Reset() coalesces the spill into.
+TEST(QueryArenaTest, CacheLineAlignedSpansStayAligned) {
+  struct alignas(64) Line {
+    double v[8];
+  };
+  static_assert(alignof(Line) == 64);
+  auto aligned = [](const void* p) {
+    return reinterpret_cast<uintptr_t>(p) % 64 == 0;
+  };
+
+  QueryArena a(4096);
+  (void)a.AllocSpan<uint8_t>(1);  // odd-sized carve first
+  std::span<Line> in_block = a.AllocSpan<Line>(3);
+  EXPECT_TRUE(aligned(in_block.data()));
+  (void)a.AllocSpan<uint64_t>(1);
+  std::span<Line> after_word = a.AllocSpan<Line>(2);
+  EXPECT_TRUE(aligned(after_word.data()));
+  ASSERT_EQ(a.num_blocks(), 1u);
+
+  // Larger than what is left: opens a spill block.
+  std::span<Line> spilled = a.AllocSpan<Line>(100);
+  ASSERT_EQ(a.num_blocks(), 2u);
+  EXPECT_TRUE(aligned(spilled.data()));
+
+  a.Reset();
+  ASSERT_EQ(a.num_blocks(), 1u);
+  (void)a.AllocSpan<uint8_t>(7);
+  std::span<Line> coalesced = a.AllocSpan<Line>(100);
+  EXPECT_TRUE(aligned(coalesced.data()));
+  for (Line& l : coalesced) l.v[0] = 1.0;  // writable
+  EXPECT_EQ(a.num_blocks(), 1u);
+}
+
 TEST(QueryArenaTest, InitialBytesRoundsUpToMinBlock) {
   QueryArena a(1);  // tiny request still yields a usable block
   EXPECT_EQ(a.num_blocks(), 1u);

@@ -16,7 +16,7 @@
 # build-ubsan/ trees (configured here on first run). Every test carries at
 # least its module label (tests/CMakeLists.txt derives it from the file
 # name), and ASan and UBSan run all of them: out-of-bounds reads in the
-# byte-level parsers and arena/flat-map scratch reuse, undefined behaviour
+# byte-level parsers and arena/score-table scratch reuse, undefined behaviour
 # in the floating-point scoring kernels and serving arithmetic, anywhere in
 # the library. UBSan is built with -fno-sanitize-recover=undefined, so a
 # report aborts the test that hit it instead of printing and passing. TSan
