@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "coord/serving_node.h"
 #include "core/authority.h"
 #include "landmark/index.h"
 #include "landmark/selection.h"
@@ -161,23 +162,21 @@ int main() {
   landmark::LandmarkIndexConfig icfg;
   icfg.top_n = 50;
   icfg.params = DriftParams();
-  landmark::LandmarkIndex index(ds.graph, auth, topics::TwitterSimilarity(),
-                                landmarks, icfg);
+  coord::NodeConfig nc;
+  nc.index.emplace(ds.graph, auth, topics::TwitterSimilarity(), landmarks,
+                   icfg);
+  nc.graph = std::move(ds.graph);
 
   service::EngineConfig ec;
   ec.num_threads = 1;
   ec.cache_capacity = 0;
   ec.params = DriftParams();
-  ec.landmarks = &index;
-  service::QueryEngine engine(ds.graph, auth, topics::TwitterSimilarity(),
-                              ec);
-  service::MutationApplier applier(ds.graph, auth, engine);
-  service::LandmarkRepairer repairer(index, engine,
-                                     topics::TwitterSimilarity(),
-                                     applier.current_graph(),
-                                     applier.current_authority());
-  applier.SetRepairer(&repairer);
-  engine.SetStaleProbe(repairer.MakeStaleProbe());
+  nc.engine = ec;
+  nc.mutable_serving = true;
+  auto node = coord::ServingNode::Build(std::move(nc)).value();
+  service::QueryEngine& engine = node->engine();
+  service::MutationApplier& applier = *node->applier();
+  service::LandmarkRepairer& repairer = *node->repairer();
   obs::Counter* stale_reads = engine.registry().GetCounter(
       "mbr_repair_stale_reads_total", "");
 
@@ -262,7 +261,7 @@ int main() {
 
   WriteJson(curve, post, n, sel.num_landmarks, repairer.repairs_done());
 
-  const bool converged = index.Serialize() == fresh.Serialize();
+  const bool converged = node->index()->Serialize() == fresh.Serialize();
   std::printf("every checkpoint all %u slots stale: %s\n"
               "quiesced index byte-identical to fresh build: %s\n",
               sel.num_landmarks, all_stale ? "yes" : "NO",

@@ -25,6 +25,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "coord/serving_node.h"
 #include "core/authority.h"
 #include "core/scorer.h"
 #include "dynamic/churn.h"
@@ -276,17 +277,15 @@ int main() {
   const uint32_t budget = 10;
   bool ok = true;
   {
-    landmark::LandmarkIndex live_index(ds.graph, auth0, sim, sel.landmarks,
-                                       icfg);
-    service::EngineConfig ec;
-    ec.num_threads = 1;
-    ec.landmarks = &live_index;
-    service::QueryEngine engine(ds.graph, auth0, sim, ec);
-    service::MutationApplier applier(ds.graph, auth0, engine);
-    service::LandmarkRepairer repairer(live_index, engine, sim,
-                                       applier.current_graph(),
-                                       applier.current_authority());
-    applier.SetRepairer(&repairer);
+    coord::NodeConfig nc;
+    nc.graph = ds.graph;
+    nc.index.emplace(ds.graph, auth0, sim, sel.landmarks, icfg);
+    nc.engine.num_threads = 1;
+    nc.mutable_serving = true;
+    auto node = coord::ServingNode::Build(std::move(nc)).value();
+    service::MutationApplier& applier = *node->applier();
+    service::LandmarkRepairer& repairer = *node->repairer();
+    const landmark::LandmarkIndex& live_index = *node->index();
 
     util::TablePrinter rp({"cumulative churn", "None", "Repairer-10",
                            "applied", "rejected"});

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "coord/serving_node.h"
 #include "core/authority.h"
 #include "datagen/twitter_generator.h"
 #include "dynamic/churn.h"
@@ -42,21 +43,19 @@ int main(int argc, char** argv) {
                              scfg);
   landmark::LandmarkIndexConfig icfg;
   icfg.top_n = 100;
-  landmark::LandmarkIndex index(ds.graph, auth0, sim, sel.landmarks, icfg);
-
-  // The serving stack: a landmark engine, the applier that turns each
-  // day's churn into a new graph generation (authority kept exact), and a
-  // repairer that recomputes at most 8 stale landmarks per day, oldest
-  // lists first.
-  service::EngineConfig ec;
-  ec.num_threads = 1;
-  ec.landmarks = &index;
-  service::QueryEngine engine(ds.graph, auth0, sim, ec);
-  service::MutationApplier applier(ds.graph, auth0, engine);
-  service::LandmarkRepairer repairer(index, engine, sim,
-                                     applier.current_graph(),
-                                     applier.current_authority());
-  applier.SetRepairer(&repairer);
+  // The serving node: a landmark engine over a copy of the day-0 graph,
+  // the applier that turns each day's churn into a new graph generation
+  // (authority kept exact), and a repairer, here run by hand to recompute
+  // at most 8 stale landmarks per day, oldest lists first.
+  coord::NodeConfig nc;
+  nc.graph = ds.graph;
+  nc.index.emplace(ds.graph, auth0, sim, sel.landmarks, icfg);
+  nc.engine.num_threads = 1;
+  nc.mutable_serving = true;
+  auto node = coord::ServingNode::Build(std::move(nc)).value();
+  service::QueryEngine& engine = node->engine();
+  service::MutationApplier& applier = *node->applier();
+  service::LandmarkRepairer& repairer = *node->repairer();
 
   // The churn workload reads its own view of the evolving graph.
   dynamic::DeltaGraph overlay(&ds.graph);

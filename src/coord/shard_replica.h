@@ -44,7 +44,8 @@ graph::LabeledGraph BuildHaloSubgraph(const graph::LabeledGraph& full,
                                       const ShardPlan& plan, uint32_t shard,
                                       uint32_t halo_depth);
 
-// Everything one `mbrec serve --shard <i>` process holds. Heap state is
+// The serving state of a shard node (coord::ServingNode, which fills the
+// same fields over the whole graph for a single node). Heap state is
 // owned through unique_ptrs so the context can be moved after the engine
 // has captured references into it.
 struct ShardContext {

@@ -1,6 +1,7 @@
 #include "eval/approx_eval.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "core/recommender.h"
 #include "core/scorer.h"
@@ -66,9 +67,18 @@ StrategyEvaluation EvaluateStrategy(const graph::LabeledGraph& g,
     indices.push_back(full_index.Truncated(top_n));
   }
 
-  // ---- Queries.
+  // ---- Queries. Each side reuses one recommender across them, so "query
+  // ms" does not time a cold arena carve and score-table fill per query.
   core::ScoreParams exact_params = config.params;
   core::Scorer exact_scorer(g, authority, sim, exact_params);
+  landmark::ApproxConfig acfg;
+  acfg.query_depth = config.query_depth;
+  acfg.params = config.params;
+  std::vector<std::unique_ptr<landmark::ApproxRecommender>> approx;
+  for (const landmark::LandmarkIndex& index : indices) {
+    approx.push_back(std::make_unique<landmark::ApproxRecommender>(
+        g, authority, sim, index, acfg));
+  }
 
   util::Rng rng(config.seed);
   out.kendall_tau.assign(config.stored_top_ns.size(), 0.0);
@@ -85,14 +95,9 @@ StrategyEvaluation EvaluateStrategy(const graph::LabeledGraph& g,
     out.avg_exact_seconds += exact_timer.ElapsedSeconds();
 
     // Approximate per stored size; stats measured once per index.
-    for (size_t i = 0; i < indices.size(); ++i) {
-      landmark::ApproxConfig acfg;
-      acfg.query_depth = config.query_depth;
-      acfg.params = config.params;
-      landmark::ApproxRecommender approx(g, authority, sim, indices[i],
-                                         acfg);
+    for (size_t i = 0; i < approx.size(); ++i) {
       landmark::QueryStats stats;
-      auto scores = approx.ApproximateScores(u, t, &stats);
+      auto scores = approx[i]->ApproximateScores(u, t, &stats);
       util::TopK topk(config.compare_top_n);
       for (const auto& [v, s] : scores) {
         if (v != u && s > 0.0) topk.Offer(v, s);

@@ -37,8 +37,8 @@
 #include <vector>
 
 #include "coord/router.h"
+#include "coord/serving_node.h"
 #include "coord/shard_plan.h"
-#include "coord/shard_replica.h"
 #include "core/authority.h"
 #include "datagen/twitter_generator.h"
 #include "distributed/partition.h"
@@ -47,6 +47,7 @@
 #include "landmark/selection.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "routed_stack.h"
 #include "service/query_engine.h"
 #include "topics/similarity_matrix.h"
 #include "util/rng.h"
@@ -98,6 +99,17 @@ struct Corpus {
     return ec;
   }
 
+  // A shard node serving EngineConfigFor(landmark_mode) over a copy of
+  // the corpus.
+  NodeConfig NodeConfigFor(bool landmark_mode) const {
+    NodeConfig nc;
+    nc.graph = *graph;
+    if (landmark_mode) nc.index = *index;
+    nc.engine = EngineConfigFor(landmark_mode);
+    nc.server.dispatch_threads = 1;
+    return nc;
+  }
+
   std::unique_ptr<datagen::GeneratedDataset> dataset;
   const LabeledGraph* graph = nullptr;
   std::unique_ptr<core::AuthorityIndex> authority;
@@ -109,27 +121,9 @@ const Corpus& SharedCorpus() {
   return *corpus;
 }
 
-// One complete partitioned deployment on loopback: N shard servers over
+// One complete partitioned deployment on loopback: N shard nodes over
 // ephemeral ports plus a router forwarding to them.
-struct Stack {
-  ShardPlan plan;
-  std::vector<std::unique_ptr<ShardContext>> contexts;
-  std::vector<std::unique_ptr<net::Server>> servers;
-  std::unique_ptr<Router> router;
-
-  ~Stack() {
-    if (router) {
-      router->RequestStop();
-      router->Wait();
-    }
-    for (auto& s : servers) {
-      if (s) {
-        s->RequestStop();
-        s->Wait();
-      }
-    }
-  }
-};
+using Stack = RoutedStack;
 
 // `ladder_shard` (when not UINT32_MAX) gives that one shard a degradation
 // ladder pinned at the approx rung (approx_at = 0), so its replies carry
@@ -140,49 +134,22 @@ std::unique_ptr<Stack> MakeStack(uint32_t shards, PartitionStrategy strategy,
                                  uint32_t ladder_shard = UINT32_MAX,
                                  bool degrade_partial = true) {
   const Corpus& c = SharedCorpus();
-  distributed::PartitionConfig pcfg;
-  pcfg.num_partitions = shards;
-  distributed::Partitioning p = PartitionGraph(*c.graph, strategy, pcfg);
-  std::vector<ShardEndpoint> eps(shards);  // ports filled in after bind
-  auto stack = std::make_unique<Stack>();
-  stack->plan = ShardPlan(std::move(p), strategy, halo_depth,
-                          c.graph->num_topics(), std::move(eps));
-
-  for (uint32_t s = 0; s < shards; ++s) {
-    service::EngineConfig ec = c.EngineConfigFor(landmark_mode);
-    const landmark::LandmarkIndex* idx =
-        landmark_mode ? c.index.get() : nullptr;
-    if (s == ladder_shard) {
-      idx = c.index.get();  // the ladder's middle rung needs landmarks
-      ec.degrade.enabled = true;
-      ec.degrade.pressure.approx_at = 0;  // pinned at the approx rung
-    }
-    auto ctx = BuildShardContext(
-        *c.graph, topics::TwitterSimilarity(), stack->plan, s, idx, ec);
-    EXPECT_TRUE(ctx.ok()) << ctx.status().ToString();
-    if (!ctx.ok()) return nullptr;
-    stack->contexts.push_back(std::move(*ctx));
-    ShardContext& sc = *stack->contexts.back();
-    net::ServerConfig scfg;
-    scfg.port = 0;
-    scfg.dispatch_threads = 1;
-    scfg.shard_owned = &sc.owned;
-    scfg.shard_index = sc.index.get();
-    scfg.shard = s;
-    scfg.shards_total = shards;
-    stack->servers.push_back(
-        std::make_unique<net::Server>(*sc.engine, scfg));
-    EXPECT_TRUE(stack->servers.back()->Start().ok());
-    stack->plan.SetEndpoint(s,
-                            {"127.0.0.1", stack->servers.back()->port()});
-  }
-
   RouterConfig rcfg;
-  rcfg.port = 0;
   rcfg.degrade_partial = degrade_partial;
   rcfg.shard_timeout_ms = 5000;
-  stack->router = std::make_unique<Router>(stack->plan, rcfg);
-  EXPECT_TRUE(stack->router->Start().ok());
+  auto stack = std::make_unique<Stack>(
+      Stack::MakePlan(*c.graph, strategy, shards, halo_depth),
+      [&](uint32_t s) {
+        NodeConfig nc = c.NodeConfigFor(landmark_mode);
+        if (s == ladder_shard) {
+          nc.index = *c.index;  // the ladder's middle rung needs landmarks
+          nc.engine.degrade.enabled = true;
+          nc.engine.degrade.pressure.approx_at = 0;  // pinned at approx
+        }
+        return nc;
+      },
+      rcfg);
+  if (stack->router == nullptr) return nullptr;
   return stack;
 }
 
@@ -195,7 +162,7 @@ util::Result<net::Client> Dial(const Stack& stack) {
 // A client connected straight to shard `s`, bypassing the router.
 util::Result<net::Client> DialShard(const Stack& stack, uint32_t s) {
   net::ClientConfig cc;
-  cc.port = stack.servers[s]->port();
+  cc.port = stack.shards[s]->server().port();
   return net::Client::Connect(cc);
 }
 
@@ -422,16 +389,14 @@ TEST(CoordDifferentialTest, LadderShardNeedsTheExactHalo) {
   ec.degrade.enabled = true;  // default watermarks: never pressured
   service::QueryEngine reference(*c.graph, *c.authority,
                                  topics::TwitterSimilarity(), ec);
-  distributed::PartitionConfig pcfg;
-  pcfg.num_partitions = 2;
   for (uint32_t halo : {1u, Params().max_depth - 1}) {
     const std::string context = "halo " + std::to_string(halo);
-    ShardPlan plan(PartitionGraph(*c.graph, PartitionStrategy::kCommunity,
-                                  pcfg),
-                   PartitionStrategy::kCommunity, halo,
-                   c.graph->num_topics(), std::vector<ShardEndpoint>(2));
-    auto ctx = BuildShardContext(*c.graph, topics::TwitterSimilarity(), plan,
-                                 /*shard=*/0, c.index.get(), ec);
+    ShardPlan plan = RoutedStack::MakePlan(
+        *c.graph, PartitionStrategy::kCommunity, /*shards=*/2, halo);
+    NodeConfig nc = c.NodeConfigFor(/*landmark_mode=*/true);
+    nc.engine = ec;
+    nc.plan = &plan;
+    auto ctx = ServingNode::Build(std::move(nc));
     if (halo < Params().max_depth - 1) {
       ASSERT_FALSE(ctx.ok())
           << context << ": a ladder shard was built over a halo too shallow "
@@ -444,7 +409,7 @@ TEST(CoordDifferentialTest, LadderShardNeedsTheExactHalo) {
     for (const auto& req : ProbePanel(/*seed=*/41, /*count=*/12)) {
       if (plan.ShardOf(req.user) != 0) continue;
       ++homed;
-      auto got = (*ctx)->engine->Recommend(ToQuery(req));
+      auto got = (*ctx)->engine().Recommend(ToQuery(req));
       ASSERT_TRUE(got.ok()) << context << ": " << got.status().ToString();
       EXPECT_EQ(got->meta.served_tier, core::Tier::kExact) << context;
       auto expect = reference.Recommend(ToQuery(req));
@@ -490,8 +455,8 @@ TEST(CoordPartialPolicyTest, KilledShardDegradesToPartialNeverFails) {
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
   // Kill shard 1.
-  stack->servers[1]->RequestStop();
-  stack->servers[1]->Wait();
+  stack->shards[1]->server().RequestStop();
+  stack->shards[1]->server().Wait();
 
   // A user homed on the dead shard: the reply must degrade to a partial
   // merge — success with partial=1, zero shards answered — not an error,
@@ -707,7 +672,7 @@ TEST(CoordPartialPolicyTest, LiveShardAnsweringPastTheDeadlineIsCutOff) {
   // scored query inside the engine (under the shared rebind lock, after
   // admission) for 500 ms, then lets it finish; it answers false, so no
   // reply changes tier.
-  stack->contexts[1]->engine->SetStaleProbe([&hold, &entered] {
+  stack->shards[1]->engine().SetStaleProbe([&hold, &entered] {
     if (hold.load()) {
       entered.store(true);
       std::this_thread::sleep_for(std::chrono::milliseconds(500));
@@ -756,8 +721,8 @@ TEST(CoordPartialPolicyTest, SurvivingShardAnswersInFull) {
   auto client = Dial(*stack);
   ASSERT_TRUE(client.ok());
 
-  stack->servers[1]->RequestStop();
-  stack->servers[1]->Wait();
+  stack->shards[1]->server().RequestStop();
+  stack->shards[1]->server().Wait();
 
   int survivors = 0;
   for (const auto& req : ProbePanel(/*seed=*/13, /*count=*/24)) {
@@ -802,8 +767,8 @@ TEST(CoordPartialPolicyTest, DegradeOffTurnsShardLossIntoError) {
     auto client = Dial(*stack);
     ASSERT_TRUE(client.ok()) << context;
 
-    stack->servers[1]->RequestStop();
-    stack->servers[1]->Wait();
+    stack->shards[1]->server().RequestStop();
+    stack->shards[1]->server().Wait();
 
     auto lost = client->RecommendEx(Probe(UserOn(*stack, 1), 0, 10));
     ASSERT_FALSE(lost.ok())

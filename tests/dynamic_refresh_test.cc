@@ -8,10 +8,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
 
+#include "coord/serving_node.h"
 #include "core/authority.h"
 #include "datagen/twitter_generator.h"
 #include "dynamic/delta_graph.h"
@@ -83,24 +85,25 @@ TEST(RefreshLandmarkTest, RecomputesOnUpdatedGraph) {
   EXPECT_TRUE(any_nonempty);
 }
 
-// A serving stack over a fresh copy of the fixture's index. The repairer
-// is never started, so RepairStale() and Quiesce() run on the test thread.
+// A mutable serving node over a copy of the fixture's graph and a fresh
+// copy of its index. The node is never started, so RepairStale() and
+// Quiesce() run on the test thread.
 class RepairStack {
  public:
-  explicit RepairStack(Fixture& f)
-      : f_(f),
-        index_(f.MakeIndex()),
-        engine_(f.ds.graph, f.auth, topics::TwitterSimilarity(),
-                MakeEngineConfig(&index_)),
-        applier_(f.ds.graph, f.auth, engine_),
-        repairer_(index_, engine_, topics::TwitterSimilarity(),
-                  applier_.current_graph(), applier_.current_authority()) {
-    applier_.SetRepairer(&repairer_);
+  explicit RepairStack(Fixture& f) : f_(f) {
+    coord::NodeConfig nc;
+    nc.graph = f.ds.graph;
+    nc.index = f.MakeIndex();
+    nc.engine.num_threads = 1;
+    nc.mutable_serving = true;
+    node_ = coord::ServingNode::Build(std::move(nc)).value();
   }
 
   // Applies `m` as a one-record batch and returns how many records applied.
   uint32_t Apply(const service::Mutation& m) {
-    return applier_.Apply(std::span<const service::Mutation>(&m, 1)).applied;
+    return node_->applier()
+        ->Apply(std::span<const service::Mutation>(&m, 1))
+        .applied;
   }
 
   // Applies FOLLOW src -> dst as a one-record batch.
@@ -117,16 +120,19 @@ class RepairStack {
     FAIL() << "node " << src << " already follows everyone";
   }
 
-  const std::vector<NodeId>& landmarks() const { return index_.landmarks(); }
-  service::QueryEngine& engine() { return engine_; }
-  service::LandmarkRepairer& repairer() { return repairer_; }
+  const std::vector<NodeId>& landmarks() const {
+    return node_->index()->landmarks();
+  }
+  service::QueryEngine& engine() { return node_->engine(); }
+  service::LandmarkRepairer& repairer() { return *node_->repairer(); }
 
   // Whether the live index serializes to the bytes of an index built from
   // scratch on the applier's current generation.
   bool MatchesFreshBuild() {
+    service::MutationApplier& applier = *node_->applier();
     landmark::LandmarkIndex fresh =
-        f_.MakeIndex(*applier_.current_graph(), *applier_.current_authority());
-    return index_.Serialize() == fresh.Serialize();
+        f_.MakeIndex(*applier.current_graph(), *applier.current_authority());
+    return node_->index()->Serialize() == fresh.Serialize();
   }
 
   // Nodes that are neither landmarks nor on any stored list. A mutation
@@ -134,11 +140,12 @@ class RepairStack {
   // paths through u and moves v's authority anywhere in a landmark's
   // exploration.
   std::vector<NodeId> UnwatchedNodes() const {
+    const landmark::LandmarkIndex& index = *node_->index();
     std::vector<bool> watched(f_.ds.graph.num_nodes(), false);
     for (NodeId lm : landmarks()) {
       watched[lm] = true;
-      for (int t = 0; t < index_.num_topics(); ++t) {
-        for (const landmark::StoredRec& rec : index_.Recommendations(
+      for (int t = 0; t < index.num_topics(); ++t) {
+        for (const landmark::StoredRec& rec : index.Recommendations(
                  lm, static_cast<topics::TopicId>(t))) {
           watched[rec.node] = true;
         }
@@ -152,19 +159,8 @@ class RepairStack {
   }
 
  private:
-  static service::EngineConfig MakeEngineConfig(
-      const landmark::LandmarkIndex* index) {
-    service::EngineConfig ec;
-    ec.num_threads = 1;
-    ec.landmarks = index;
-    return ec;
-  }
-
   Fixture& f_;
-  landmark::LandmarkIndex index_;
-  service::QueryEngine engine_;
-  service::MutationApplier applier_;
-  service::LandmarkRepairer repairer_;
+  std::unique_ptr<coord::ServingNode> node_;
 };
 
 // Every batch marks every slot, so the oldest lists are always those of
@@ -194,7 +190,6 @@ TEST(LandmarkRepairerScheduleTest, AllModeRoundsRepairEachLandmarkInOrder) {
 TEST(LandmarkRepairerScheduleTest, UnwatchedFollowMarksEverySlot) {
   Fixture f;
   RepairStack stack(f);
-  stack.engine().SetStaleProbe(stack.repairer().MakeStaleProbe());
   const std::vector<NodeId> unwatched = stack.UnwatchedNodes();
   ASSERT_GE(unwatched.size(), 2u);
   ASSERT_TRUE(stack.Follow(unwatched[0], unwatched[1]));

@@ -28,7 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/authority.h"
+#include "coord/serving_node.h"
 #include "graph/labeled_graph.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -62,35 +62,31 @@ LabeledGraph TestGraph() {
 class DynamicServingConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    graph_ = std::make_unique<LabeledGraph>(TestGraph());
-    auth_ = std::make_unique<core::AuthorityIndex>(*graph_);
-    service::EngineConfig ec;
-    ec.num_threads = 2;
-    ec.cache_capacity = 256;
-    ec.params.beta = 0.1;
-    engine_ = std::make_unique<service::QueryEngine>(
-        *graph_, *auth_, topics::TwitterSimilarity(), ec);
-    applier_ = std::make_unique<service::MutationApplier>(*graph_, *auth_,
-                                                          *engine_);
-    ServerConfig cfg;
-    cfg.applier = applier_.get();
-    cfg.dispatch_threads = 4;
-    cfg.max_inflight = 256;
-    server_ = std::make_unique<Server>(*engine_, cfg);
-    ASSERT_TRUE(server_->Start().ok());
+    coord::NodeConfig nc;
+    nc.graph = TestGraph();
+    nc.engine.num_threads = 2;
+    nc.engine.cache_capacity = 256;
+    nc.engine.params.beta = 0.1;
+    nc.server.dispatch_threads = 4;
+    nc.server.max_inflight = 256;
+    nc.mutable_serving = true;
+    auto node = coord::ServingNode::Build(std::move(nc));
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    node_ = std::move(*node);
+    ASSERT_TRUE(node_->Start().ok());
+    engine_ = &node_->engine();
+    applier_ = node_->applier();
   }
 
   util::Result<Client> Dial() {
     ClientConfig cc;
-    cc.port = server_->port();
+    cc.port = node_->server().port();
     return Client::Connect(cc);
   }
 
-  std::unique_ptr<LabeledGraph> graph_;
-  std::unique_ptr<core::AuthorityIndex> auth_;
-  std::unique_ptr<service::QueryEngine> engine_;
-  std::unique_ptr<service::MutationApplier> applier_;
-  std::unique_ptr<Server> server_;
+  std::unique_ptr<coord::ServingNode> node_;
+  service::QueryEngine* engine_ = nullptr;
+  service::MutationApplier* applier_ = nullptr;
 };
 
 TEST_F(DynamicServingConcurrencyTest, EpochsMonotonicPerConnection) {

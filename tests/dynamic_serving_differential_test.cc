@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "coord/serving_node.h"
 #include "core/authority.h"
 #include "datagen/twitter_generator.h"
 #include "dynamic/delta_graph.h"
@@ -147,36 +148,31 @@ class DynamicServingDifferentialTest : public ::testing::Test {
   void SetUp() override {
     datagen::TwitterConfig cfg;
     cfg.num_nodes = 150;
-    dataset_ = std::make_unique<datagen::GeneratedDataset>(
-        datagen::GenerateTwitter(cfg));
-    base_ = &dataset_->graph;
-    auth_ = std::make_unique<core::AuthorityIndex>(*base_);
-    EngineConfig ec;
-    ec.num_threads = 2;
-    ec.cache_capacity = 512;
-    ec.params = OracleParams();
-    engine_ = std::make_unique<QueryEngine>(*base_, *auth_,
-                                            topics::TwitterSimilarity(), ec);
-    applier_ =
-        std::make_unique<MutationApplier>(*base_, *auth_, *engine_);
-    net::ServerConfig scfg;
-    scfg.applier = applier_.get();
-    server_ = std::make_unique<net::Server>(*engine_, scfg);
-    ASSERT_TRUE(server_->Start().ok());
+    coord::NodeConfig nc;
+    nc.graph = datagen::GenerateTwitter(cfg).graph;
+    nc.engine.num_threads = 2;
+    nc.engine.cache_capacity = 512;
+    nc.engine.params = OracleParams();
+    nc.mutable_serving = true;
+    auto node = coord::ServingNode::Build(std::move(nc));
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    node_ = std::move(*node);
+    ASSERT_TRUE(node_->Start().ok());
+    base_ = &node_->graph();
+    engine_ = &node_->engine();
+    applier_ = node_->applier();
   }
 
   util::Result<net::Client> Dial() {
     net::ClientConfig cc;
-    cc.port = server_->port();
+    cc.port = node_->server().port();
     return net::Client::Connect(cc);
   }
 
-  std::unique_ptr<datagen::GeneratedDataset> dataset_;
+  std::unique_ptr<coord::ServingNode> node_;
   const LabeledGraph* base_ = nullptr;
-  std::unique_ptr<core::AuthorityIndex> auth_;
-  std::unique_ptr<QueryEngine> engine_;
-  std::unique_ptr<MutationApplier> applier_;
-  std::unique_ptr<net::Server> server_;
+  QueryEngine* engine_ = nullptr;
+  MutationApplier* applier_ = nullptr;
 };
 
 TEST_F(DynamicServingDifferentialTest,
@@ -382,35 +378,30 @@ class LandmarkChurnFixture {
   LandmarkChurnFixture() {
     datagen::TwitterConfig cfg;
     cfg.num_nodes = 220;
-    dataset_ = std::make_unique<datagen::GeneratedDataset>(
-        datagen::GenerateTwitter(cfg));
-    base_ = &dataset_->graph;
-    auth_ = std::make_unique<core::AuthorityIndex>(*base_);
+    coord::NodeConfig nc;
+    nc.graph = datagen::GenerateTwitter(cfg).graph;
 
     landmark::SelectionConfig sel;
     sel.num_landmarks = 16;
     landmarks_ = landmark::SelectLandmarks(
-                     *base_, landmark::SelectionStrategy::kOutDeg, sel)
+                     nc.graph, landmark::SelectionStrategy::kOutDeg, sel)
                      .landmarks;
     index_cfg_.top_n = 40;
     index_cfg_.params = OracleParams();
     index_cfg_.num_threads = 1;
-    index_ = std::make_unique<landmark::LandmarkIndex>(
-        *base_, *auth_, topics::TwitterSimilarity(), landmarks_, index_cfg_);
+    nc.index.emplace(nc.graph, core::AuthorityIndex(nc.graph),
+                     topics::TwitterSimilarity(), landmarks_, index_cfg_);
 
-    EngineConfig ec;
-    ec.num_threads = 1;
-    ec.cache_capacity = 0;
-    ec.params = OracleParams();
-    ec.landmarks = index_.get();
-    engine_ = std::make_unique<QueryEngine>(*base_, *auth_,
-                                            topics::TwitterSimilarity(), ec);
-    applier_ = std::make_unique<MutationApplier>(*base_, *auth_, *engine_);
-    repairer_ = std::make_unique<LandmarkRepairer>(
-        *index_, *engine_, topics::TwitterSimilarity(),
-        applier_->current_graph(), applier_->current_authority());
-    applier_->SetRepairer(repairer_.get());
-    engine_->SetStaleProbe(repairer_->MakeStaleProbe());
+    nc.engine.num_threads = 1;
+    nc.engine.cache_capacity = 0;
+    nc.engine.params = OracleParams();
+    nc.mutable_serving = true;
+    node_ = coord::ServingNode::Build(std::move(nc)).value();
+    base_ = &node_->graph();
+    index_ = node_->index();
+    engine_ = &node_->engine();
+    applier_ = node_->applier();
+    repairer_ = node_->repairer();
   }
 
   // Applies `rounds` seeded churn batches through the applier.
@@ -435,15 +426,14 @@ class LandmarkChurnFixture {
                                    landmarks_, index_cfg_);
   }
 
-  std::unique_ptr<datagen::GeneratedDataset> dataset_;
+  std::unique_ptr<coord::ServingNode> node_;
   const LabeledGraph* base_ = nullptr;
-  std::unique_ptr<core::AuthorityIndex> auth_;
   std::vector<NodeId> landmarks_;
   landmark::LandmarkIndexConfig index_cfg_;
-  std::unique_ptr<landmark::LandmarkIndex> index_;
-  std::unique_ptr<QueryEngine> engine_;
-  std::unique_ptr<MutationApplier> applier_;
-  std::unique_ptr<LandmarkRepairer> repairer_;
+  const landmark::LandmarkIndex* index_ = nullptr;
+  QueryEngine* engine_ = nullptr;
+  MutationApplier* applier_ = nullptr;
+  LandmarkRepairer* repairer_ = nullptr;
 };
 
 TEST(LandmarkRepairDifferentialTest, AllModeQuiesceIsByteIdenticalToFresh) {

@@ -18,14 +18,12 @@
 #include <memory>
 #include <vector>
 
-#include "core/authority.h"
+#include "coord/serving_node.h"
 #include "graph/labeled_graph.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "routed_stack.h"
-#include "service/mutation.h"
 #include "service/query_engine.h"
-#include "topics/similarity_matrix.h"
 
 namespace mbr::net {
 namespace {
@@ -42,21 +40,28 @@ class NetCorruptionTest : public ::testing::Test {
       b.AddEdge(u, u + 1, TopicSet::Single(0));
     }
     graph_ = std::make_unique<LabeledGraph>(std::move(b).Build());
-    auth_ = std::make_unique<core::AuthorityIndex>(*graph_);
-    service::EngineConfig ec;
-    ec.num_threads = 1;
-    engine_ = std::make_unique<service::QueryEngine>(
-        *graph_, *auth_, topics::TwitterSimilarity(), ec);
-    ServerConfig cfg;
     // The sweep opens ~250 sequential connections; keep the cap above any
     // transient overlap from TIME_WAIT-free reuse.
-    cfg.max_connections = 1024;
-    server_ = std::make_unique<Server>(*engine_, cfg);
-    ASSERT_TRUE(server_->Start().ok());
+    StartNode(/*mutable_serving=*/false, /*max_connections=*/1024);
+  }
+
+  // Serves graph_ from a fresh node, replacing any running one.
+  void StartNode(bool mutable_serving, uint32_t max_connections) {
+    node_.reset();
+    coord::NodeConfig nc;
+    nc.graph = *graph_;
+    nc.engine.num_threads = 1;
+    nc.server.max_connections = max_connections;
+    nc.mutable_serving = mutable_serving;
+    auto node = coord::ServingNode::Build(std::move(nc));
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    node_ = std::move(*node);
+    ASSERT_TRUE(node_->Start().ok());
+    engine_ = &node_->engine();
   }
 
   // The front end under test.
-  virtual uint16_t Port() const { return server_->port(); }
+  virtual uint16_t Port() const { return node_->server().port(); }
 
   int DialRaw() {
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -190,25 +195,15 @@ class NetCorruptionTest : public ::testing::Test {
     }
   }
 
-  // Swaps the read-only server for one with a live MutationApplier, so
-  // the mutation-op sweeps run against the real apply path.
+  // Swaps the read-only node for a mutable one, so the mutation-op sweeps
+  // run against the real apply path.
   void RestartMutable() {
-    server_->RequestStop();
-    server_->Wait();
-    applier_ = std::make_unique<service::MutationApplier>(*graph_, *auth_,
-                                                          *engine_);
-    ServerConfig cfg;
-    cfg.max_connections = 4096;
-    cfg.applier = applier_.get();
-    server_ = std::make_unique<Server>(*engine_, cfg);
-    ASSERT_TRUE(server_->Start().ok());
+    StartNode(/*mutable_serving=*/true, /*max_connections=*/4096);
   }
 
   std::unique_ptr<LabeledGraph> graph_;
-  std::unique_ptr<core::AuthorityIndex> auth_;
-  std::unique_ptr<service::QueryEngine> engine_;
-  std::unique_ptr<service::MutationApplier> applier_;
-  std::unique_ptr<Server> server_;
+  std::unique_ptr<coord::ServingNode> node_;
+  service::QueryEngine* engine_ = nullptr;
 };
 
 TEST_F(NetCorruptionTest, EveryTruncationClosesCleanly) {

@@ -298,11 +298,14 @@ TEST_F(NetServerTest, OverloadBurstShedsWithOverloadedReplies) {
   cfg.max_inflight = 1;
   cfg.dispatch_threads = 1;
   cfg.request_deadline_ms = 0;  // no deadline: isolate the overload path
-  StartServer(cfg);
+  StartServer(cfg, /*gated=*/true);
 
   // Occupy the only dispatcher (and the single in-flight slot) with a
   // large batch of distinct queries (distinct so the cache can't serve
-  // them instantly).
+  // them instantly), parked at its first miss until the probing is done:
+  // on a loaded host the batch could otherwise finish before the first
+  // probe is sent.
+  gate_.armed.store(true);
   auto busy = Dial();
   ASSERT_TRUE(busy.ok());
   std::vector<RecommendRequest> big;
@@ -320,9 +323,7 @@ TEST_F(NetServerTest, OverloadBurstShedsWithOverloadedReplies) {
     auto r = busy->RecommendBatch(big);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   });
-  while (server_->counters().requests < 1) {
-    std::this_thread::yield();
-  }
+  gate_.WaitEntered();
 
   bool shed_seen = false;
   for (int attempt = 0; attempt < 2000 && !shed_seen; ++attempt) {
@@ -333,6 +334,7 @@ TEST_F(NetServerTest, OverloadBurstShedsWithOverloadedReplies) {
       shed_seen = true;
     }
   }
+  gate_.released.store(true);
   batch_thread.join();
   EXPECT_TRUE(shed_seen) << "no OVERLOADED reply observed during the burst";
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "coord/serving_node.h"
 #include "core/authority.h"
 #include "core/recommender.h"
 #include "datagen/twitter_generator.h"
@@ -220,19 +221,19 @@ TEST_F(LadderTest, LandmarkOnlyEngineAlwaysReportsApprox) {
 // some slot is marked-but-unrepaired must answer at kStale, not pretend
 // the approximation is current; an inline Quiesce() restores kApprox.
 TEST_F(LadderTest, UnrepairedLandmarksStampStaleTier) {
-  EngineConfig ec;
-  ec.num_threads = 1;
-  ec.cache_capacity = 64;
-  ec.landmarks = index_.get();
-  QueryEngine engine(ds_.graph, *auth_, topics::TwitterSimilarity(), ec);
+  coord::NodeConfig nc;
+  nc.graph = ds_.graph;
+  nc.index = *index_;
+  nc.engine.num_threads = 1;
+  nc.engine.cache_capacity = 64;
+  nc.mutable_serving = true;
+  auto node = coord::ServingNode::Build(std::move(nc));
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  QueryEngine& engine = (*node)->engine();
   ASSERT_EQ(engine.base_tier(), Tier::kApprox);
 
-  MutationApplier applier(ds_.graph, *auth_, engine);
-  LandmarkRepairer repairer(*index_, engine, topics::TwitterSimilarity(),
-                            applier.current_graph(),
-                            applier.current_authority());
-  applier.SetRepairer(&repairer);
-  engine.SetStaleProbe(repairer.MakeStaleProbe());
+  MutationApplier& applier = *(*node)->applier();
+  LandmarkRepairer& repairer = *(*node)->repairer();
   // No Start(): the marks stay unrepaired until the explicit Quiesce().
 
   // Apply one follow the base graph does not already have.

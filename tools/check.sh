@@ -11,6 +11,9 @@
 #                   + ext_churn_drift (build/)
 #                   + perfbench --self-test and a 2 s run of each
 #                     BENCHMARK.json workload (.bench_build/)
+#   6. flaky:  net + coord + dynamic + slo, each test rerun until it fails
+#              (at most FLAKY_REPEAT times) beside one busy loop per
+#              hardware thread                      (build/)
 #
 # The sanitizer passes reuse the persistent build-asan/, build-tsan/ and
 # build-ubsan/ trees (configured here on first run). Every test carries at
@@ -54,13 +57,25 @@
 # either way). Tier-1 never compiles perfbench's serving code, so this is
 # where a header change that breaks it shows up.
 #
-# Usage: tools/check.sh [tier1|asan|tsan|ubsan|bench-smoke|all] (default: all)
+# The flaky leg hunts timing-sensitive failures before a loaded checker
+# finds them: the labels whose tests race sockets, dispatchers, deadlines
+# and the repair thread run under `ctest --repeat until-fail`, while the
+# script keeps every hardware thread busy. The busy loops are killed by a
+# trap on exit, pass or fail. A test it shows failing is a defect to fix,
+# not one to rerun until green.
+#
+# Usage: tools/check.sh [tier1|asan|tsan|ubsan|bench-smoke|flaky|all]
+# (default: all)
 set -e
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 MODE="${1:-all}"
 JOBS="${JOBS:-$(nproc)}"
 TSAN_LABELS='obs|service|net|dynamic|coord|slo|incremental'
+FLAKY_LABELS='net|coord|dynamic|slo'
+FLAKY_REPEAT=20
+BUSY_PIDS=()
+trap 'if [ ${#BUSY_PIDS[@]} -gt 0 ]; then kill "${BUSY_PIDS[@]}" 2>/dev/null; fi' EXIT
 
 run_tier1() {
   echo "==> tier-1: full build + ctest"
@@ -115,21 +130,38 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
   done
 }
 
+run_flaky() {
+  echo "==> flaky: -L '$FLAKY_LABELS' until-fail:$FLAKY_REPEAT beside $(nproc) busy loops"
+  cmake -B "$REPO/build" -S "$REPO" >/dev/null
+  cmake --build "$REPO/build" -j "$JOBS"
+  local i
+  for ((i = 0; i < $(nproc); i++)); do
+    (while :; do :; done) &
+    BUSY_PIDS+=($!)
+  done
+  (cd "$REPO/build" && ctest -L "$FLAKY_LABELS" \
+    --repeat until-fail:"$FLAKY_REPEAT" --output-on-failure -j "$JOBS")
+  kill "${BUSY_PIDS[@]}" 2>/dev/null || true
+  BUSY_PIDS=()
+}
+
 case "$MODE" in
   tier1) run_tier1 ;;
   asan)  run_sanitized address "$REPO/build-asan" ;;
   tsan)  run_sanitized thread "$REPO/build-tsan" "$TSAN_LABELS" ;;
   ubsan) run_sanitized undefined "$REPO/build-ubsan" ;;
   bench-smoke) run_bench_smoke ;;
+  flaky) run_flaky ;;
   all)
     run_tier1
     run_sanitized address "$REPO/build-asan"
     run_sanitized thread "$REPO/build-tsan" "$TSAN_LABELS"
     run_sanitized undefined "$REPO/build-ubsan"
     run_bench_smoke
+    run_flaky
     ;;
   *)
-    echo "usage: tools/check.sh [tier1|asan|tsan|ubsan|bench-smoke|all]" >&2
+    echo "usage: tools/check.sh [tier1|asan|tsan|ubsan|bench-smoke|flaky|all]" >&2
     exit 2
     ;;
 esac

@@ -35,9 +35,10 @@
 //                    Community-PopBal] [--halo-depth D]
 //                   [--endpoints h:p,h:p,...]
 //   mbrec serve     --plan plan.bin --shard I --graph snapshot.bin
-//                   [--index index.bin] [--port P] ... (shard replica:
-//                   warm-starts shard I's halo subgraph + the full landmark
-//                   index; read-only; answers only the users shard I homes
+//                   [--index index.bin] [--port P] ... (shard node: shard
+//                   I's halo subgraph + the full landmark index under the
+//                   same warm-start check; read-only, so --mutable 1 is
+//                   refused; answers only the users shard I homes
 //                   and refuses any other with INVALID_ARGUMENT; exact
 //                   scoring, which --degrade ladder includes, needs a plan
 //                   with --halo-depth >= max_depth - 1)
@@ -54,13 +55,16 @@
 //
 // Binary graphs (.bin) round-trip exactly; .edges files use the
 // human-readable labeled edge-list format. `save-graph` converts any
-// readable graph into the versioned+checksummed snapshot format and `load`
-// warm-starts a QueryEngine replica from a snapshot (plus an optional
-// landmark index) and serves one query through it. `serve` runs the same
-// warm-started replica behind the epoll network front end (src/net/) until
-// SIGINT/SIGTERM or a SHUTDOWN frame drains it; `query-remote`,
-// `metrics` (Prometheus text exposition of the server registry) and
-// `shutdown-remote` talk to a running server over the wire protocol.
+// readable graph into the versioned+checksummed snapshot format. `load`
+// and `serve` build one serving node (coord::ServingNode) from a snapshot
+// plus an optional landmark index; the node's warm-start check refuses an
+// index built for another topic set and serves under the ScoreParams the
+// index was built with. `load` answers one query through it; `serve` runs
+// it behind the epoll network front end (src/net/) until SIGINT/SIGTERM
+// or a SHUTDOWN frame drains it, and `serve --plan` builds the same node
+// over one shard's halo. `query-remote`, `metrics` (Prometheus text
+// exposition of the server registry) and `shutdown-remote` talk to a
+// running server over the wire protocol.
 // `serve --mutable 1` additionally accepts FOLLOW/UNFOLLOW/RELABEL frames
 // as well: each applied batch materializes a new graph generation,
 // rebinds the engine and bumps the graph epoch; with a landmark index
@@ -76,6 +80,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,16 +97,12 @@
 #include "graph/snapshot.h"
 #include "coord/router.h"
 #include "coord/shard_plan.h"
-#include "coord/shard_replica.h"
+#include "coord/serving_node.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
-#include "obs/span.h"
-#include "service/landmark_repair.h"
-#include "service/mutation.h"
 #include "service/serving_stats.h"
-#include "service/warm_start.h"
 #include "tools/args.h"
 #include "landmark/approx.h"
 #include "landmark/index.h"
@@ -387,43 +388,63 @@ int CmdSaveGraph(const Args& args) {
   return 0;
 }
 
-int CmdLoad(const Args& args) {
-  std::string vocab_name = args.Get("vocab", "twitter");
-  const auto& vocab = VocabFor(vocab_name);
-  const auto& sim = SimFor(vocab_name);
+// The graph and optional landmark index a serving node is built from
+// (--graph, --index, --vocab); a file that does not load exits 1.
+coord::NodeConfig NodeInputs(const Args& args) {
+  const std::string vocab_name = args.Get("vocab", "twitter");
+  coord::NodeConfig cfg;
+  cfg.graph = LoadGraph(Require(args, "graph"), VocabFor(vocab_name));
+  cfg.sim = &SimFor(vocab_name);
+  const std::string index_path = args.Get("index");
+  if (!index_path.empty()) {
+    auto index =
+        landmark::LandmarkIndex::LoadFrom(index_path, cfg.graph.num_nodes());
+    if (!index.ok()) {
+      std::fprintf(stderr, "cannot read %s: %s\n", index_path.c_str(),
+                   index.status().ToString().c_str());
+      std::exit(1);
+    }
+    cfg.index = std::move(*index);
+  }
+  return cfg;
+}
 
-  service::EngineConfig cfg;
-  cfg.cache_capacity = 4096;
-  auto replica = service::WarmStart(Require(args, "graph"),
-                                    args.Get("index"), sim, cfg);
-  if (!replica.ok()) {
+const char* ScoringName(const coord::ServingNode& node) {
+  return node.index() != nullptr ? "landmark-approximate" : "exact";
+}
+
+int CmdLoad(const Args& args) {
+  const auto& vocab = VocabFor(args.Get("vocab", "twitter"));
+  coord::NodeConfig cfg = NodeInputs(args);
+  cfg.engine.cache_capacity = 4096;
+  auto built = coord::ServingNode::Build(std::move(cfg));
+  if (!built.ok()) {
     std::fprintf(stderr, "warm start failed: %s\n",
-                 replica.status().ToString().c_str());
+                 built.status().ToString().c_str());
     return 1;
   }
-  service::ServingReplica& rep = **replica;
+  coord::ServingNode& node = **built;
   std::printf("warm-started replica: %u nodes, %llu edges, %s scoring, %u "
               "workers\n",
-              rep.graph.num_nodes(),
-              static_cast<unsigned long long>(rep.graph.num_edges()),
-              rep.landmarks != nullptr ? "landmark-approximate" : "exact",
-              rep.engine->num_workers());
+              node.graph().num_nodes(),
+              static_cast<unsigned long long>(node.graph().num_edges()),
+              ScoringName(node), node.engine().num_workers());
 
   graph::NodeId user = static_cast<graph::NodeId>(args.GetInt("user", 0));
-  if (user >= rep.graph.num_nodes()) {
+  if (user >= node.graph().num_nodes()) {
     std::fprintf(stderr, "user %u out of range\n", user);
     return 2;
   }
   std::string topic_name = args.Get("topic", "technology");
   topics::TopicId topic = vocab.Id(topic_name);
   if (topic == topics::kInvalidTopic ||
-      topic >= rep.graph.num_topics()) {
+      topic >= node.graph().num_topics()) {
     std::fprintf(stderr, "unknown topic '%s'\n", topic_name.c_str());
     return 2;
   }
   uint32_t top = static_cast<uint32_t>(args.GetInt("top", 10));
 
-  auto top_r = rep.engine->TopN(user, topic, top);
+  auto top_r = node.engine().TopN(user, topic, top);
   if (!top_r.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  top_r.status().ToString().c_str());
@@ -437,7 +458,7 @@ int CmdLoad(const Args& args) {
                 results[i].score);
   }
   if (results.empty()) std::printf("  (no reachable candidates)\n");
-  service::EngineStats stats = rep.engine->Stats();
+  service::EngineStats stats = node.engine().Stats();
   std::printf("served %llu queries, p50 latency >= %.0f us\n",
               static_cast<unsigned long long>(stats.queries),
               stats.LatencyPercentileMicros(0.5));
@@ -610,118 +631,6 @@ int ApplyDegradeFlags(const Args& args, service::EngineConfig* ecfg) {
   return 0;
 }
 
-// `mbrec serve --plan P --shard i`: warm-start shard i's halo subgraph
-// (plus the full landmark index) and serve the users it homes.
-int CmdServeShard(const Args& args) {
-  const auto& vocab = VocabFor(args.Get("vocab", "twitter"));
-  const auto& sim = SimFor(args.Get("vocab", "twitter"));
-  if (args.GetInt("mutable", 0) != 0) {
-    std::fprintf(stderr, "--mutable is not supported with --plan "
-                         "(shard serving is read-only)\n");
-    return 2;
-  }
-  auto plan = coord::ShardPlan::LoadFrom(Require(args, "plan"));
-  if (!plan.ok()) {
-    std::fprintf(stderr, "cannot load plan: %s\n",
-                 plan.status().ToString().c_str());
-    return 1;
-  }
-  int64_t shard_arg = args.GetInt("shard", -1);
-  if (shard_arg < 0 || shard_arg >= plan->num_shards()) {
-    std::fprintf(stderr, "--shard must be in [0, %u)\n", plan->num_shards());
-    return 2;
-  }
-  const uint32_t shard = static_cast<uint32_t>(shard_arg);
-
-  graph::LabeledGraph g = LoadGraph(Require(args, "graph"), vocab);
-  std::unique_ptr<landmark::LandmarkIndex> index;
-  std::string index_path = args.Get("index");
-  if (!index_path.empty()) {
-    auto loaded = landmark::LandmarkIndex::LoadFrom(index_path,
-                                                    g.num_nodes());
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "cannot load index: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    index = std::make_unique<landmark::LandmarkIndex>(std::move(*loaded));
-  }
-
-  service::EngineConfig ecfg;
-  ecfg.cache_capacity = static_cast<size_t>(args.GetInt("cache", 4096));
-  ecfg.registry = &obs::Registry::Default();
-  int64_t threads = args.GetInt("threads", 0);
-  if (threads > 0) ecfg.num_threads = static_cast<uint32_t>(threads);
-  if (int rc = ApplyDegradeFlags(args, &ecfg); rc != 0) return rc;
-
-  auto ctx = coord::BuildShardContext(g, sim, *plan, shard, index.get(),
-                                      ecfg);
-  if (!ctx.ok()) {
-    std::fprintf(stderr, "shard warm start failed: %s\n",
-                 ctx.status().ToString().c_str());
-    return 1;
-  }
-  index.reset();  // the context serves from its own copy
-  coord::ShardContext& sc = **ctx;
-
-  net::ServerConfig scfg;
-  scfg.host = args.Get("host", "127.0.0.1");
-  // Port priority: --port flag, then the plan's endpoint table.
-  int64_t port = args.GetInt("port", -1);
-  scfg.port = port >= 0 ? static_cast<uint16_t>(port)
-                        : static_cast<uint16_t>(
-                              plan->endpoints()[shard].port);
-  scfg.max_connections =
-      static_cast<uint32_t>(args.GetInt("max-connections", 256));
-  scfg.max_inflight = static_cast<uint32_t>(args.GetInt("max-inflight", 64));
-  scfg.request_deadline_ms =
-      static_cast<uint32_t>(args.GetInt("deadline-ms", 1000));
-  scfg.drain_grace_ms = static_cast<uint32_t>(args.GetInt("drain-ms", 5000));
-  scfg.registry = &obs::Registry::Default();
-  scfg.shard_owned = &sc.owned;
-  scfg.shard_index = sc.index.get();
-  scfg.shard = shard;
-  scfg.shards_total = plan->num_shards();
-
-  net::Server server(*sc.engine, scfg);
-  util::Status st = server.Start();
-  if (!st.ok()) {
-    std::fprintf(stderr, "cannot start server: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  g_serve_server.store(&server, std::memory_order_release);
-  std::signal(SIGINT, ServeSignalHandler);
-  std::signal(SIGTERM, ServeSignalHandler);
-
-  size_t owned_count = 0;
-  for (bool b : sc.owned) owned_count += b ? 1 : 0;
-  std::printf(
-      "shard %u/%u: %zu owned of %u nodes, halo graph %llu edges (%s "
-      "scoring)\n",
-      shard, plan->num_shards(), owned_count, g.num_nodes(),
-      static_cast<unsigned long long>(sc.subgraph->num_edges()),
-      sc.index != nullptr ? "landmark-approximate" : "exact");
-  std::printf("listening on %s:%u\n", scfg.host.c_str(), server.port());
-  std::fflush(stdout);
-
-  const int64_t interval_s = args.GetInt("stats-interval-s", 10);
-  auto last_line = std::chrono::steady_clock::now();
-  while (server.running()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    auto now = std::chrono::steady_clock::now();
-    if (interval_s > 0 && now - last_line >= std::chrono::seconds(interval_s)) {
-      std::printf("%s\n", service::FormatStatsLine(server.StatsNow()).c_str());
-      std::fflush(stdout);
-      last_line = now;
-    }
-  }
-  server.Wait();
-  g_serve_server.store(nullptr, std::memory_order_release);
-  std::printf("drained: %s\n",
-              service::FormatStatsLine(server.StatsNow()).c_str());
-  return 0;
-}
-
 std::atomic<coord::Router*> g_route_router{nullptr};
 
 void RouteSignalHandler(int) {
@@ -807,117 +716,20 @@ int CmdRoute(const Args& args) {
   return 0;
 }
 
-int CmdServe(const Args& args) {
-  if (!args.Get("plan").empty()) return CmdServeShard(args);
-  const auto& sim = SimFor(args.Get("vocab", "twitter"));
-
-  service::EngineConfig ecfg;
-  ecfg.cache_capacity = static_cast<size_t>(args.GetInt("cache", 4096));
-  // One process-wide registry for engine + network series, so the METRICS
-  // wire op (and `mbrec metrics`) exposes everything in one scrape. The
-  // stage-latency series normally appear on first execution of their span
-  // sites; register the request-path stages up front so a scrape of an
-  // idle replica already shows the whole family.
-  ecfg.registry = &obs::Registry::Default();
-  for (const char* stage :
-       {"scorer.explore", "landmark.bfs", "landmark.combine",
-        "engine.execute"}) {
-    obs::StageHistogram(stage);
-  }
-  int64_t threads = args.GetInt("threads", 0);
-  if (threads > 0) ecfg.num_threads = static_cast<uint32_t>(threads);
-  if (int rc = ApplyDegradeFlags(args, &ecfg); rc != 0) return rc;
-  auto replica = service::WarmStart(Require(args, "graph"),
-                                    args.Get("index"), sim, ecfg);
-  if (!replica.ok()) {
-    std::fprintf(stderr, "warm start failed: %s\n",
-                 replica.status().ToString().c_str());
-    return 1;
-  }
-  service::ServingReplica& rep = **replica;
-
-  // --mutable 1 turns on the mutation path: an applier that
-  // materializes a new graph generation per applied batch, plus (when a
-  // landmark index is loaded) a background repairer that lazily refreshes
-  // stale landmark lists. Declared before the server so the server (which
-  // holds the applier pointer) is torn down first, and the repair thread
-  // is stopped before the engine and index it repairs.
-  const bool mutable_serving = args.GetInt("mutable", 0) != 0;
-  std::unique_ptr<service::MutationApplier> applier;
-  std::unique_ptr<service::LandmarkRepairer> repairer;
-  if (mutable_serving) {
-    // --authority-refresh N: exact per-topic max refresh every N applied
-    // batches (paper's periodic recomputation). 1 (default) repairs dirty
-    // maxima each batch, so serving stays byte-identical to a full
-    // rebuild; larger N trades bounded-above authority drift for less
-    // rescan work (tracked by mbr_authority_drift_topics_total).
-    const int64_t refresh = args.GetInt("authority-refresh", 1);
-    if (refresh < 1) {
-      std::fprintf(stderr, "--authority-refresh must be >= 1 (got %lld)\n",
-                   static_cast<long long>(refresh));
-      return 2;
-    }
-    service::MutationConfig mcfg;
-    mcfg.authority_refresh_batches = static_cast<uint32_t>(refresh);
-    applier = std::make_unique<service::MutationApplier>(
-        rep.graph, *rep.authority, *rep.engine, mcfg);
-    if (rep.landmarks != nullptr) {
-      repairer = std::make_unique<service::LandmarkRepairer>(
-          *rep.landmarks, *rep.engine, sim, applier->current_graph(),
-          applier->current_authority());
-      applier->SetRepairer(repairer.get());
-      rep.engine->SetStaleProbe(repairer->MakeStaleProbe());
-      repairer->Start();
-    }
-  }
-
-  net::ServerConfig scfg;
-  scfg.host = args.Get("host", "127.0.0.1");
-  scfg.port = static_cast<uint16_t>(args.GetInt("port", 0));
-  scfg.max_connections =
-      static_cast<uint32_t>(args.GetInt("max-connections", 256));
-  scfg.max_inflight = static_cast<uint32_t>(args.GetInt("max-inflight", 64));
-  scfg.request_deadline_ms =
-      static_cast<uint32_t>(args.GetInt("deadline-ms", 1000));
-  scfg.drain_grace_ms = static_cast<uint32_t>(args.GetInt("drain-ms", 5000));
-  scfg.registry = &obs::Registry::Default();
-  scfg.applier = applier.get();
-
-  net::Server server(*rep.engine, scfg);
-  util::Status st = server.Start();
-  if (!st.ok()) {
-    std::fprintf(stderr, "cannot start server: %s\n", st.ToString().c_str());
-    return 1;
-  }
+// Serves a started node until SIGINT/SIGTERM or a SHUTDOWN frame drains
+// it. The periodic operator line is the snapshot the STATS wire reply
+// uses. Slow-query entries (queries over the obs::SlowQueryLog threshold,
+// with per-stage breakdown) surface as they are captured; a burst that
+// outruns the ring between two polls is reported as a missed count.
+int ServeUntilDrained(coord::ServingNode& node, const Args& args) {
+  net::Server& server = node.server();
   g_serve_server.store(&server, std::memory_order_release);
   std::signal(SIGINT, ServeSignalHandler);
   std::signal(SIGTERM, ServeSignalHandler);
-
-  std::printf("serving %u nodes, %llu edges (%s scoring, %u workers)\n",
-              rep.graph.num_nodes(),
-              static_cast<unsigned long long>(rep.graph.num_edges()),
-              rep.landmarks != nullptr ? "landmark-approximate" : "exact",
-              rep.engine->num_workers());
-  if (rep.engine->degrade_enabled()) {
-    const service::PressureConfig& p = rep.engine->pressure().config();
-    std::printf("degradation ladder: approx at %u inflight, stale at %u, "
-                "p99 target %lluus, stale window %u epochs\n",
-                p.approx_at, p.stale_at,
-                static_cast<unsigned long long>(p.p99_target_us),
-                ecfg.degrade.stale_keep_epochs);
-  }
-  if (mutable_serving) {
-    std::printf("mutations: enabled (%s)\n",
-                repairer != nullptr ? "landmark repair on"
-                                    : "no landmark index, repair off");
-  }
-  std::printf("listening on %s:%u\n", scfg.host.c_str(), server.port());
+  std::printf("listening on %s:%u\n", args.Get("host", "127.0.0.1").c_str(),
+              server.port());
   std::fflush(stdout);
 
-  // Periodic operator log line; same snapshot the STATS wire reply uses.
-  // Slow-query entries (queries over the obs::SlowQueryLog threshold, with
-  // per-stage breakdown) surface here as they are captured; a burst that
-  // outruns the ring between two polls is reported as a missed count.
   const int64_t interval_s = args.GetInt("stats-interval-s", 10);
   auto last_line = std::chrono::steady_clock::now();
   uint64_t slow_cursor = 0;
@@ -945,6 +757,122 @@ int CmdServe(const Args& args) {
   std::printf("drained: %s\n",
               service::FormatStatsLine(server.StatsNow()).c_str());
   return 0;
+}
+
+// `mbrec serve`: one node over the whole graph, or with --plan P --shard i
+// shard i's halo subgraph (plus the full landmark index), answering only
+// the users it homes.
+int CmdServe(const Args& args) {
+  coord::NodeConfig cfg = NodeInputs(args);
+  cfg.engine.cache_capacity = static_cast<size_t>(args.GetInt("cache", 4096));
+  // One process-wide registry for engine + network series, so the METRICS
+  // wire op (and `mbrec metrics`) exposes everything in one scrape.
+  cfg.engine.registry = &obs::Registry::Default();
+  int64_t threads = args.GetInt("threads", 0);
+  if (threads > 0) cfg.engine.num_threads = static_cast<uint32_t>(threads);
+  if (int rc = ApplyDegradeFlags(args, &cfg.engine); rc != 0) return rc;
+
+  // --mutable 1 turns on the mutation path: an applier that materializes
+  // a new graph generation per applied batch, plus (when a landmark index
+  // is loaded) a background repairer that lazily refreshes stale landmark
+  // lists.
+  cfg.mutable_serving = args.GetInt("mutable", 0) != 0;
+  if (cfg.mutable_serving) {
+    // --authority-refresh N: exact per-topic max refresh every N applied
+    // batches (paper's periodic recomputation). 1 (default) repairs dirty
+    // maxima each batch, so serving stays byte-identical to a full
+    // rebuild; larger N trades bounded-above authority drift for less
+    // rescan work (tracked by mbr_authority_drift_topics_total).
+    const int64_t refresh = args.GetInt("authority-refresh", 1);
+    if (refresh < 1) {
+      std::fprintf(stderr, "--authority-refresh must be >= 1 (got %lld)\n",
+                   static_cast<long long>(refresh));
+      return 2;
+    }
+    cfg.mutation.authority_refresh_batches = static_cast<uint32_t>(refresh);
+  }
+
+  cfg.server.host = args.Get("host", "127.0.0.1");
+  cfg.server.max_connections =
+      static_cast<uint32_t>(args.GetInt("max-connections", 256));
+  cfg.server.max_inflight =
+      static_cast<uint32_t>(args.GetInt("max-inflight", 64));
+  cfg.server.request_deadline_ms =
+      static_cast<uint32_t>(args.GetInt("deadline-ms", 1000));
+  cfg.server.drain_grace_ms =
+      static_cast<uint32_t>(args.GetInt("drain-ms", 5000));
+  cfg.server.registry = &obs::Registry::Default();
+  // Port priority: --port flag, then a shard's endpoint in the plan.
+  const int64_t port = args.GetInt("port", -1);
+  cfg.server.port = static_cast<uint16_t>(port >= 0 ? port : 0);
+
+  std::optional<coord::ShardPlan> plan;
+  int64_t shard = -1;
+  if (!args.Get("plan").empty()) {
+    auto loaded = coord::ShardPlan::LoadFrom(args.Get("plan"));
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "cannot load plan: %s\n",
+                   loaded.status().ToString().c_str());
+      return 1;
+    }
+    plan = std::move(*loaded);
+    shard = args.GetInt("shard", -1);
+    if (shard < 0 || shard >= plan->num_shards()) {
+      std::fprintf(stderr, "--shard must be in [0, %u)\n",
+                   plan->num_shards());
+      return 2;
+    }
+    cfg.plan = &*plan;
+    cfg.shard = static_cast<uint32_t>(shard);
+    if (port < 0) {
+      cfg.server.port = static_cast<uint16_t>(plan->endpoints()[shard].port);
+    }
+  }
+
+  const uint32_t num_nodes = cfg.graph.num_nodes();
+  const uint32_t stale_window = cfg.engine.degrade.stale_keep_epochs;
+  auto built = coord::ServingNode::Build(std::move(cfg));
+  if (!built.ok()) {
+    std::fprintf(stderr, "warm start failed: %s\n",
+                 built.status().ToString().c_str());
+    return 1;
+  }
+  coord::ServingNode& node = **built;
+  if (util::Status st = node.Start(); !st.ok()) {
+    std::fprintf(stderr, "cannot start server: %s\n", st.ToString().c_str());
+    return 1;
+  }
+
+  if (plan.has_value()) {
+    size_t owned_count = 0;
+    for (bool b : node.owned()) owned_count += b ? 1 : 0;
+    std::printf(
+        "shard %u/%u: %zu owned of %u nodes, halo graph %llu edges (%s "
+        "scoring)\n",
+        static_cast<uint32_t>(shard), plan->num_shards(),
+        owned_count, num_nodes,
+        static_cast<unsigned long long>(node.graph().num_edges()),
+        ScoringName(node));
+  } else {
+    std::printf("serving %u nodes, %llu edges (%s scoring, %u workers)\n",
+                num_nodes,
+                static_cast<unsigned long long>(node.graph().num_edges()),
+                ScoringName(node), node.engine().num_workers());
+  }
+  if (node.engine().degrade_enabled()) {
+    const service::PressureConfig& p = node.engine().pressure().config();
+    std::printf("degradation ladder: approx at %u inflight, stale at %u, "
+                "p99 target %lluus, stale window %u epochs\n",
+                p.approx_at, p.stale_at,
+                static_cast<unsigned long long>(p.p99_target_us),
+                stale_window);
+  }
+  if (node.applier() != nullptr) {
+    std::printf("mutations: enabled (%s)\n",
+                node.repairer() != nullptr ? "landmark repair on"
+                                           : "no landmark index, repair off");
+  }
+  return ServeUntilDrained(node, args);
 }
 
 util::Result<net::Client> RemoteConnect(const Args& args) {
