@@ -4,9 +4,9 @@
 // ext_dynamic_updates measures how a frozen landmark index rots under
 // offline churn. This bench measures the *serving-side* story introduced
 // by the mutation path: FOLLOW/UNFOLLOW/RELABEL batches stream through a
-// service::MutationApplier (each applied batch rebinds the engine and
-// bumps the graph epoch), a service::LandmarkRepairer marks every
-// landmark slot stale on every applied batch, and we track — per
+// service::MutationApplier (each applied batch publishes a new serving
+// generation and bumps the graph epoch), every applied batch marks every
+// landmark slot stale for the service::LandmarkRepairer, and we track — per
 // cumulative-churn checkpoint — recall@10 and Kendall-tau of the live
 // approx answers against an index freshly rebuilt on the current graph,
 // alongside the repairer's stale telemetry. After the trace, Quiesce()
@@ -240,8 +240,8 @@ int main() {
   }
 
   // Drain every stale slot, then measure how close lazy repair gets to a
-  // fresh rebuild once it has caught up: RefreshLandmark is deterministic,
-  // so the quiesced index must serialize to the fresh build's bytes.
+  // fresh rebuild once it has caught up: ComputeLists is deterministic, so
+  // the quiesced index must serialize to the fresh build's bytes.
   repairer.Quiesce();
   auto g = applier.current_graph();
   auto a = applier.current_authority();

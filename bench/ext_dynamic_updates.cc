@@ -285,7 +285,6 @@ int main() {
     auto node = coord::ServingNode::Build(std::move(nc)).value();
     service::MutationApplier& applier = *node->applier();
     service::LandmarkRepairer& repairer = *node->repairer();
-    const landmark::LandmarkIndex& live_index = *node->index();
 
     util::TablePrinter rp({"cumulative churn", "None", "Repairer-10",
                            "applied", "rejected"});
@@ -307,7 +306,8 @@ int main() {
       p.cumulative_churn = cum;
       p.drift_none = StoredListDrift(stale_index, fresh_index, sel.landmarks,
                                      current->num_topics());
-      p.drift_repairer = StoredListDrift(live_index, fresh_index,
+      // Each repair publishes a new index: read this round's.
+      p.drift_repairer = StoredListDrift(*node->index(), fresh_index,
                                          sel.landmarks, current->num_topics());
       p.applied = out.applied;
       p.rejected = out.rejected;

@@ -2,14 +2,16 @@
 // pipeline vs full per-batch rebuild.
 //
 // The MutationApplier turns each applied FOLLOW/UNFOLLOW/RELABEL batch
-// into a new serving generation. The kFullRebuild pipeline re-materializes
-// the whole graph and rescans the authority index per batch — O(graph)
-// regardless of batch size. The kIncremental pipeline patches only the
+// into a new serving generation on its one pipeline: it patches only the
 // touched adjacency rows (DeltaGraph::MaterializeFrom) and snapshots the
-// authority from incremental counters — O(Δ). This bench streams identical
-// mutation traces through both pipelines at several batch sizes and
-// reports the apply latency, i.e. the mutation-to-visibility cost the
-// serving path pays while queries keep draining.
+// authority from incremental counters — O(Δ). The full_rebuild rows are
+// this bench's own from-scratch reference: the same per-record rules on a
+// plain DeltaGraph, then a whole-graph Materialize() and an authority
+// rescan per batch — O(graph) regardless of batch size — published into
+// the engine the same way. This bench streams identical mutation traces
+// through both at several batch sizes and reports the apply latency, i.e.
+// the mutation-to-visibility cost the serving path pays while queries
+// keep draining.
 //
 // Output: a human-readable table on stdout plus BENCH_mutation.json
 // (machine-readable latencies + per-batch-size speedups, same convention
@@ -18,11 +20,14 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/authority.h"
+#include "dynamic/delta_graph.h"
 #include "service/mutation.h"
 #include "service/query_engine.h"
 #include "topics/similarity_matrix.h"
@@ -48,6 +53,26 @@ service::Mutation RandomMutation(util::Rng* rng, uint32_t n, int num_topics) {
   return m;
 }
 
+// The applier's per-record rules, replayed on a plain DeltaGraph by the
+// from-scratch reference: whether `m` applied.
+bool ApplyToDelta(dynamic::DeltaGraph* delta, const service::Mutation& m,
+                  int num_topics) {
+  const graph::NodeId n = delta->num_nodes();
+  if (m.src >= n || m.dst >= n || m.src == m.dst) return false;
+  const bool valid_labels =
+      !m.labels.empty() &&
+      (num_topics >= 64 || (m.labels.bits() >> num_topics) == 0);
+  switch (m.op) {
+    case service::MutationOp::kFollow:
+      return valid_labels && delta->AddEdge(m.src, m.dst, m.labels);
+    case service::MutationOp::kUnfollow:
+      return delta->RemoveEdge(m.src, m.dst);
+    case service::MutationOp::kRelabel:
+      return valid_labels && delta->RelabelEdge(m.src, m.dst, m.labels);
+  }
+  return false;
+}
+
 struct ApplySample {
   const char* pipeline = "";
   size_t batch_len = 0;
@@ -58,11 +83,11 @@ struct ApplySample {
 };
 
 // Streams `rounds` applied batches of `batch_len` random mutations through
-// a fresh applier on `pipeline`, timing each Apply(). The trace is
-// regenerated from `seed`, so both pipelines see byte-identical input.
+// a fresh applier (`incremental`) or the from-scratch reference, timing
+// each batch. The trace is regenerated from `seed`, so both see
+// byte-identical input.
 ApplySample RunConfig(const datagen::GeneratedDataset& ds,
-                      const core::AuthorityIndex& auth,
-                      service::MutationConfig::Pipeline pipeline,
+                      const core::AuthorityIndex& auth, bool incremental,
                       size_t batch_len, uint32_t rounds, uint64_t seed) {
   const uint32_t n = ds.graph.num_nodes();
   const int num_topics = ds.graph.num_topics();
@@ -72,21 +97,36 @@ ApplySample RunConfig(const datagen::GeneratedDataset& ds,
   ec.cache_capacity = 0;
   service::QueryEngine engine(ds.graph, auth, topics::TwitterSimilarity(),
                               ec);
-  service::MutationConfig mcfg;
-  mcfg.pipeline = pipeline;
-  service::MutationApplier applier(ds.graph, auth, engine, mcfg);
+  std::optional<service::MutationApplier> applier;
+  if (incremental) applier.emplace(ds.graph, auth, engine);
+  dynamic::DeltaGraph delta(&ds.graph);
+  // One batch; returns how many records applied.
+  auto apply = [&](const std::vector<service::Mutation>& batch) -> uint32_t {
+    if (applier.has_value()) return applier->Apply(batch).applied;
+    uint32_t applied = 0;
+    for (const service::Mutation& m : batch) {
+      if (ApplyToDelta(&delta, m, num_topics)) ++applied;
+    }
+    if (applied > 0) {
+      service::GenerationChange next;
+      next.graph =
+          std::make_shared<const graph::LabeledGraph>(delta.Materialize());
+      next.authority =
+          std::make_shared<const core::AuthorityIndex>(*next.graph);
+      engine.Publish(std::move(next));
+    }
+    return applied;
+  };
 
   util::Rng rng(seed);
   ApplySample s;
-  s.pipeline = pipeline == service::MutationConfig::Pipeline::kIncremental
-                   ? "incremental"
-                   : "full_rebuild";
+  s.pipeline = incremental ? "incremental" : "full_rebuild";
   s.batch_len = batch_len;
   double total_s = 0.0;
   uint64_t mutations_applied = 0;
   uint32_t done = 0;
-  // A batch where nothing applied skips materialization on both
-  // pipelines; retry (bounded) so every timed round rebuilds.
+  // A batch where nothing applied skips materialization on both sides;
+  // retry (bounded) so every timed round rebuilds.
   for (uint32_t attempts = 0; done < rounds && attempts < rounds * 20;
        ++attempts) {
     std::vector<service::Mutation> batch;
@@ -95,12 +135,12 @@ ApplySample RunConfig(const datagen::GeneratedDataset& ds,
       batch.push_back(RandomMutation(&rng, n, num_topics));
     }
     util::WallTimer timer;
-    service::MutationOutcome out = applier.Apply(batch);
+    const uint32_t applied = apply(batch);
     const double elapsed = timer.ElapsedSeconds();
-    if (out.applied == 0) continue;
+    if (applied == 0) continue;
     total_s += elapsed;
     s.max_apply_ms = std::max(s.max_apply_ms, elapsed * 1e3);
-    mutations_applied += out.applied;
+    mutations_applied += applied;
     ++done;
   }
   s.rounds = done;
@@ -178,14 +218,13 @@ int main(int argc, char** argv) {
   std::printf("%-13s %-7s %-7s %-15s %-14s %s\n", "pipeline", "batch",
               "rounds", "mean_apply_ms", "max_apply_ms", "mutations/s");
   std::vector<ApplySample> samples;
-  for (service::MutationConfig::Pipeline pipeline :
-       {service::MutationConfig::Pipeline::kFullRebuild,
-        service::MutationConfig::Pipeline::kIncremental}) {
+  for (bool incremental : {false, true}) {
     for (size_t batch_len : batch_lens) {
       uint32_t rounds =
           batch_len <= 16 ? 24 : batch_len <= 256 ? 8 : 3;
       if (smoke) rounds = batch_len <= 16 ? 4 : 2;
-      ApplySample s = RunConfig(ds, auth, pipeline, batch_len, rounds, seed);
+      ApplySample s =
+          RunConfig(ds, auth, incremental, batch_len, rounds, seed);
       samples.push_back(s);
       std::printf("%-13s %-7zu %-7u %-15.4f %-14.4f %.1f\n", s.pipeline,
                   s.batch_len, s.rounds, s.mean_apply_ms, s.max_apply_ms,

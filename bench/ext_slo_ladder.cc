@@ -325,14 +325,14 @@ int main(int argc, char** argv) {
               capacity_qps, p99_target_us);
 
   // Build the ladder engine with the latency signal armed at the
-  // calibrated target. Warm, invalidate once so a dead generation exists
+  // calibrated target. Warm, publish once so a dead generation exists
   // (the stale rung's inventory), then warm again so the fresh-epoch
   // cache is as hot as every other config's at the start of the ramp.
   ladder_cfg.degrade.pressure.p99_target_us =
       static_cast<uint64_t>(p99_target_us);
   service::QueryEngine ladder_armed(ds.graph, auth, sim, ladder_cfg);
   WarmEngine(&ladder_armed, warm_n, num_nodes, num_topics);
-  ladder_armed.Invalidate();
+  ladder_armed.Publish({});
   WarmEngine(&ladder_armed, warm_n, num_nodes, num_topics);
 
   // The shared ramp: identical offered levels for every config.

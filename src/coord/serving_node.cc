@@ -59,9 +59,8 @@ util::Result<std::unique_ptr<ServingNode>> ServingNode::Build(
     node->applier_ = std::make_unique<service::MutationApplier>(
         *s.subgraph, *s.authority, *s.engine, config.mutation);
     if (s.index != nullptr) {
-      node->repairer_ = std::make_unique<service::LandmarkRepairer>(
-          *s.index, *s.engine, *config.sim, node->applier_->current_graph(),
-          node->applier_->current_authority());
+      node->repairer_ =
+          std::make_unique<service::LandmarkRepairer>(*s.engine, *config.sim);
       node->applier_->SetRepairer(node->repairer_.get());
       s.engine->SetStaleProbe(node->repairer_->MakeStaleProbe());
     }
@@ -73,7 +72,7 @@ util::Result<std::unique_ptr<ServingNode>> ServingNode::Build(
 
 ServingNode::~ServingNode() {
   server_.reset();    // drains; it holds the applier
-  repairer_.reset();  // joins the repair thread before the engine and index
+  repairer_.reset();  // joins the repair thread before the engine
   applier_.reset();
 }
 

@@ -18,16 +18,19 @@
 // Build() then builds the engine, over the whole graph or, given a plan,
 // over the shard's halo through BuildShardContext. A mutable node also
 // gets its MutationApplier and, with a landmark index, a LandmarkRepairer
-// installed with SetRepairer and SetStaleProbe(MakeStaleProbe()), so every
-// applied batch marks every landmark slot stale before it is published and
-// approx replies scored while a slot is stale say so (DESIGN.md §6.5).
+// installed with SetRepairer and SetStaleProbe(MakeStaleProbe()). Both
+// change what the engine serves only through QueryEngine::Publish: every
+// applied batch publishes a generation whose landmark slots are all
+// stale, and every repair publishes a copy of the index with one slot's
+// lists replaced, so approx replies scored on a generation with a stale
+// slot say so (DESIGN.md §6.5).
 //
 // Start() starts the repair thread, then the network server. The
 // destructor stops them in reverse: the server, which holds the applier,
-// before the applier, and the repairer before the engine and the index it
-// repairs. In-process users never call Start(): with no repair thread,
-// RepairStale() and Quiesce() run on the calling thread, and nothing
-// listens.
+// before the applier, and the repair thread before the engine it
+// publishes to. In-process users never call Start(): with no repair
+// thread, RepairStale() and Quiesce() run on the calling thread, and
+// nothing listens.
 
 #include <cstdint>
 #include <memory>
@@ -84,9 +87,11 @@ class ServingNode {
   // The graph the engine was built on: the whole graph, or the shard's
   // halo. A mutable node's live generation is applier()->current_graph().
   const graph::LabeledGraph& graph() const { return *state_->subgraph; }
-  // The index the engine serves from (repaired in place by a mutable
-  // node); null for exact scoring.
-  const landmark::LandmarkIndex* index() const { return state_->index.get(); }
+  // The index of the engine's live generation (a mutable node's repairs
+  // publish new ones); null for exact scoring.
+  std::shared_ptr<const landmark::LandmarkIndex> index() const {
+    return state_->engine->generation()->index;
+  }
   // The users a shard node homes; empty for a single node.
   const std::vector<bool>& owned() const { return state_->owned; }
   // Null unless the node is mutable (and, for the repairer, has an index).

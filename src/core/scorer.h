@@ -184,8 +184,8 @@ class Scorer {
   // warmed arena scratch (the O(Δ) rebind path, DESIGN.md §6.9). The new
   // graph must keep the old node-id and topic universe — the scratch spans
   // are carved per num_nodes — and the authority index must match it. Must
-  // not race an in-flight Explore() (the engine calls this under its
-  // exclusive rebind lock).
+  // not race an in-flight Explore() (an engine worker calls this between
+  // queries, when its pinned generation changed).
   void Rebind(const graph::LabeledGraph& g, const AuthorityIndex& authority);
 
   const ScoreParams& params() const { return params_; }

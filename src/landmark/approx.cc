@@ -34,7 +34,7 @@ ApproxRecommender::ApproxRecommender(const graph::LabeledGraph& g,
                                      const LandmarkIndex& index,
                                      const ApproxConfig& config,
                                      util::QueryArena* arena)
-    : index_(index),
+    : index_(&index),
       config_([&] {
         ApproxConfig c = config;
         c.params.max_depth = config.query_depth;
@@ -48,7 +48,7 @@ const ScoreTable& ApproxRecommender::ScoresFlat(graph::NodeId u,
                                                 QueryStats* stats) const {
   util::WallTimer timer;
   const std::vector<bool>* pruned =
-      config_.prune_at_landmarks ? &index_.landmark_mask() : nullptr;
+      config_.prune_at_landmarks ? &index_->landmark_mask() : nullptr;
   const core::ExplorationResult& res = [&]() -> decltype(auto) {
     MBR_SPAN("landmark.bfs");
     return scorer_.Explore(u, topics::TopicSet::Single(t), pruned);
@@ -61,13 +61,13 @@ const ScoreTable& ApproxRecommender::ScoresFlat(graph::NodeId u,
 
   for (graph::NodeId v : res.reached()) {
     if (v != u) scores.Add(v, res.Sigma(v, t));
-    if (!index_.IsLandmark(v) || v == u) continue;
+    if (!index_->IsLandmark(v) || v == u) continue;
     ++landmarks_met;
     // Proposition 4 composition with λ = v's stored lists:
     // σ̃_λ(u, w, t) = σ(u, λ, t) · topo_β(λ, w) + topo_αβ(u, λ) · σ(λ, w, t).
     const double sigma_ul = res.Sigma(v, t);
     const double topo_ab_ul = res.TopoAlphaBeta(v);
-    for (const StoredRec& rec : index_.Recommendations(v, t)) {
+    for (const StoredRec& rec : index_->Recommendations(v, t)) {
       if (rec.node == u) continue;
       scores.Add(rec.node, sigma_ul * rec.topo_beta + topo_ab_ul * rec.sigma);
     }
@@ -98,7 +98,7 @@ util::Status ApproxRecommender::ExploreDecomposed(
   const graph::NodeId u = q.user;
   const topics::TopicId t = q.topic;
   const std::vector<bool>* pruned =
-      config_.prune_at_landmarks ? &index_.landmark_mask() : nullptr;
+      config_.prune_at_landmarks ? &index_->landmark_mask() : nullptr;
   const core::ExplorationResult& res = [&]() -> decltype(auto) {
     MBR_SPAN("landmark.bfs");
     return scorer_.Explore(u, topics::TopicSet::Single(t), pruned);
@@ -113,7 +113,7 @@ util::Status ApproxRecommender::ExploreDecomposed(
     DecomposedRecord rec;
     rec.node = v;
     rec.sigma = res.Sigma(v, t);
-    rec.is_landmark = index_.IsLandmark(v);
+    rec.is_landmark = index_->IsLandmark(v);
     if (rec.is_landmark) {
       rec.topo_alphabeta = res.TopoAlphaBeta(v);
       ++landmarks_met;

@@ -149,7 +149,8 @@ class ApproxRecommender : public core::Recommender {
  public:
   // All references must outlive the recommender. `arena` (optional) is
   // handed to the internal Scorer — pass the per-worker arena so scratch
-  // survives engine rebinds; nullptr lets the scorer own one.
+  // survives re-pointing at new generations; nullptr lets the scorer own
+  // one.
   ApproxRecommender(const graph::LabeledGraph& g,
                     const core::AuthorityIndex& authority,
                     const topics::SimilarityMatrix& sim,
@@ -180,13 +181,16 @@ class ApproxRecommender : public core::Recommender {
   std::unordered_map<graph::NodeId, double> ApproximateScores(
       graph::NodeId u, topics::TopicId t, QueryStats* stats = nullptr) const;
 
-  // Re-points the internal scorer at a new graph generation, keeping the
-  // warmed arena scratch (same contract as core::Scorer::Rebind: node/topic
-  // universe unchanged, no query in flight). The landmark index is shared
-  // and repaired in place, so it is not rebound here.
+  // Re-points the recommender at another serving generation: a graph, its
+  // authority and the landmark index whose stored lists match them (a
+  // repair publishes a new index rather than editing one). Keeps the warmed
+  // arena scratch; same contract as core::Scorer::Rebind (node/topic
+  // universe unchanged, no query in flight).
   void Rebind(const graph::LabeledGraph& g,
-              const core::AuthorityIndex& authority) {
+              const core::AuthorityIndex& authority,
+              const LandmarkIndex& index) {
     scorer_.Rebind(g, authority);
+    index_ = &index;
   }
 
   // Runs the same pruned exploration as ScoresFlat(q.user, q.topic) but
@@ -199,7 +203,7 @@ class ApproxRecommender : public core::Recommender {
                                  std::vector<DecomposedRecord>* out) const;
 
  private:
-  const LandmarkIndex& index_;
+  const LandmarkIndex* index_;  // never null
   ApproxConfig config_;
   core::Scorer scorer_;
   const graph::NodeId num_nodes_;

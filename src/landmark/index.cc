@@ -111,20 +111,31 @@ const std::vector<StoredRec>& LandmarkIndex::Recommendations(
   return recs_[static_cast<size_t>(slot) * num_topics_ + t];
 }
 
-void LandmarkIndex::RefreshLandmark(graph::NodeId lm,
-                                    const graph::LabeledGraph& g,
-                                    const core::AuthorityIndex& authority,
-                                    const topics::SimilarityMatrix& sim) {
-  uint32_t slot = landmark_slot_[lm];
-  MBR_CHECK(slot != kNoSlot);
+LandmarkIndex::Lists LandmarkIndex::ComputeLists(
+    graph::NodeId lm, const graph::LabeledGraph& g,
+    const core::AuthorityIndex& authority,
+    const topics::SimilarityMatrix& sim) const {
+  MBR_CHECK(IsLandmark(lm));
   MBR_CHECK(g.num_topics() == num_topics_);
   core::Scorer scorer(g, authority, sim, config_.params);
   topics::TopicSet all_topics;
   for (int t = 0; t < num_topics_; ++t) {
     all_topics.Add(static_cast<topics::TopicId>(t));
   }
+  Lists lists(num_topics_);
   ComputeLandmarkLists(&scorer, lm, num_topics_, config_.top_n, all_topics,
-                       &recs_[static_cast<size_t>(slot) * num_topics_]);
+                       lists.data());
+  return lists;
+}
+
+LandmarkIndex LandmarkIndex::WithLists(graph::NodeId lm, Lists lists) const {
+  const uint32_t slot = landmark_slot_[lm];
+  MBR_CHECK(slot != kNoSlot);
+  MBR_CHECK(lists.size() == static_cast<size_t>(num_topics_));
+  LandmarkIndex out = *this;
+  std::move(lists.begin(), lists.end(),
+            out.recs_.begin() + static_cast<ptrdiff_t>(slot) * num_topics_);
+  return out;
 }
 
 LandmarkIndex LandmarkIndex::Truncated(uint32_t top_n) const {

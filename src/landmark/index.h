@@ -76,13 +76,20 @@ class LandmarkIndex {
   // Algorithm 1 pre-processing pass.
   LandmarkIndex Truncated(uint32_t top_n) const;
 
+  // One landmark's stored lists, indexed by topic.
+  using Lists = std::vector<std::vector<StoredRec>>;
+
   // Re-runs Algorithm 1 for one landmark against `g` (typically the graph
-  // after a batch of updates) and replaces its stored lists in place — the
-  // unit of work of service::LandmarkRepairer. Preconditions: IsLandmark(lm);
-  // g has the node/topic counts this index was built with.
-  void RefreshLandmark(graph::NodeId lm, const graph::LabeledGraph& g,
-                       const core::AuthorityIndex& authority,
-                       const topics::SimilarityMatrix& sim);
+  // after a batch of updates) and returns its lists — the unit of work of
+  // service::LandmarkRepairer. Leaves this index as it is. Preconditions:
+  // IsLandmark(lm); g has the node/topic counts this index was built with.
+  Lists ComputeLists(graph::NodeId lm, const graph::LabeledGraph& g,
+                     const core::AuthorityIndex& authority,
+                     const topics::SimilarityMatrix& sim) const;
+
+  // A copy of this index with `lm`'s stored lists replaced by `lists` (one
+  // per topic, as ComputeLists returns them). Preconditions: IsLandmark(lm).
+  LandmarkIndex WithLists(graph::NodeId lm, Lists lists) const;
 
   const LandmarkIndexConfig& config() const { return config_; }
   int num_topics() const { return num_topics_; }

@@ -120,7 +120,7 @@ class Server::EngineHandler final : public Handler {
   }
 
   // A single RECOMMEND whose list is cached under the current epoch; the
-  // probe never waits on the engine's rebind lock.
+  // probe takes no engine lock.
   bool AnswerNow(const Request& req, Reply* reply) override {
     if (req.kind != MessageKind::kRecommend) return false;
     service::Response resp;

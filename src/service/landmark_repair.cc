@@ -6,16 +6,10 @@
 
 namespace mbr::service {
 
-LandmarkRepairer::LandmarkRepairer(
-    landmark::LandmarkIndex& index, QueryEngine& engine,
-    const topics::SimilarityMatrix& sim,
-    std::shared_ptr<const graph::LabeledGraph> graph,
-    std::shared_ptr<const core::AuthorityIndex> authority)
-    : index_(&index),
-      engine_(&engine),
-      sim_(&sim),
-      graph_(std::move(graph)),
-      authority_(std::move(authority)) {
+LandmarkRepairer::LandmarkRepairer(QueryEngine& engine,
+                                   const topics::SimilarityMatrix& sim)
+    : engine_(&engine), sim_(&sim) {
+  MBR_CHECK(engine.generation()->index != nullptr);
   obs::Registry& reg = engine.registry();
   stale_marked_ = reg.GetCounter(
       "mbr_repair_stale_marked_total",
@@ -25,7 +19,18 @@ LandmarkRepairer::LandmarkRepairer(
   stale_reads_ = reg.GetCounter(
       "mbr_repair_stale_reads_total",
       "Queries scored while at least one landmark list was stale.");
-  repaired_seq_.assign(index_->landmarks().size(), 0);
+}
+
+LandmarkRepairer::LandmarkRepairer(
+    const landmark::LandmarkIndex& index, QueryEngine& engine,
+    const topics::SimilarityMatrix& sim,
+    std::shared_ptr<const graph::LabeledGraph> graph,
+    std::shared_ptr<const core::AuthorityIndex> authority)
+    : LandmarkRepairer(engine, sim) {
+  const std::shared_ptr<const Generation> gen = engine.generation();
+  MBR_CHECK(gen->index.get() == &index);
+  MBR_CHECK(gen->graph == graph);
+  MBR_CHECK(gen->authority == authority);
 }
 
 LandmarkRepairer::~LandmarkRepairer() { Stop(); }
@@ -50,12 +55,14 @@ void LandmarkRepairer::Stop() {
   running_ = false;
 }
 
-std::function<bool()> LandmarkRepairer::MakeStaleProbe() {
-  return [this] {
-    if (stale_count_.load(std::memory_order_relaxed) == 0) return false;
-    stale_reads_->Increment();
-    return true;
+std::function<void(bool)> LandmarkRepairer::MakeStaleProbe() {
+  return [this](bool stale) {
+    if (stale) stale_reads_->Increment();
   };
+}
+
+size_t LandmarkRepairer::stale_count() const {
+  return engine_->generation()->stale_slots;
 }
 
 uint64_t LandmarkRepairer::repairs_done() const {
@@ -63,60 +70,43 @@ uint64_t LandmarkRepairer::repairs_done() const {
   return repairs_done_;
 }
 
-void LandmarkRepairer::RecomputeStaleLocked() {
-  size_t stale = 0;
-  for (uint64_t seq : repaired_seq_) {
-    if (seq < batches_) ++stale;
-  }
-  stale_count_.store(stale, std::memory_order_relaxed);
-}
-
-void LandmarkRepairer::MarkAllStale() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++batches_;
-  stale_marked_->Increment(repaired_seq_.size());
-  stale_count_.store(repaired_seq_.size(), std::memory_order_relaxed);
-}
-
-void LandmarkRepairer::OnBatchApplied(
-    std::shared_ptr<const graph::LabeledGraph> graph,
-    std::shared_ptr<const core::AuthorityIndex> authority) {
+void LandmarkRepairer::OnBatchPublished() {
   {
+    // Taken so a repair loop that just found nothing stale is already
+    // waiting when the notification comes.
     std::lock_guard<std::mutex> lock(mu_);
-    graph_ = std::move(graph);
-    authority_ = std::move(authority);
-    graph_seq_ = batches_;
+    stale_marked_->Increment(engine_->generation()->lists_version.size());
   }
   cv_.notify_all();
 }
 
 uint32_t LandmarkRepairer::RepairOneLocked(
     std::unique_lock<std::mutex>& lock) {
-  cv_.wait(lock, [&] { return AdoptedLocked(); });
-  uint32_t slot = kNoSlot;
-  for (uint32_t s = 0; s < repaired_seq_.size(); ++s) {
-    if (repaired_seq_[s] < batches_ &&
-        (slot == kNoSlot || repaired_seq_[s] < repaired_seq_[slot])) {
+  const std::shared_ptr<const Generation> gen = engine_->generation();
+  const std::vector<uint64_t>& version = gen->lists_version;
+  uint32_t slot = GenerationChange::kNoSlot;
+  for (uint32_t s = 0; s < version.size(); ++s) {
+    if (version[s] < gen->graph_version &&
+        (slot == GenerationChange::kNoSlot || version[s] < version[slot])) {
       slot = s;
     }
   }
-  if (slot == kNoSlot) return kNoSlot;
-  // Snapshot the generation to refresh against, then release the lock for
-  // the expensive part: a batch marked during the refresh moves batches_
-  // past `seq`, which keeps the slot stale and triggers a re-repair.
-  const uint64_t seq = graph_seq_;
-  std::shared_ptr<const graph::LabeledGraph> g = graph_;
-  std::shared_ptr<const core::AuthorityIndex> auth = authority_;
-  const graph::NodeId lm = index_->landmarks()[slot];
+  if (slot == GenerationChange::kNoSlot) return GenerationChange::kNoSlot;
+  // Compute on the pinned generation and publish without holding the lock:
+  // a batch published meanwhile moves the graph version past the one this
+  // repair credits, which keeps the slot stale for a re-repair.
   repair_in_flight_ = true;
   lock.unlock();
-  engine_->RunExclusive(
-      [&] { index_->RefreshLandmark(lm, *g, *auth, *sim_); });
+  const landmark::LandmarkIndex& index = *gen->index;
+  GenerationChange change;
+  change.slot = slot;
+  change.lists = index.ComputeLists(index.landmarks()[slot], *gen->graph,
+                                    *gen->authority, *sim_);
+  change.lists_version = gen->graph_version;
+  engine_->Publish(std::move(change));
   lock.lock();
   repaired_->Increment();
   ++repairs_done_;
-  if (repaired_seq_[slot] < seq) repaired_seq_[slot] = seq;
-  RecomputeStaleLocked();
   repair_in_flight_ = false;
   cv_.notify_all();
   return slot;
@@ -127,8 +117,8 @@ std::vector<graph::NodeId> LandmarkRepairer::RepairStaleLocked(
   std::vector<graph::NodeId> repaired;
   while (repaired.size() < budget) {
     const uint32_t slot = RepairOneLocked(lock);
-    if (slot == kNoSlot) break;
-    repaired.push_back(index_->landmarks()[slot]);
+    if (slot == GenerationChange::kNoSlot) break;
+    repaired.push_back(engine_->generation()->index->landmarks()[slot]);
   }
   return repaired;
 }
@@ -142,10 +132,7 @@ std::vector<graph::NodeId> LandmarkRepairer::RepairStale(size_t budget) {
 void LandmarkRepairer::RepairLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    cv_.wait(lock, [&] {
-      return stop_ || (stale_count_.load(std::memory_order_relaxed) > 0 &&
-                       AdoptedLocked());
-    });
+    cv_.wait(lock, [&] { return stop_ || engine_->generation()->stale(); });
     if (stop_) return;
     RepairOneLocked(lock);
   }
@@ -155,8 +142,7 @@ void LandmarkRepairer::Quiesce() {
   std::unique_lock<std::mutex> lock(mu_);
   if (running_) {
     cv_.wait(lock, [&] {
-      return stale_count_.load(std::memory_order_relaxed) == 0 &&
-             !repair_in_flight_;
+      return !repair_in_flight_ && !engine_->generation()->stale();
     });
   } else {
     RepairStaleLocked(std::numeric_limits<size_t>::max(), lock);

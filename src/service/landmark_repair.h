@@ -13,42 +13,46 @@
 // u and moves v's authority anywhere in a landmark's exploration, and on
 // the graphs served here each exploration reaches nearly every node, so a
 // rule that tried to spare slots would mark them all anyway (DESIGN.md
-// §6.5). The bookkeeping is version counters (monotone u64):
+// §6.5). The marks are version counters recorded in each published
+// service::Generation, not kept here:
 //
-//   batches_        — applied batches marked so far;
-//   repaired_seq[s] — the batch count of the generation slot s's last
-//                     repair ran on.
+//   graph_version    — graph changes (applied batches) published so far;
+//   lists_version[s] — the graph_version of the generation slot s's lists
+//                      were last computed on.
 //
-//   slot s is STALE  iff  repaired_seq[s] < batches_.
+//   slot s is STALE in a generation  iff  lists_version[s] < graph_version.
 //
-// Mark before publish: the MutationApplier calls MarkAllStale() before
-// QueryEngine::Rebind() publishes a batch's generation and
-// OnBatchApplied() after it, so no reply scored on the new generation is
-// stamped kApprox from lists computed on an older one. A repair credits
-// only the batch count of the generation it ran on, so one that raced a
-// newer batch leaves its slot stale (re-repair, not lost updates), and no
-// repair starts while a marked batch's generation is still being
-// published. The repair unit is LandmarkIndex::RefreshLandmark (re-run
-// Algorithm 1 for one landmark), executed under QueryEngine::RunExclusive
-// so queries never observe a half-written stored list; RunExclusive also
-// bumps the graph epoch, keeping cached rankings from before the repair
-// unreachable. Because RefreshLandmark is deterministic, after Quiesce()
-// the index is byte-identical to a fresh build on the live generation.
+// Marked by construction: the publish that serves a batch's graph is the
+// one that makes every slot stale, so no reply scored on it can be stamped
+// kApprox from lists computed on an older graph, whatever a repair is
+// doing meanwhile. A reply's tier is decided from the generation it
+// pinned, not from the repairer's live state.
 //
-// Stale *detection at query time* is one atomic load: the engine's stale
-// probe (install via MakeStaleProbe) increments
-// mbr_repair_stale_reads_total whenever a query is scored while any slot
-// is stale — the serving-visible measure of repair lag that the churn
-// drift bench correlates with recall/Kendall-tau.
+// The repair unit: pin the engine's current generation, re-run Algorithm 1
+// for one landmark on its graph (LandmarkIndex::ComputeLists) without
+// holding anything a reader waits on, then QueryEngine::Publish() a copy of
+// the then-current index with that slot replaced, crediting the version it
+// computed on. A repair that raced a newer batch therefore leaves its slot
+// stale (re-repair, not lost updates). Each repair publishes, so it bumps
+// the graph epoch and keeps cached rankings from before it unreachable.
+// Because ComputeLists is deterministic, after Quiesce() the index is
+// byte-identical to a fresh build on the live generation.
+//
+// Stale *detection at query time* costs nothing extra: the engine hands
+// its stale probe (install via MakeStaleProbe) the pinned generation's
+// verdict, and the probe increments mbr_repair_stale_reads_total whenever
+// a query is scored on a generation with a stale slot — the
+// serving-visible measure of repair lag that the churn drift bench
+// correlates with recall/Kendall-tau.
 //
 // Schedule (the paper's §6 "updating strategies"): the next repair takes
-// the stale slot with the smallest repaired_seq — the oldest stored lists
+// the stale slot with the smallest lists_version — the oldest stored lists
 // — ties broken by slot id. Since every batch marks every slot this is
 // round-robin over the landmarks. RepairStale(budget) runs that order
 // under a per-round budget on the calling thread, which is how
 // bench/ext_dynamic_updates runs the §6 refresh study on the serving path.
+// Repairs run one at a time.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -68,11 +72,13 @@ namespace mbr::service {
 
 class LandmarkRepairer {
  public:
-  // `index` is the live index the engine serves from (repaired in place);
-  // `graph`/`authority` are the generation it currently matches. All
+  // Repairs the landmark index `engine` serves (it must have one). Both
   // references must outlive the repairer; destroy (or Stop) the repairer
-  // before the engine and index.
-  LandmarkRepairer(landmark::LandmarkIndex& index, QueryEngine& engine,
+  // before the engine.
+  LandmarkRepairer(QueryEngine& engine, const topics::SimilarityMatrix& sim);
+  // The same repairer, for callers that name the engine's current index,
+  // graph and authority (checked) as well.
+  LandmarkRepairer(const landmark::LandmarkIndex& index, QueryEngine& engine,
                    const topics::SimilarityMatrix& sim,
                    std::shared_ptr<const graph::LabeledGraph> graph,
                    std::shared_ptr<const core::AuthorityIndex> authority);
@@ -87,14 +93,10 @@ class LandmarkRepairer {
   void Start();
   void Stop();
 
-  // Called by the MutationApplier for every batch that applied a record,
-  // before it publishes the batch's generation: every slot becomes stale.
-  void MarkAllStale();
-
-  // Called by the MutationApplier right after it published the generation
-  // of the batch last marked: repairs run on it from now on. Thread-safe.
-  void OnBatchApplied(std::shared_ptr<const graph::LabeledGraph> graph,
-                      std::shared_ptr<const core::AuthorityIndex> authority);
+  // Called by the MutationApplier after it published a batch that applied
+  // a record, which made every slot stale: counts the marks
+  // (mbr_repair_stale_marked_total) and wakes the repair thread.
+  void OnBatchPublished();
 
   // Repairs up to `budget` stale slots, oldest lists first, on the
   // calling thread and returns their landmarks in repair order. Only
@@ -105,32 +107,24 @@ class LandmarkRepairer {
   // thread running this waits; otherwise it repairs inline.
   void Quiesce();
 
-  size_t stale_count() const {
-    return stale_count_.load(std::memory_order_relaxed);
-  }
+  // Stale slots in the engine's current generation.
+  size_t stale_count() const;
   uint64_t repairs_done() const;
 
-  // Probe for QueryEngine::SetStaleProbe: counts queries scored while any
-  // landmark list is stale and reports that staleness to the engine, which
-  // downgrades approx-tier replies to kStale until the repairs land.
-  std::function<bool()> MakeStaleProbe();
+  // Probe for QueryEngine::SetStaleProbe: counts queries scored on a
+  // generation with a stale landmark slot.
+  std::function<void(bool)> MakeStaleProbe();
 
  private:
-  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
-
-  void RecomputeStaleLocked();
-  // Whether the generation of the last marked batch has been adopted.
-  bool AdoptedLocked() const { return graph_seq_ == batches_; }
-  // Repairs the stale slot with the oldest lists (smallest repaired_seq,
-  // then lowest slot id) and returns it, or kNoSlot if none was stale.
-  // Waits first while a marked batch's generation is being published.
-  // Caller must hold `lock` (it is released around the refresh).
+  // Repairs the stale slot with the oldest lists (smallest lists_version,
+  // then lowest slot id) in the current generation and returns it, or
+  // GenerationChange::kNoSlot if none was stale. Caller must hold `lock`; it is released
+  // while the lists are computed and published.
   uint32_t RepairOneLocked(std::unique_lock<std::mutex>& lock);
   std::vector<graph::NodeId> RepairStaleLocked(
       size_t budget, std::unique_lock<std::mutex>& lock);
   void RepairLoop();
 
-  landmark::LandmarkIndex* index_;
   QueryEngine* engine_;
   const topics::SimilarityMatrix* sim_;
 
@@ -140,19 +134,11 @@ class LandmarkRepairer {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::shared_ptr<const graph::LabeledGraph> graph_;
-  std::shared_ptr<const core::AuthorityIndex> authority_;
-  uint64_t batches_ = 0;
-  // The batch count of graph_/authority_: below batches_ from a batch's
-  // MarkAllStale() until its OnBatchApplied().
-  uint64_t graph_seq_ = 0;
-  std::vector<uint64_t> repaired_seq_;
   bool repair_in_flight_ = false;
   bool stop_ = false;
   bool running_ = false;
   uint64_t repairs_done_ = 0;
 
-  std::atomic<size_t> stale_count_{0};
   std::thread thread_;
 };
 

@@ -43,14 +43,10 @@ MutationApplier::MutationApplier(const graph::LabeledGraph& base,
                                  const core::AuthorityIndex& base_authority,
                                  QueryEngine& engine,
                                  const MutationConfig& config)
-    : engine_(&engine),
-      config_(config),
-      delta_(&base),
-      inc_auth_(base),
-      // The warm-start generation is caller-owned: hold it with no-op
-      // deleters so generation handling is uniform from the first batch.
-      cur_graph_(&base, [](const graph::LabeledGraph*) {}),
-      cur_authority_(&base_authority, [](const core::AuthorityIndex*) {}) {
+    : engine_(&engine), config_(config), delta_(&base), inc_auth_(base) {
+  const std::shared_ptr<const Generation> gen = engine.generation();
+  MBR_CHECK(gen->graph.get() == &base);
+  MBR_CHECK(gen->authority.get() == &base_authority);
   obs::Registry& reg = engine.registry();
   applied_total_ = reg.GetCounter("mbr_mutation_applied_total",
                                   "Mutation records applied to the graph.");
@@ -74,34 +70,30 @@ bool MutationApplier::ApplyOne(const Mutation& m) {
   const graph::NodeId n = delta_.num_nodes();
   if (m.src >= n || m.dst >= n || m.src == m.dst) return false;
   const int num_topics = delta_.base().num_topics();
-  const bool incremental =
-      config_.pipeline == MutationConfig::Pipeline::kIncremental;
   switch (m.op) {
     case MutationOp::kFollow: {
       if (!ValidLabels(m.labels, num_topics) ||
           !delta_.AddEdge(m.src, m.dst, m.labels)) {
         return false;
       }
-      if (incremental) inc_auth_.OnEdgeAdded(m.src, m.dst, m.labels);
+      inc_auth_.OnEdgeAdded(m.src, m.dst, m.labels);
       return true;
     }
     case MutationOp::kUnfollow: {
       // The live labels must be captured before the removal erases them.
       const topics::TopicSet old = delta_.EdgeLabels(m.src, m.dst);
       if (!delta_.RemoveEdge(m.src, m.dst)) return false;
-      if (incremental) inc_auth_.OnEdgeRemoved(m.src, m.dst, old);
+      inc_auth_.OnEdgeRemoved(m.src, m.dst, old);
       return true;
     }
     case MutationOp::kRelabel: {
       if (!ValidLabels(m.labels, num_topics)) return false;
       const topics::TopicSet old = delta_.EdgeLabels(m.src, m.dst);
       if (!delta_.RelabelEdge(m.src, m.dst, m.labels)) return false;
-      if (incremental) {
-        // Mirror the delta's remove + re-add so the counters replay the
-        // exact op order.
-        inc_auth_.OnEdgeRemoved(m.src, m.dst, old);
-        inc_auth_.OnEdgeAdded(m.src, m.dst, m.labels);
-      }
+      // Mirror the delta's remove + re-add so the counters replay the
+      // exact op order.
+      inc_auth_.OnEdgeRemoved(m.src, m.dst, old);
+      inc_auth_.OnEdgeAdded(m.src, m.dst, m.labels);
       return true;
     }
   }
@@ -126,66 +118,43 @@ MutationOutcome MutationApplier::Apply(std::span<const Mutation> batch) {
   rejected_total_->Increment(out.rejected);
   if (out.applied > 0) {
     batches_total_->Increment();
-    // Snapshot the previous generation under the narrow lock, then build
-    // the next one without holding it — readers of current_graph() /
-    // current_authority() never wait on materialization or the rebind
-    // drain. prev_* keeps the old generation alive until Rebind returns.
-    std::shared_ptr<const graph::LabeledGraph> prev_graph;
-    std::shared_ptr<const core::AuthorityIndex> prev_auth;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      prev_graph = cur_graph_;
-      prev_auth = cur_authority_;
-    }
-    std::shared_ptr<const graph::LabeledGraph> g;
-    std::shared_ptr<const core::AuthorityIndex> auth;
-    if (config_.pipeline == MutationConfig::Pipeline::kIncremental) {
-      g = std::make_shared<graph::LabeledGraph>(
-          delta_.MaterializeFrom(*prev_graph, touched));
-      if (config_.authority_refresh_batches <= 1) {
-        // Exact maxima every batch: targeted O(n)-per-dirty-topic repair
-        // keeps the snapshot byte-identical to a from-scratch index.
-        authority_refreshes_->Increment(inc_auth_.RefreshDirtyMax());
-      } else if (++batches_since_refresh_ >=
-                 config_.authority_refresh_batches) {
-        inc_auth_.RefreshMax();
-        batches_since_refresh_ = 0;
-        authority_refreshes_->Increment(inc_auth_.num_topics());
-      } else {
-        // Deferred mode: stored maxima may overestimate, which shrinks
-        // the global factor — served authority is bounded above by the
-        // true values until the next refresh. Count the drifting topics.
-        authority_drift_->Increment(inc_auth_.dirty_topic_count());
-      }
-      auth = std::make_shared<core::AuthorityIndex>(
-          *prev_auth, inc_auth_.Counters(), touched);
+    // The previous generation is the engine's: only this applier publishes
+    // graphs to it, under apply_mu_.
+    const std::shared_ptr<const Generation> prev = engine_->generation();
+    auto g = std::make_shared<const graph::LabeledGraph>(
+        delta_.MaterializeFrom(*prev->graph, touched));
+    if (config_.authority_refresh_batches <= 1) {
+      // Exact maxima every batch: targeted O(n)-per-dirty-topic repair
+      // keeps the snapshot byte-identical to a from-scratch index.
+      authority_refreshes_->Increment(inc_auth_.RefreshDirtyMax());
+    } else if (++batches_since_refresh_ >=
+               config_.authority_refresh_batches) {
+      inc_auth_.RefreshMax();
+      batches_since_refresh_ = 0;
+      authority_refreshes_->Increment(inc_auth_.num_topics());
     } else {
-      g = std::make_shared<graph::LabeledGraph>(delta_.Materialize());
-      auth = std::make_shared<core::AuthorityIndex>(*g);
+      // Deferred mode: stored maxima may overestimate, which shrinks
+      // the global factor — served authority is bounded above by the
+      // true values until the next refresh. Count the drifting topics.
+      authority_drift_->Increment(inc_auth_.dirty_topic_count());
     }
-    // Every landmark slot goes stale before the generation is published,
-    // so no reply scored on it is stamped kApprox from older lists.
-    if (repairer_ != nullptr) repairer_->MarkAllStale();
-    // Rebind blocks until in-flight queries drain, then bumps the epoch;
-    // only after it returns is it safe to drop the previous generation.
-    engine_->Rebind(*g, *auth);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      cur_graph_ = g;
-      cur_authority_ = auth;
-      ++batches_applied_;
-    }
-    if (repairer_ != nullptr) {
-      repairer_->OnBatchApplied(std::move(g), std::move(auth));
-    }
+    auto auth = std::make_shared<const core::AuthorityIndex>(
+        *prev->authority, inc_auth_.Counters(), touched);
+    // The published generation's landmark slots are all stale in the same
+    // step that serves its graph (Generation::lists_version).
+    GenerationChange change;
+    change.graph = std::move(g);
+    change.authority = std::move(auth);
+    engine_->Publish(std::move(change));
+    batches_applied_.fetch_add(1, std::memory_order_relaxed);
+    if (repairer_ != nullptr) repairer_->OnBatchPublished();
   }
   out.graph_epoch = engine_->params_epoch();
   return out;
 }
 
 uint64_t MutationApplier::batches_applied() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return batches_applied_;
+  return batches_applied_.load(std::memory_order_relaxed);
 }
 
 int MutationApplier::authority_drift_topics() const {
@@ -195,14 +164,12 @@ int MutationApplier::authority_drift_topics() const {
 
 std::shared_ptr<const graph::LabeledGraph> MutationApplier::current_graph()
     const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cur_graph_;
+  return engine_->generation()->graph;
 }
 
 std::shared_ptr<const core::AuthorityIndex>
 MutationApplier::current_authority() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cur_authority_;
+  return engine_->generation()->authority;
 }
 
 }  // namespace mbr::service

@@ -8,38 +8,34 @@
 // and turns wire FOLLOW/UNFOLLOW/RELABEL batches into serving-replica
 // updates:
 //
-//   Apply(batch)  — validate + apply each record to the delta (and, on the
-//                   incremental pipeline, feed the authority counters in
-//                   true op order), and if anything applied: produce a new
-//                   graph generation, a matching authority index, and
-//                   QueryEngine::Rebind() onto them. Rebind bumps the
-//                   engine epoch, so the graph epoch advances exactly
-//                   once per applied batch and every cached result keyed
-//                   on the old epoch becomes unreachable. With a
-//                   LandmarkRepairer installed, every landmark slot is
-//                   marked stale before the Rebind and the repairer gets
-//                   the new generation after it, so an approx reply
-//                   scored on the new generation is stamped kStale until
-//                   its lists are repaired.
+//   Apply(batch)  — validate + apply each record to the delta (feeding the
+//                   authority counters in true op order), and if anything
+//                   applied: build the next graph generation and its
+//                   authority index and QueryEngine::Publish() them.
+//                   Publish bumps the engine epoch, so the graph epoch
+//                   advances exactly once per applied batch and every
+//                   cached result keyed on the old epoch becomes
+//                   unreachable. The published generation records every
+//                   landmark slot stale (its lists are older than its
+//                   graph), so an approx reply scored on it is stamped
+//                   kStale until a LandmarkRepairer repairs its lists.
 //
-// Pipelines (DESIGN.md §6.9). The default kIncremental path costs O(Δ)
-// per batch: DeltaGraph::MaterializeFrom patches only the touched
-// adjacency rows of the previous generation, and the authority index is
-// snapshotted from the incremental counters (touched rows + changed-max
-// columns) instead of rescanned from the graph. With the default
-// authority-refresh period of 1 the per-topic maxima are repaired exactly
-// every batch (dirty-topic rescan) and serving output is byte-identical
-// to kFullRebuild — pinned by tests/dynamic_serving_differential_test.cc.
+// One pipeline (DESIGN.md §6.9), O(Δ) per batch: DeltaGraph::MaterializeFrom
+// patches only the touched adjacency rows of the previous generation, and
+// the authority index is snapshotted from the incremental counters
+// (touched rows + changed-max columns) instead of rescanned from the
+// graph. With the default authority-refresh period of 1 the per-topic
+// maxima are repaired exactly every batch (dirty-topic rescan) and serving
+// output is byte-identical to a from-scratch Materialize() plus
+// AuthorityIndex — pinned by tests/dynamic_serving_differential_test.cc.
 // A refresh period n > 1 is the paper's "re-computed periodically" mode:
 // between refreshes the stored maxima are upper bounds, so served
 // authority is bounded above by the true values, and the drift is counted
 // in mbr_authority_drift_topics_total.
 //
-// Graph generations are held as shared_ptrs: the previous generation is
-// released only after Rebind() has drained the queries that might still
-// be scoring against it, and the optional LandmarkRepairer keeps its own
-// reference to the generation it repairs against, so a generation can
-// never be freed under a reader.
+// The live generation is the engine's: the applier keeps no copy of it.
+// A generation is held as shared_ptrs, so it lives as long as a query,
+// a worker or a caller of current_graph() still pins it.
 //
 // Per-record rejection (out-of-range ids, self-loops, duplicate follows,
 // unfollowing an absent edge, empty/out-of-vocabulary label sets) is not
@@ -49,13 +45,12 @@
 //
 // Thread-safety: Apply() serializes on `apply_mu_` — concurrent wire
 // mutators are applied in some total order, each batch atomically with
-// respect to queries (which only ever see fully materialized generations
-// via Rebind's exclusive lock). The published generation pointers are
-// guarded by the separate narrow `mu_`, which is never held across
-// materialization or Rebind — current_graph()/current_authority() readers
-// get an answer immediately even while a batch is draining the engine.
+// respect to queries, which only ever see published generations. Readers
+// of current_graph()/current_authority() pin the engine's generation and
+// never wait on an Apply().
 
 #include <cstdint>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -95,30 +90,20 @@ struct MutationOutcome {
   uint64_t graph_epoch = 0;  // engine epoch after the batch
 };
 
-// How Apply() turns an applied batch into the next serving generation.
 struct MutationConfig {
-  enum class Pipeline : uint8_t {
-    // Full DeltaGraph::Materialize + AuthorityIndex graph rescan per
-    // batch — O(graph). Kept runnable for differential tests and the
-    // apply-latency bench baseline.
-    kFullRebuild,
-    // O(Δ) path: MaterializeFrom + counter-snapshot authority.
-    kIncremental,
-  };
-  Pipeline pipeline = Pipeline::kIncremental;
   // Period, in applied batches, of the *exact* per-topic max refresh (the
   // paper's "re-computed periodically"). 1 = repair dirty maxima every
   // batch (byte-identical serving, the default); n > 1 = defer, serving
-  // bounded-above authority between refreshes. Only meaningful on the
-  // incremental pipeline. Surfaced as `mbrec serve --authority-refresh`.
+  // bounded-above authority between refreshes. Surfaced as
+  // `mbrec serve --authority-refresh`.
   uint32_t authority_refresh_batches = 1;
 };
 
 class MutationApplier {
  public:
-  // `base` and `base_authority` are the generation the engine is currently
-  // bound to (warm start); both must outlive the applier. Counters are
-  // registered in the engine's registry.
+  // `base` and `base_authority` are the engine's current generation (its
+  // warm start); both must outlive the applier. Counters are registered in
+  // the engine's registry.
   MutationApplier(const graph::LabeledGraph& base,
                   const core::AuthorityIndex& base_authority,
                   QueryEngine& engine, const MutationConfig& config = {});
@@ -126,11 +111,11 @@ class MutationApplier {
   MutationApplier(const MutationApplier&) = delete;
   MutationApplier& operator=(const MutationApplier&) = delete;
 
-  // Optional: mark every landmark slot of `repairer` stale before each
-  // applied batch is published, and hand it the batch's generation after.
-  // A batch with no applied record marks nothing. Install before
-  // serving traffic; the repairer must outlive the applier (or be stopped
-  // first).
+  // Optional: tell `repairer` about every applied batch once it is
+  // published, so it counts the slots the batch made stale and wakes its
+  // repair thread. A batch with no applied record publishes nothing.
+  // Install before serving traffic; the repairer must outlive the applier
+  // (or be stopped first).
   void SetRepairer(LandmarkRepairer* repairer) { repairer_ = repairer; }
 
   // Applies one ordered batch. Never throws on bad records — they count
@@ -146,9 +131,9 @@ class MutationApplier {
   // authority-refresh period > 1).
   int authority_drift_topics() const;
 
-  // The live generation (for tests and the churn bench). The returned
-  // pointers stay valid even across later batches. Never blocks on an
-  // in-progress Apply()'s materialization or rebind.
+  // The engine's live generation (for tests and the churn bench). The
+  // returned pointers stay valid even across later batches. Never waits
+  // on an in-progress Apply().
   std::shared_ptr<const graph::LabeledGraph> current_graph() const;
   std::shared_ptr<const core::AuthorityIndex> current_authority() const;
 
@@ -159,20 +144,13 @@ class MutationApplier {
   LandmarkRepairer* repairer_ = nullptr;
   MutationConfig config_;
 
-  // Serializes Apply() end-to-end. Ordered before mu_ (Apply takes
-  // apply_mu_ then briefly mu_; nothing takes them in the other order).
+  // Serializes Apply() end-to-end, and guards the delta overlay, the
+  // incremental counters and the refresh cadence.
   mutable std::mutex apply_mu_;
-  // Guarded by apply_mu_: the delta overlay, the incremental counters,
-  // and the refresh cadence.
   dynamic::DeltaGraph delta_;
   dynamic::IncrementalAuthority inc_auth_;
   uint32_t batches_since_refresh_ = 0;
-
-  // Narrow state lock: published generation + batch count only.
-  mutable std::mutex mu_;
-  std::shared_ptr<const graph::LabeledGraph> cur_graph_;
-  std::shared_ptr<const core::AuthorityIndex> cur_authority_;
-  uint64_t batches_applied_ = 0;
+  std::atomic<uint64_t> batches_applied_{0};
 
   obs::Counter* applied_total_ = nullptr;
   obs::Counter* rejected_total_ = nullptr;

@@ -14,6 +14,12 @@ namespace {
 
 inline uint8_t TierV(core::Tier t) { return static_cast<uint8_t>(t); }
 
+// A generation member that the caller owns and keeps alive.
+template <typename T>
+std::shared_ptr<const T> Borrow(const T& x) {
+  return std::shared_ptr<const T>(&x, [](const T*) {});
+}
+
 // Lock shards of the result cache.
 constexpr uint32_t kCacheShards = 16;
 
@@ -38,9 +44,7 @@ QueryEngine::QueryEngine(const graph::LabeledGraph& g,
                          const core::AuthorityIndex& authority,
                          const topics::SimilarityMatrix& sim,
                          const EngineConfig& config)
-    : g_(&g),
-      authority_(&authority),
-      sim_(&sim),
+    : sim_(&sim),
       config_(config),
       monitor_(config.degrade.pressure),
       num_nodes_(g.num_nodes()),
@@ -93,37 +97,58 @@ QueryEngine::QueryEngine(const graph::LabeledGraph& g,
   if (config_.cache_capacity > 0) {
     cache_ = std::make_unique<Cache>(config_.cache_capacity, kCacheShards);
   }
-  arenas_.reserve(pool_.num_workers());
-  for (uint32_t i = 0; i < pool_.num_workers(); ++i) {
-    arenas_.push_back(std::make_unique<util::QueryArena>());
+  // The first generation borrows the caller's objects, which outlive the
+  // engine; later ones own what their publishers built.
+  auto first = std::make_shared<Generation>();
+  first->graph = Borrow(g);
+  first->authority = Borrow(authority);
+  if (has_approx_) {
+    first->index = Borrow(*config_.landmarks);
+    first->lists_version.assign(config_.landmarks->landmarks().size(), 0);
   }
-  BuildWorkers();
-}
+  gen_ = first;
 
-void QueryEngine::BuildWorkers() {
-  workers_.clear();
+  arenas_.reserve(pool_.num_workers());
   workers_.resize(pool_.num_workers());
-  for (size_t i = 0; i < workers_.size(); ++i) {
+  for (uint32_t i = 0; i < pool_.num_workers(); ++i) {
+    // Each worker's recommenders borrow the worker's long-lived arena:
+    // re-pointing them at a new generation keeps the warmed scratch block,
+    // so the first query after a publish still runs allocation-free. With
+    // the ladder on, the approx recommender's internal scorer shares the
+    // same arena — workers are single-caller, so the scratch is never live
+    // in both at once.
+    arenas_.push_back(std::make_unique<util::QueryArena>());
+    util::QueryArena* arena = arenas_.back().get();
     Worker& w = workers_[i];
-    // Each worker's scorer borrows the worker's long-lived arena: Rebind()
-    // replaces the scorer but the warmed scratch block carries over, so the
-    // first query after a rebind still runs allocation-free. With the
-    // ladder on, the approx recommender's internal scorer shares the same
-    // arena — workers are single-caller, so the scratch is never live in
-    // both at once.
-    util::QueryArena* arena = arenas_[i].get();
+    w.gen = first;
     if (has_approx_) {
       landmark::ApproxConfig ac = config_.approx;
       ac.params = config_.params;
       w.approx = std::make_unique<landmark::ApproxRecommender>(
-          *g_, *authority_, *sim_, *config_.landmarks, ac, arena);
+          g, authority, *sim_, *config_.landmarks, ac, arena);
     }
     if (has_exact_) {
       w.scorer = std::make_unique<core::Scorer>(
-          *g_, *authority_, *sim_, config_.params,
-          has_approx_ ? nullptr : arena);
+          g, authority, *sim_, config_.params, has_approx_ ? nullptr : arena);
     }
   }
+}
+
+std::shared_ptr<const Generation> QueryEngine::generation() const {
+  std::lock_guard<std::mutex> lock(gen_mu_);
+  return gen_;
+}
+
+const Generation& QueryEngine::Pin(Worker& w) {
+  std::shared_ptr<const Generation> gen = generation();
+  if (gen != w.gen) {
+    if (w.scorer != nullptr) w.scorer->Rebind(*gen->graph, *gen->authority);
+    if (w.approx != nullptr) {
+      w.approx->Rebind(*gen->graph, *gen->authority, *gen->index);
+    }
+    w.gen = std::move(gen);
+  }
+  return *w.gen;
 }
 
 void QueryEngine::RecordLatencySeconds(double seconds) {
@@ -177,7 +202,8 @@ core::Tier QueryEngine::ChooseScoredTier() const {
   return base_tier_;
 }
 
-util::Result<Response> QueryEngine::ExecuteQuery(uint32_t wid,
+util::Result<Response> QueryEngine::ExecuteQuery(Worker& w,
+                                                const Generation& gen,
                                                 const core::Query& q) {
   util::WallTimer timer;
   // Trace the scored path: spans opened below (and inside the scorers)
@@ -190,18 +216,18 @@ util::Result<Response> QueryEngine::ExecuteQuery(uint32_t wid,
   obs::QueryTrace::SetServedTier(core::TierName(tier));
   util::Result<Response> out = [&]() -> util::Result<Response> {
     MBR_SPAN("engine.execute");
-    const bool repair_stale = stale_probe_ && stale_probe_();
-    Worker& w = workers_[wid];
+    if (stale_probe_) stale_probe_(gen.stale());
     Response resp;
     resp.meta.served_tier = tier;
     if (tier == core::Tier::kApprox) {
       util::Result<core::Ranking> r = w.approx->Recommend(q);
       if (!r.ok()) return r.status();
       resp.ranking = std::move(r.value());
-      // The composition above may have consulted a marked-but-unrepaired
-      // landmark list, so answer honestly at the stale tier. Exact-tier
-      // scoring never reads stored lists and keeps its tier.
-      if (repair_stale) resp.meta.served_tier = core::Tier::kStale;
+      // The composition above may have consulted a stored list computed
+      // on an older graph than the pinned one, so answer honestly at the
+      // stale tier. Exact-tier scoring never reads stored lists and keeps
+      // its tier.
+      if (gen.stale()) resp.meta.served_tier = core::Tier::kStale;
       return resp;
     }
     if (q.expired()) {
@@ -249,17 +275,12 @@ std::vector<util::Result<Response>> QueryEngine::RecommendMany(
   misses.reserve(queries.size());
   uint64_t expired_at_admission = 0;
   {
-    // Shared lock: validation reads the current graph, which Rebind swaps
-    // under the exclusive lock. Released before the latch wait below so a
-    // concurrent Rebind can never deadlock against in-flight batches.
-    std::shared_lock<std::shared_mutex> lock(rebind_mu_);
-    // The epoch is read under the same lock hold that reads the graph, so
-    // (graph, epoch) is a consistent pair: a hit under `epoch` was cached
-    // by a query that scored the same graph generation.
+    // Admission needs only the epoch: a hit under it was cached by a query
+    // that scored the generation of that epoch.
     const uint64_t epoch = epoch_.load(std::memory_order_acquire);
     for (const core::Query& q : queries) {
-      MBR_CHECK(q.user < g_->num_nodes());
-      MBR_CHECK(q.topic < g_->num_topics());
+      MBR_CHECK(q.user < num_nodes_);
+      MBR_CHECK(q.topic < num_topics_);
       MBR_CHECK(q.top_n > 0);
       MBR_CHECK(q.candidates.empty());  // serving is top-n only
     }
@@ -325,32 +346,29 @@ std::vector<util::Result<Response>> QueryEngine::RecommendMany(
     const size_t end = std::min(begin + chunk, misses.size());
     pool_.Submit([this, &queries, &results, &misses, begin, end, admitted,
                   &done](uint32_t wid) {
-      {
-        std::shared_lock<std::shared_mutex> lock(rebind_mu_);
-        // The scoring epoch is re-read under THIS lock hold — not carried
-        // over from admission — so the stamp (and the cache key) always
-        // names the graph generation the scorer actually ran against. If a
-        // Rebind slipped between admission and here, the entry lands under
-        // the new epoch and honestly claims it.
-        const uint64_t scoring_epoch = epoch_.load(std::memory_order_acquire);
-        for (size_t m = begin; m < end; ++m) {
-          const size_t i = misses[m];
-          const core::Query& q = queries[i];
-          results[i] = ExecuteQuery(wid, q);
-          if (degrade_enabled_) {
-            const auto waited = std::chrono::steady_clock::now() - admitted;
-            monitor_.End(static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(waited)
-                    .count()));
-          }
-          if (results[i].ok()) {
-            Response& resp = results[i].value();
-            resp.meta.graph_epoch = scoring_epoch;
-            if (cache_ != nullptr && q.exclude.empty()) {
-              cache_->Put(
-                  CacheKey{q.user, q.topic, q.top_n, scoring_epoch},
-                  CachedList{resp.ranking.entries, resp.meta.served_tier});
-            }
+      Worker& w = workers_[wid];
+      // One pin for the chunk, not carried over from admission: the stamp
+      // (and the cache key) name the generation the scorer actually ran
+      // against. If a publish slipped in after admission, the entry lands
+      // under the new epoch and honestly claims it.
+      const Generation& gen = Pin(w);
+      for (size_t m = begin; m < end; ++m) {
+        const size_t i = misses[m];
+        const core::Query& q = queries[i];
+        results[i] = ExecuteQuery(w, gen, q);
+        if (degrade_enabled_) {
+          const auto waited = std::chrono::steady_clock::now() - admitted;
+          monitor_.End(static_cast<uint64_t>(
+              std::chrono::duration_cast<std::chrono::microseconds>(waited)
+                  .count()));
+        }
+        if (results[i].ok()) {
+          Response& resp = results[i].value();
+          resp.meta.graph_epoch = gen.epoch;
+          if (cache_ != nullptr && q.exclude.empty()) {
+            cache_->Put(
+                CacheKey{q.user, q.topic, q.top_n, gen.epoch},
+                CachedList{resp.ranking.entries, resp.meta.served_tier});
           }
         }
       }
@@ -363,11 +381,6 @@ std::vector<util::Result<Response>> QueryEngine::RecommendMany(
 
 bool QueryEngine::RecommendIfCached(const core::Query& q, Response* out) {
   if (cache_ == nullptr || !q.exclude.empty() || q.expired()) return false;
-  // try_lock, never lock: while Rebind or RunExclusive holds the lock the
-  // caller's blocking path waits instead, and then reads the epoch the
-  // hold published, so a dying epoch's entry is never served from here.
-  std::shared_lock<std::shared_mutex> lock(rebind_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return false;
   util::WallTimer timer;
   const uint64_t epoch = epoch_.load(std::memory_order_acquire);
   CachedList cached;
@@ -389,41 +402,70 @@ util::Result<QueryEngine::PartialExploration> QueryEngine::ExplorePartial(
       util::Status::Internal("unanswered"));
   std::latch done(1);
   pool_.Submit([this, &q, &result, &done](uint32_t wid) {
-    {
-      std::shared_lock<std::shared_mutex> lock(rebind_mu_);
-      result = [&]() -> util::Result<PartialExploration> {
-        if (!(q.user < g_->num_nodes()) || !(q.topic < g_->num_topics())) {
-          return util::Status::InvalidArgument("query out of graph bounds");
+    result = [&]() -> util::Result<PartialExploration> {
+      if (!(q.user < num_nodes_) || !(q.topic < num_topics_)) {
+        return util::Status::InvalidArgument("query out of graph bounds");
+      }
+      Worker& w = workers_[wid];
+      if (w.approx == nullptr) {
+        return util::Status::InvalidArgument(
+            "partial exploration requires a landmark engine");
+      }
+      util::WallTimer timer;
+      PartialExploration p;
+      // The epoch names the generation the records were computed against.
+      p.graph_epoch = Pin(w).epoch;
+      util::Status st = w.approx->ExploreDecomposed(q, &p.records);
+      RecordLatencySeconds(timer.ElapsedSeconds());
+      if (!st.ok()) {
+        if (st.code() == util::StatusCode::kDeadlineExceeded) {
+          metrics_.deadline_exceeded->Increment();
         }
-        Worker& w = workers_[wid];
-        if (w.approx == nullptr) {
-          return util::Status::InvalidArgument(
-              "partial exploration requires a landmark engine");
-        }
-        util::WallTimer timer;
-        PartialExploration p;
-        // Same lock hold as the exploration: the epoch names the graph
-        // generation the records were computed against.
-        p.graph_epoch = epoch_.load(std::memory_order_acquire);
-        util::Status st = w.approx->ExploreDecomposed(q, &p.records);
-        RecordLatencySeconds(timer.ElapsedSeconds());
-        if (!st.ok()) {
-          if (st.code() == util::StatusCode::kDeadlineExceeded) {
-            metrics_.deadline_exceeded->Increment();
-          }
-          return st;
-        }
-        return p;
-      }();
-    }
+        return st;
+      }
+      return p;
+    }();
     done.count_down();
   });
   done.wait();
   return result;
 }
 
-void QueryEngine::Invalidate() {
-  const uint64_t new_epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+uint64_t QueryEngine::Publish(GenerationChange change) {
+  std::lock_guard<std::mutex> writer(publish_mu_);
+  const std::shared_ptr<const Generation> cur = generation();
+  auto next = std::make_shared<Generation>(*cur);
+  if (change.graph != nullptr) {
+    // One node universe per engine: every worker's scratch is carved for
+    // it, and admission validates against it.
+    MBR_CHECK(change.authority != nullptr);
+    MBR_CHECK(change.graph->num_nodes() == num_nodes_);
+    MBR_CHECK(static_cast<uint32_t>(change.graph->num_topics()) ==
+              num_topics_);
+    next->graph = std::move(change.graph);
+    next->authority = std::move(change.authority);
+    ++next->graph_version;
+  }
+  if (change.slot != GenerationChange::kNoSlot) {
+    MBR_CHECK(next->index != nullptr);
+    MBR_CHECK(change.slot < next->lists_version.size());
+    next->index = std::make_shared<const landmark::LandmarkIndex>(
+        next->index->WithLists(next->index->landmarks()[change.slot],
+                               std::move(change.lists)));
+    uint64_t& version = next->lists_version[change.slot];
+    version = std::max(version, change.lists_version);
+  }
+  next->stale_slots = static_cast<size_t>(std::count_if(
+      next->lists_version.begin(), next->lists_version.end(),
+      [&](uint64_t v) { return v < next->graph_version; }));
+  const uint64_t new_epoch = cur->epoch + 1;
+  next->epoch = new_epoch;
+  // The epoch goes first (see epoch_).
+  epoch_.store(new_epoch, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(gen_mu_);
+    gen_ = std::move(next);
+  }
   metrics_.invalidations->Increment();
   if (cache_ != nullptr) {
     // Entries keyed to epochs below `new_epoch` can never be hit by a
@@ -431,10 +473,9 @@ void QueryEngine::Invalidate() {
     // the ladder they are swept immediately so they stop occupying LRU
     // capacity; with it, the newest `stale_keep_epochs` dead generations
     // are retained as the stale tier's inventory and only older ones go.
-    // The sweep is best-effort against a racing Put() that read the old
-    // epoch under a shared-lock hold — that straggler is unreachable (or
-    // merely stale-served) too and the next invalidation's sweep collects
-    // it.
+    // The sweep is best-effort against a racing Put() from a query that
+    // pinned an older generation — that straggler is unreachable (or
+    // merely stale-served) too and the next publish's sweep collects it.
     const uint64_t keep = degrade_enabled_
                               ? config_.degrade.stale_keep_epochs
                               : 0;
@@ -445,42 +486,10 @@ void QueryEngine::Invalidate() {
     });
     metrics_.cache_purged->Increment(purged);
   }
+  return new_epoch;
 }
 
-void QueryEngine::Rebind(const graph::LabeledGraph& g,
-                         const core::AuthorityIndex& authority) {
-  std::unique_lock<std::shared_mutex> lock(rebind_mu_);
-  // Delta-aware fast path (DESIGN.md §6.9): when the node/topic universe is
-  // unchanged — every mutation batch, since DeltaGraph materialization
-  // preserves it — the workers' recommenders are re-pointed in place and
-  // their warmed arena scratch (carved per num_nodes) stays valid, so the
-  // first query after the rebind is still allocation-free. Only a
-  // universe-changing swap (tests binding an unrelated graph) pays the full
-  // worker reconstruction.
-  const bool same_universe = g.num_nodes() == g_->num_nodes() &&
-                             g.num_topics() == g_->num_topics();
-  g_ = &g;
-  authority_ = &authority;
-  num_nodes_.store(g.num_nodes());
-  num_topics_.store(static_cast<uint32_t>(g.num_topics()));
-  if (same_universe) {
-    for (Worker& w : workers_) {
-      if (w.scorer != nullptr) w.scorer->Rebind(g, authority);
-      if (w.approx != nullptr) w.approx->Rebind(g, authority);
-    }
-  } else {
-    BuildWorkers();
-  }
-  Invalidate();
-}
-
-void QueryEngine::RunExclusive(const std::function<void()>& fn) {
-  std::unique_lock<std::shared_mutex> lock(rebind_mu_);
-  fn();
-  Invalidate();
-}
-
-void QueryEngine::SetStaleProbe(std::function<bool()> probe) {
+void QueryEngine::SetStaleProbe(std::function<void(bool)> probe) {
   stale_probe_ = std::move(probe);
 }
 

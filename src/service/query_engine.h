@@ -12,15 +12,15 @@
 //     Recommend()/RecommendMany() concurrently;
 //   * a sharded util::ShardedLruCache in front of the scorers, keyed on
 //     (user, topic, top_n, params_epoch) and storing the ranked top-n
-//     list. Invalidate() bumps the epoch, which makes every cached entry
-//     unreachable in O(1) — stale entries are then evicted by ordinary LRU
-//     pressure. The dynamic-update path (service::MutationApplier) Rebinds
-//     once per applied batch, which implies Invalidate(), so serving never
-//     returns results from before an edge change. Queries carrying
-//     an exclusion list bypass the cache entirely (the key space is
-//     (user, topic, top_n) only). RecommendIfCached() is the non-blocking
-//     probe of the same cache: net::Server's event loop answers a fresh
-//     hit with it and hands everything else to a dispatcher;
+//     list. Every Publish() bumps the epoch, which makes every cached
+//     entry unreachable in O(1), and then sweeps the dead entries out. The
+//     dynamic-update path (service::MutationApplier) publishes once per
+//     applied batch, so serving never returns results from before an edge
+//     change. Queries carrying an exclusion list bypass the cache entirely
+//     (the key space is (user, topic, top_n) only). RecommendIfCached() is
+//     the non-blocking probe of the same cache: net::Server's event loop
+//     answers a fresh hit with it and hands everything else to a
+//     dispatcher;
 //   * serving counters and the per-query log2 latency histogram live in an
 //     obs::Registry (EngineConfig::registry, or a private one), so the
 //     STATS projection, the log line, and Prometheus exposition all read
@@ -32,16 +32,20 @@
 // RankingBuilder. Candidate-scoring mode is not served here (it exists for
 // the offline evaluation protocol): queries must have empty `candidates`.
 //
-// Epoch scheme: the epoch only ever grows, and doubles as the *graph
-// epoch* surfaced on every reply (bumped once per Rebind / applied
-// mutation batch by the live-mutation path, see service::MutationApplier).
-// Epochs are observed under the rebind lock, so a query sees one
-// consistent (graph, epoch) pair end-to-end: a scored result is stamped
-// with — and cached under — the epoch read under the same shared-lock hold
-// that scored it, and a cache hit is stamped with the lookup epoch, which
-// by key equality is exactly the epoch its entry was computed at. A reply
-// can therefore never claim a newer epoch than the graph its ranking was
-// computed against — correctness never depends on the cache.
+// Epoch scheme (DESIGN.md §6.1): what the engine serves is one immutable
+// Generation — graph, authority, landmark index and graph epoch — and
+// Publish() is the only way to change it. The epoch only ever grows and is
+// the *graph epoch* surfaced on every reply. A scored query pins the
+// current generation once, scores on it, and is stamped with — and cached
+// under — that generation's epoch, however many publishes land meanwhile;
+// a worker re-points its recommenders when its pin changes. A cache hit
+// needs only the current epoch: an entry's key names the epoch of the
+// generation that computed it, and the hit is stamped with it. A reply can
+// therefore never claim a newer epoch than the graph its ranking was
+// computed against — correctness never depends on the cache. Writers
+// serialise on a mutex that no reader takes; a pin holds another mutex only
+// for the pointer copy, so no reader ever waits on a publish, and no
+// publish waits on a reader.
 //
 // Degradation ladder (DESIGN.md §6.8): with `EngineConfig::degrade`
 // enabled (and a landmark index configured), every worker owns BOTH an
@@ -49,7 +53,7 @@
 // service::PressureMonitor picks the serving tier per query:
 // exact → approx at the first inflight watermark (or when the recent p99
 // is over target), and at the second watermark dead-epoch cache entries —
-// which Invalidate() then *retains* for `stale_keep_epochs` generations
+// which Publish() then *retains* for `stale_keep_epochs` generations
 // instead of purging — become a last-resort stale tier before the network
 // layer sheds. Every reply says which tier served it (ServeMeta). The
 // watermarks count the misses this engine has admitted and not finished:
@@ -61,7 +65,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -99,7 +103,7 @@ struct DegradeConfig {
   bool enabled = false;
   // Watermarks + recent-p99 target driving tier choice.
   PressureConfig pressure;
-  // How many dead epochs of cached results Invalidate() retains as the
+  // How many dead epochs of cached results Publish() retains as the
   // stale tier's inventory (0 = keep none, stale tier never hits).
   uint32_t stale_keep_epochs = 4;
 };
@@ -112,7 +116,9 @@ struct EngineConfig {
   core::ScoreParams params;
   // When non-null, queries are served by the landmark approximation
   // (Algorithm 2) instead of converged exact scoring. Must outlive the
-  // engine; `approx.params` is overridden by `params`.
+  // engine; `approx.params` is overridden by `params`. It is the first
+  // generation's index: a landmark repair publishes a new one, so read the
+  // live lists through generation()->index.
   const landmark::LandmarkIndex* landmarks = nullptr;
   landmark::ApproxConfig approx;
   // Degradation ladder. With `degrade.enabled` and a landmark index, the
@@ -161,10 +167,47 @@ struct EngineStats {
   double LatencyPercentileMicros(double p) const;
 };
 
+// One immutable serving generation: everything a scored query reads. The
+// engine never edits a published one, so a query that pinned it reads one
+// consistent state.
+struct Generation {
+  std::shared_ptr<const graph::LabeledGraph> graph;
+  std::shared_ptr<const core::AuthorityIndex> authority;
+  // Algorithm 2's stored lists; null for an exact-only engine.
+  std::shared_ptr<const landmark::LandmarkIndex> index;
+  // The graph epoch of every reply scored on this generation.
+  uint64_t epoch = 0;
+  // Staleness (DESIGN.md §6.5), recorded per generation: graph changes
+  // published so far, and per landmark slot the graph version its stored
+  // lists were computed on. A slot whose lists are older than the graph is
+  // stale, so a graph change makes every slot stale in the very publish
+  // that serves it, and a repair credits only the version it computed on.
+  uint64_t graph_version = 0;
+  std::vector<uint64_t> lists_version;
+  size_t stale_slots = 0;
+
+  bool stale() const { return stale_slots > 0; }
+};
+
+// The one change a Publish() makes to the current generation. An empty
+// change only bumps the epoch, which retires the result cache.
+struct GenerationChange {
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+  // A graph change: the next graph (same node and topic counts) and its
+  // authority index, both or neither.
+  std::shared_ptr<const graph::LabeledGraph> graph;
+  std::shared_ptr<const core::AuthorityIndex> authority;
+  // A landmark repair: landmark slot `slot`'s stored lists, computed on the
+  // generation whose graph_version was `lists_version`.
+  uint32_t slot = kNoSlot;
+  landmark::LandmarkIndex::Lists lists;
+  uint64_t lists_version = 0;
+};
+
 class QueryEngine {
  public:
-  // All references must outlive the engine (or be replaced via Rebind
-  // before they die). The authority index must match `g`.
+  // The references are the first generation and must outlive the engine.
+  // The authority index must match `g`.
   QueryEngine(const graph::LabeledGraph& g,
               const core::AuthorityIndex& authority,
               const topics::SimilarityMatrix& sim,
@@ -183,11 +226,9 @@ class QueryEngine {
   // Never blocks: answers `query` into *out only when its list is in the
   // result cache under the current epoch, and counts it exactly as
   // Recommend() counts a hit. Returns false — counting nothing — on a
-  // miss, for a query with an exclusion list or an expired deadline, and
-  // whenever the rebind lock is held exclusively (a Rebind or a landmark
-  // repair is running). The caller then takes the blocking path, which
-  // sees the epoch that hold publishes. Never serves the stale tier.
-  // Thread-safe; same preconditions as Recommend().
+  // miss, and for a query with an exclusion list or an expired deadline.
+  // Never serves the stale tier. Thread-safe; same preconditions as
+  // Recommend().
   bool RecommendIfCached(const core::Query& query, Response* out);
 
   // Batched queries, fanned across the worker pool. results[i] always
@@ -197,8 +238,8 @@ class QueryEngine {
       std::span<const core::Query> queries);
 
   // The RECOMMEND_PARTIAL shard op (DESIGN.md §6.7): the pruned
-  // decomposed exploration of Algorithm 2, run on a pool worker under the
-  // rebind lock and stamped with the epoch observed under the same hold.
+  // decomposed exploration of Algorithm 2, run on a pool worker and stamped
+  // with the epoch of the generation it pinned.
   // Only landmark engines serve it (exact engines answer
   // kInvalidArgument); out-of-bounds queries answer kInvalidArgument
   // rather than aborting, since the op arrives over the wire. Bypasses
@@ -218,50 +259,39 @@ class QueryEngine {
                                                  topics::TopicId topic,
                                                  uint32_t top_n);
 
-  // Drops all cached results in O(1) by bumping the params epoch, then
-  // sweeps entries keyed to dead epochs out of the cache so they stop
-  // occupying capacity (they are unreachable by fresh-lookup key equality
-  // the moment the epoch moves). With the degradation ladder enabled the
-  // sweep retains the newest `stale_keep_epochs` dead generations — the
-  // stale tier's inventory — and only purges older ones. Rebind and
-  // RunExclusive call it, so an applied mutation batch or a landmark
-  // repair never serves stale lists as fresh.
-  void Invalidate();
+  // The only way to change what the engine serves: builds the next
+  // generation from the current one plus `change`, publishes it under the
+  // next epoch, and sweeps entries keyed to dead epochs out of the cache
+  // (they are unreachable by fresh-lookup key equality the moment the
+  // epoch moves). With the degradation ladder enabled the sweep retains
+  // the newest `stale_keep_epochs` dead generations — the stale tier's
+  // inventory — and only purges older ones. Never waits on a reader;
+  // concurrent publishes are applied in some order. Returns the new epoch.
+  uint64_t Publish(GenerationChange change);
 
-  // Points the engine at a new graph snapshot (e.g. a materialised
-  // DeltaGraph) and rebuilds every worker's scorer against it. Implies
-  // Invalidate(). Blocks until in-flight queries drain; both references
-  // must outlive the engine, and the new graph must keep the old node-id
-  // universe (DeltaGraph::Materialize does).
-  void Rebind(const graph::LabeledGraph& g,
-              const core::AuthorityIndex& authority);
+  // Pins the current generation: it stays alive, unchanged, for as long as
+  // the caller holds it. Thread-safe.
+  std::shared_ptr<const Generation> generation() const;
 
-  // Runs `fn` while holding the rebind lock exclusively (no query in
-  // flight), then bumps the epoch. The in-place landmark repair path uses
-  // this to refresh one landmark's stored lists without queries observing
-  // a half-written list.
-  void RunExclusive(const std::function<void()>& fn);
-
-  // Installs a hook invoked once per scored (cache-miss) query, under the
-  // shared rebind lock. It returns whether any landmark list is currently
-  // marked-but-unrepaired; the landmark repairer's probe also counts such
-  // queries (mbr_repair_stale_reads_total). An approx-tier query scored
-  // while the probe reports staleness may have composed an outdated
-  // stored list, so its reply is stamped served_tier = kStale. Not
-  // thread-safe against in-flight queries: install before serving
-  // traffic.
-  void SetStaleProbe(std::function<bool()> probe);
+  // Installs a hook invoked once per scored (cache-miss) query after it
+  // pinned its generation, with whether that generation holds stale
+  // landmark lists; the landmark repairer's probe counts such queries
+  // (mbr_repair_stale_reads_total). The reply's tier comes from the pinned
+  // generation, not from the hook: an approx-tier query scored on a
+  // generation with a stale slot may have composed an outdated stored
+  // list, so its reply is stamped served_tier = kStale. Not thread-safe
+  // against in-flight queries: install before serving traffic.
+  void SetStaleProbe(std::function<void(bool stale)> probe);
 
   uint64_t params_epoch() const {
     return epoch_.load(std::memory_order_relaxed);
   }
   uint32_t num_workers() const { return pool_.num_workers(); }
-  // Bounds of the currently-bound graph, for callers (e.g. the network
-  // server's event loop) that must validate queries before Recommend()'s
-  // hard preconditions. Lock-free: Rebind publishes them under its
-  // exclusive hold, so a read never waits behind one.
-  uint32_t num_nodes() const { return num_nodes_.load(); }
-  uint32_t num_topics() const { return num_topics_.load(); }
+  // The engine's node universe, which every published graph keeps, for
+  // callers (e.g. the network server's event loop) that must validate
+  // queries before Recommend()'s hard preconditions.
+  uint32_t num_nodes() const { return num_nodes_; }
+  uint32_t num_topics() const { return num_topics_; }
   // The best tier this engine can serve (kExact, or kApprox for a
   // landmark-only engine without the ladder).
   core::Tier base_tier() const { return base_tier_; }
@@ -305,7 +335,9 @@ class QueryEngine {
 
   // Per-worker scoring state; indexed by the pool's worker id. With the
   // ladder enabled both recommenders exist; otherwise exactly one does.
+  // `gen` is the generation they point at, held so it outlives them.
   struct Worker {
+    std::shared_ptr<const Generation> gen;
     std::unique_ptr<core::Scorer> scorer;
     std::unique_ptr<landmark::ApproxRecommender> approx;
   };
@@ -324,11 +356,14 @@ class QueryEngine {
     obs::Histogram* latency_us = nullptr;
   };
 
-  void BuildWorkers();
-  // Scores one query on worker `wid` (cache miss path) at the tier the
-  // ladder currently allows, records its latency, and stamps the tier.
-  // Caller must hold rebind_mu_ shared.
-  util::Result<Response> ExecuteQuery(uint32_t wid, const core::Query& q);
+  // Pins the current generation for worker `w`, re-pointing its
+  // recommenders when the pin changed, and returns it.
+  const Generation& Pin(Worker& w);
+  // Scores one query on worker `w`, pinned to `gen` (cache miss path), at
+  // the tier the ladder currently allows, records its latency, and stamps
+  // the tier.
+  util::Result<Response> ExecuteQuery(Worker& w, const Generation& gen,
+                                      const core::Query& q);
   // The tier a scored (miss-path) query serves at right now: the base
   // tier, or approx while the ladder is pressured. Never returns kStale
   // (admission resolves the ladder's stale tier; ExecuteQuery may still
@@ -350,11 +385,9 @@ class QueryEngine {
   bool StaleLookup(const core::Query& q, uint64_t epoch, CachedList* out,
                    uint32_t* age);
 
-  const graph::LabeledGraph* g_;
-  const core::AuthorityIndex* authority_;
   const topics::SimilarityMatrix* sim_;
   EngineConfig config_;
-  std::function<bool()> stale_probe_;
+  std::function<void(bool)> stale_probe_;
 
   // Ladder state, derived from config in the constructor.
   bool degrade_enabled_ = false;
@@ -367,19 +400,25 @@ class QueryEngine {
   obs::Registry* registry_ = nullptr;
   Metrics metrics_;
 
-  // Queries hold this shared; Rebind holds it exclusive to swap scorers.
-  std::shared_mutex rebind_mu_;
-  // g_'s bounds, written under the exclusive hold that swaps g_.
-  std::atomic<uint32_t> num_nodes_;
-  std::atomic<uint32_t> num_topics_;
+  // The node universe of every generation.
+  const uint32_t num_nodes_;
+  const uint32_t num_topics_;
+  // Serialises Publish(); no reader takes it.
+  std::mutex publish_mu_;
+  // The current generation; gen_mu_ is held only to copy the pointer.
+  mutable std::mutex gen_mu_;
+  std::shared_ptr<const Generation> gen_;
   // Per-worker query arenas (DESIGN.md §6.6). Created once in the
-  // constructor and handed to each worker's scorer, so the warmed scratch
-  // survives Rebind() scorer swaps. Declared before workers_ so the
-  // scorers (which hold raw arena pointers) destruct first.
+  // constructor and handed to each worker's recommenders, so the warmed
+  // scratch survives their re-pointing at new generations. Declared before
+  // workers_ so the scorers (which hold raw arena pointers) destruct first.
   std::vector<std::unique_ptr<util::QueryArena>> arenas_;
   std::vector<Worker> workers_;
   std::unique_ptr<Cache> cache_;
 
+  // The current generation's epoch, stored before the generation itself
+  // so a cache probe, which reads only this, never looks up an older epoch
+  // than one a reader could already have pinned.
   std::atomic<uint64_t> epoch_{0};
 
   // Declared last so its destructor joins the workers while the scorers

@@ -21,9 +21,9 @@
 // carved before it (core::Scorer's 64-byte node records rely on this).
 //
 // Contract: an arena is single-caller, like the Scorer that owns it —
-// service::QueryEngine creates one arena per worker thread and threads it
-// through BuildWorkers so it survives Rebind (the blocks outlive the
-// scorers carved from them). Reset() invalidates every span previously
+// service::QueryEngine creates one arena per worker thread and hands it to
+// the worker's recommenders, which keep it as they re-point at each new
+// serving generation (the blocks outlive the scorers carved from them). Reset() invalidates every span previously
 // handed out; only the owner that performs the Reset may hold spans.
 
 #include <algorithm>

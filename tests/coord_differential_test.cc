@@ -669,15 +669,14 @@ TEST(CoordPartialPolicyTest, LiveShardAnsweringPastTheDeadlineIsCutOff) {
                          /*landmark_mode=*/true, /*halo_depth=*/1);
   ASSERT_NE(stack, nullptr);
   // Installed before any query reaches shard 1. While armed it holds a
-  // scored query inside the engine (under the shared rebind lock, after
-  // admission) for 500 ms, then lets it finish; it answers false, so no
-  // reply changes tier.
-  stack->shards[1]->engine().SetStaleProbe([&hold, &entered] {
+  // scored query inside the engine (after admission, once it pinned its
+  // generation) for 500 ms, then lets it finish; the probe does not decide
+  // the tier, so no reply changes tier.
+  stack->shards[1]->engine().SetStaleProbe([&hold, &entered](bool) {
     if (hold.load()) {
       entered.store(true);
       std::this_thread::sleep_for(std::chrono::milliseconds(500));
     }
-    return false;
   });
   auto client = Dial(*stack);
   ASSERT_TRUE(client.ok()) << client.status().ToString();

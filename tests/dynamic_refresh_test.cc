@@ -1,13 +1,15 @@
-// Landmark maintenance under churn: LandmarkIndex::RefreshLandmark (the
-// repair unit) and service::LandmarkRepairer — every applied batch marks
-// every slot stale before it is published, a batch with no applied record
-// marks nothing, and the stale slot with the oldest lists is repaired
-// first, ties by slot id.
+// Landmark maintenance under churn: LandmarkIndex::ComputeLists and
+// WithLists (the repair unit) and service::LandmarkRepairer — every
+// applied batch publishes a generation whose slots are all stale, a batch
+// with no applied record marks nothing, the stale slot with the oldest
+// lists is repaired first, ties by slot id, and neither a batch nor a
+// repair waits on a reader.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <span>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "service/mutation.h"
 #include "service/query_engine.h"
 #include "topics/similarity_matrix.h"
+#include "util/status.h"
 
 namespace mbr {
 namespace {
@@ -65,18 +68,22 @@ TEST(RefreshLandmarkTest, RecomputesOnUpdatedGraph) {
   graph::LabeledGraph current = overlay.Materialize();
   core::AuthorityIndex fresh_auth(current);
 
-  index.RefreshLandmark(lm, current, fresh_auth,
-                        topics::TwitterSimilarity());
+  const landmark::LandmarkIndex refreshed = index.WithLists(
+      lm, index.ComputeLists(lm, current, fresh_auth,
+                             topics::TwitterSimilarity()));
+  // The copy leaves the index it came from as built.
+  EXPECT_TRUE(index.Serialize() == f.MakeIndex().Serialize());
   // The landmark lost all outgoing paths: its stored lists must be empty.
   for (int t = 0; t < current.num_topics(); ++t) {
     EXPECT_TRUE(
-        index.Recommendations(lm, static_cast<topics::TopicId>(t)).empty());
+        refreshed.Recommendations(lm, static_cast<topics::TopicId>(t))
+            .empty());
   }
   // Other landmarks keep their (stale) lists.
   bool any_nonempty = false;
   for (size_t i = 1; i < f.sel.landmarks.size(); ++i) {
     for (int t = 0; t < current.num_topics(); ++t) {
-      any_nonempty |= !index
+      any_nonempty |= !refreshed
                            .Recommendations(f.sel.landmarks[i],
                                             static_cast<topics::TopicId>(t))
                            .empty();
@@ -120,7 +127,7 @@ class RepairStack {
     FAIL() << "node " << src << " already follows everyone";
   }
 
-  const std::vector<NodeId>& landmarks() const {
+  std::vector<NodeId> landmarks() const {
     return node_->index()->landmarks();
   }
   service::QueryEngine& engine() { return node_->engine(); }
@@ -140,7 +147,8 @@ class RepairStack {
   // paths through u and moves v's authority anywhere in a landmark's
   // exploration.
   std::vector<NodeId> UnwatchedNodes() const {
-    const landmark::LandmarkIndex& index = *node_->index();
+    const std::shared_ptr<const landmark::LandmarkIndex> live = node_->index();
+    const landmark::LandmarkIndex& index = *live;
     std::vector<bool> watched(f_.ds.graph.num_nodes(), false);
     for (NodeId lm : landmarks()) {
       watched[lm] = true;
@@ -225,42 +233,105 @@ TEST(LandmarkRepairerScheduleTest, RejectedOnlyBatchMarksNothing) {
   EXPECT_TRUE(stack.repairer().RepairStale(stack.landmarks().size()).empty());
 }
 
-// The applier marks every slot before Rebind publishes the batch, so no
-// reply scored on the new generation is stamped kApprox from older lists.
-// Parking the batch inside Rebind (behind a held RunExclusive) shows the
-// order: every slot is already stale while the epoch has not moved.
+// A batch's graph and its marks are one publish: every reply scored on a
+// generation that serves the batch's graph is stamped kStale, never kApprox
+// from lists computed on the older graph. A reader scores misses
+// throughout, so replies from both sides of the publish are checked.
 TEST(LandmarkRepairerScheduleTest, BatchIsMarkedBeforeItIsPublished) {
   Fixture f;
   RepairStack stack(f);
   const size_t slots = stack.landmarks().size();
   const uint64_t epoch = stack.engine().params_epoch();
+  std::atomic<bool> stop{false};
+  std::atomic<int> scored_on_batch{0};
+  std::atomic<int> approx_on_batch{0};
+  std::thread reader([&] {
+    for (NodeId u = 0; !stop.load(); u = (u + 1) % 64) {
+      auto reply = stack.engine().Recommend(core::Query::TopN(u, 0, 10));
+      if (!reply.ok() || reply.value().meta.graph_epoch == epoch) continue;
+      scored_on_batch.fetch_add(1);
+      if (reply.value().meta.served_tier != core::Tier::kStale) {
+        approx_on_batch.fetch_add(1);
+      }
+    }
+  });
+  stack.FollowSomeone(0);
+  for (int i = 0; i < 5000 && scored_on_batch.load() < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true);
+  reader.join();
+
+  EXPECT_GT(scored_on_batch.load(), 0);
+  EXPECT_EQ(approx_on_batch.load(), 0)
+      << "a reply scored on the batch's generation was stamped kApprox";
+  EXPECT_EQ(stack.engine().params_epoch(), epoch + 1);
+  EXPECT_EQ(stack.repairer().stale_count(), slots);
+  stack.repairer().Quiesce();
+  EXPECT_EQ(stack.repairer().stale_count(), 0u);
+  EXPECT_TRUE(stack.MatchesFreshBuild());
+}
+
+// Neither a batch nor a repair waits on a reader. A landmark miss is held,
+// through a gate around the node's own stale probe, after it pinned the
+// first batch's generation; meanwhile a second batch applies and Quiesce()
+// repairs every slot. The held reply then answers from the generation it
+// pinned: the first batch's epoch, stamped kStale, whatever the repairer
+// has done since. The gate opens after a bounded wait either way, so a
+// writer that waits on readers fails the test instead of hanging it.
+TEST(LandmarkRepairerScheduleTest, HeldReaderBlocksNeitherBatchesNorRepairs) {
+  Fixture f;
+  RepairStack stack(f);
+  stack.FollowSomeone(0);
+  const uint64_t first_epoch = stack.engine().params_epoch();
+  ASSERT_EQ(stack.repairer().stale_count(), stack.landmarks().size());
+
+  std::atomic<bool> armed{true};
   std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-  std::thread holder([&] {
-    stack.engine().RunExclusive([&] {
+  std::atomic<bool> released{false};
+  const std::function<void(bool)> probe = stack.repairer().MakeStaleProbe();
+  stack.engine().SetStaleProbe([&, probe](bool stale) {
+    probe(stale);
+    if (armed.exchange(false)) {
       entered.store(true);
-      while (!release.load()) {
+      while (!released.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-    });
+    }
+  });
+  util::Result<service::Response> held(util::Status::Internal("unanswered"));
+  std::thread reader([&] {
+    held = stack.engine().Recommend(core::Query::TopN(3, 0, 10));
   });
   while (!entered.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::thread mutator([&] { stack.FollowSomeone(0); });
 
-  for (int i = 0; i < 2000 && stack.repairer().stale_count() != slots; ++i) {
+  std::atomic<bool> applied{false};
+  std::atomic<bool> quiesced{false};
+  std::thread writer([&] {
+    stack.FollowSomeone(1);
+    applied.store(true);
+    stack.repairer().Quiesce();
+    quiesced.store(true);
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!quiesced.load() && std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(stack.repairer().stale_count(), slots)
-      << "the batch was not marked before its generation was published";
-  EXPECT_EQ(stack.engine().params_epoch(), epoch);
+  const bool applied_while_held = applied.load();
+  const bool quiesced_while_held = quiesced.load();
+  released.store(true);
+  reader.join();
+  writer.join();
 
-  release.store(true);
-  holder.join();
-  mutator.join();
-  EXPECT_EQ(stack.repairer().stale_count(), slots);
-  stack.repairer().Quiesce();
+  EXPECT_TRUE(applied_while_held) << "Apply() waited on a held reader";
+  EXPECT_TRUE(quiesced_while_held) << "Quiesce() waited on a held reader";
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_FALSE(held.value().meta.cache_hit);
+  EXPECT_EQ(held.value().meta.graph_epoch, first_epoch);
+  EXPECT_EQ(held.value().meta.served_tier, core::Tier::kStale);
   EXPECT_EQ(stack.repairer().stale_count(), 0u);
   EXPECT_TRUE(stack.MatchesFreshBuild());
 }

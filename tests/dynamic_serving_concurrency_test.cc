@@ -12,11 +12,7 @@
 //     applied at least one record (each applied batch bumps exactly once,
 //     rejected-only batches never bump);
 //   * readers hit the result cache while batches apply, so the server's
-//     event-loop cache probe races Rebind too, not only scoring;
-//   * generation readers (current_graph()/current_authority()) never queue
-//     behind an Apply() that is draining the engine's rebind lock (the
-//     ISSUE-10 lock split: the narrow publish lock is not held across
-//     materialization or Rebind).
+//     event-loop cache probe races Publish too, not only scoring.
 
 #include <gtest/gtest.h>
 
@@ -223,64 +219,6 @@ TEST_F(DynamicServingConcurrencyTest, EpochsMonotonicPerConnection) {
   auto res = client->RecommendEx({1, 0, 8});
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res->graph_epoch, engine_->params_epoch());
-}
-
-// ISSUE-10 satellite: Apply() used to hold the same mutex that guards
-// current_graph() across the blocking engine Rebind, so a reader asking
-// for the live generation could stall for a whole drain. The lock split
-// publishes generations under a narrow lock Apply() only takes briefly;
-// this pins it by parking a mutator inside the rebind drain (via a held
-// RunExclusive) and proving readers still answer with the old generation.
-TEST_F(DynamicServingConcurrencyTest, GenerationReadersNeverWaitOnRebind) {
-  std::atomic<bool> exclusive_entered{false};
-  std::atomic<bool> release_exclusive{false};
-  std::thread holder([this, &exclusive_entered, &release_exclusive] {
-    engine_->RunExclusive([&] {
-      exclusive_entered.store(true);
-      while (!release_exclusive.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
-  });
-  while (!exclusive_entered.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  const uint64_t before = applier_->batches_applied();
-  auto old_gen = applier_->current_graph();
-  std::thread mutator([this] {
-    // A follow of an absent pair: guaranteed to apply, so Apply() must
-    // materialize the next generation and then block in Rebind on the
-    // exclusive lock the holder thread is sitting on.
-    std::vector<service::Mutation> batch;
-    batch.push_back(
-        {service::MutationOp::kFollow, 0, kNodes - 1, TopicSet(0x1)});
-    applier_->Apply(batch);
-  });
-
-  // Give the mutator time to park inside the rebind drain, then prove the
-  // narrow-lock readers still answer — with the previous generation.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  std::atomic<bool> reader_done{false};
-  std::thread reader([this, &reader_done, &old_gen, before] {
-    EXPECT_EQ(applier_->current_graph().get(), old_gen.get());
-    EXPECT_NE(applier_->current_authority().get(), nullptr);
-    EXPECT_EQ(applier_->batches_applied(), before);
-    reader_done.store(true);
-  });
-  for (int i = 0; i < 5000 && !reader_done.load(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(reader_done.load())
-      << "current_graph() blocked behind an in-flight Rebind";
-
-  // Unblock everything; the parked batch must then land normally.
-  release_exclusive.store(true);
-  holder.join();
-  mutator.join();
-  reader.join();
-  EXPECT_EQ(applier_->batches_applied(), before + 1);
-  EXPECT_NE(applier_->current_graph().get(), old_gen.get());
 }
 
 }  // namespace

@@ -14,7 +14,8 @@
 // lazy repairer, which marks every landmark slot stale on every applied
 // batch: after Quiesce() — inline or on the background thread — the
 // stored lists must be bit-identical to a from-scratch index build
-// (RefreshLandmark is deterministic), and so must the approx answers.
+// (LandmarkIndex::ComputeLists is deterministic), and so must the approx
+// answers.
 // bench/ext_churn_drift.cc measures the drift before the repairs land as
 // a curve.
 
@@ -271,14 +272,47 @@ TEST_F(DynamicServingDifferentialTest,
   EXPECT_EQ(engine_->params_epoch(), shadow.epoch());
 }
 
-// ---------- pipeline mode toggle (ISSUE 10 tentpole oracle) ----------
+// ---------- the O(Δ) pipeline against a full rebuild ----------
 
-// Two appliers replay the same trace — one on kFullRebuild, one on the
-// O(Δ) kIncremental pipeline — and their engines must serve byte-identical
-// rankings at every checkpoint: the incremental pipeline is an
-// optimization, never a semantics change. (The wire oracle above already
-// runs kIncremental, the default, against a from-scratch shadow; this
-// test pins the two in-binary pipelines directly against each other.)
+// The full-rebuild reference of MutationPipelineParityTest: the shadow
+// model's validation, then a from-scratch Materialize() plus a full
+// AuthorityIndex rescan per applied batch, published into its own engine.
+class FullRebuildReplica {
+ public:
+  FullRebuildReplica(const LabeledGraph* base, QueryEngine* engine)
+      : shadow_(base), engine_(engine) {}
+
+  MutationOutcome Apply(const std::vector<Mutation>& batch) {
+    std::vector<TraceOp> ops;
+    for (const Mutation& m : batch) {
+      ops.push_back({m.op, m.src, m.dst, m.labels.bits()});
+    }
+    MutationOutcome out;
+    out.applied = shadow_.Apply(ops, &out.rejected);
+    if (out.applied > 0) {
+      GenerationChange next;
+      next.graph = std::make_shared<const LabeledGraph>(shadow_.Materialize());
+      next.authority =
+          std::make_shared<const core::AuthorityIndex>(*next.graph);
+      engine_->Publish(std::move(next));
+    }
+    out.graph_epoch = engine_->params_epoch();
+    return out;
+  }
+  uint64_t batches_applied() const { return shadow_.epoch(); }
+
+ private:
+  ShadowReplica shadow_;
+  QueryEngine* engine_;
+};
+
+// Two replicas replay the same trace — the from-scratch rebuild above and
+// a MutationApplier on the O(Δ) incremental pipeline — and their engines
+// must serve byte-identical rankings at every checkpoint: the incremental
+// pipeline is an optimization, never a semantics change. (The wire oracle
+// above already runs the applier against a from-scratch shadow over the
+// wire; this test pins the two in-binary pipelines directly against each
+// other.)
 TEST(MutationPipelineParityTest, IncrementalAndFullRebuildServeSameBytes) {
   datagen::TwitterConfig cfg;
   cfg.num_nodes = 150;
@@ -292,12 +326,8 @@ TEST(MutationPipelineParityTest, IncrementalAndFullRebuildServeSameBytes) {
   QueryEngine full_engine(ds.graph, auth, topics::TwitterSimilarity(), ec);
   QueryEngine inc_engine(ds.graph, auth, topics::TwitterSimilarity(), ec);
 
-  MutationConfig full_cfg;
-  full_cfg.pipeline = MutationConfig::Pipeline::kFullRebuild;
-  MutationApplier full(ds.graph, auth, full_engine, full_cfg);
-  MutationConfig inc_cfg;
-  inc_cfg.pipeline = MutationConfig::Pipeline::kIncremental;
-  MutationApplier inc(ds.graph, auth, inc_engine, inc_cfg);
+  FullRebuildReplica full(&ds.graph, &full_engine);
+  MutationApplier inc(ds.graph, auth, inc_engine);
 
   util::Rng rng(31337);
   util::Rng probe_rng = rng.Fork(2);
@@ -398,7 +428,6 @@ class LandmarkChurnFixture {
     nc.mutable_serving = true;
     node_ = coord::ServingNode::Build(std::move(nc)).value();
     base_ = &node_->graph();
-    index_ = node_->index();
     engine_ = &node_->engine();
     applier_ = node_->applier();
     repairer_ = node_->repairer();
@@ -418,6 +447,11 @@ class LandmarkChurnFixture {
     }
   }
 
+  // The index of the live generation (each repair publishes a new one).
+  std::shared_ptr<const landmark::LandmarkIndex> index() const {
+    return node_->index();
+  }
+
   // A reference index built from scratch on the current generation.
   landmark::LandmarkIndex FreshIndex() const {
     auto g = applier_->current_graph();
@@ -430,7 +464,6 @@ class LandmarkChurnFixture {
   const LabeledGraph* base_ = nullptr;
   std::vector<NodeId> landmarks_;
   landmark::LandmarkIndexConfig index_cfg_;
-  const landmark::LandmarkIndex* index_ = nullptr;
   QueryEngine* engine_ = nullptr;
   MutationApplier* applier_ = nullptr;
   LandmarkRepairer* repairer_ = nullptr;
@@ -445,17 +478,17 @@ TEST(LandmarkRepairDifferentialTest, AllModeQuiesceIsByteIdenticalToFresh) {
   EXPECT_GT(fx.repairer_->repairs_done(), 0u);
 
   landmark::LandmarkIndex fresh = fx.FreshIndex();
+  const std::shared_ptr<const landmark::LandmarkIndex> live = fx.index();
   for (NodeId lm : fx.landmarks_) {
     for (int t = 0; t < fresh.num_topics(); ++t) {
-      const auto& got =
-          fx.index_->Recommendations(lm, static_cast<TopicId>(t));
+      const auto& got = live->Recommendations(lm, static_cast<TopicId>(t));
       const auto& want = fresh.Recommendations(lm, static_cast<TopicId>(t));
       ASSERT_EQ(got.size(), want.size()) << "landmark " << lm << " topic "
                                          << t;
       for (size_t i = 0; i < want.size(); ++i) {
         ASSERT_EQ(got[i].node, want[i].node)
             << "landmark " << lm << " topic " << t << " rank " << i;
-        // Raw double bits, not approximate equality: RefreshLandmark and a
+        // Raw double bits, not approximate equality: ComputeLists and a
         // from-scratch build must run the identical computation.
         ASSERT_EQ(got[i].sigma, want[i].sigma);
         ASSERT_EQ(got[i].topo_beta, want[i].topo_beta);
@@ -496,7 +529,7 @@ TEST(LandmarkRepairDifferentialTest, SecondTraceQuiescesByteIdenticalToFresh) {
   EXPECT_EQ(fx.repairer_->stale_count(), 0u);
 
   landmark::LandmarkIndex fresh = fx.FreshIndex();
-  ASSERT_TRUE(fx.index_->Serialize() == fresh.Serialize())
+  ASSERT_TRUE(fx.index()->Serialize() == fresh.Serialize())
       << "quiesced stored lists differ from a fresh build";
   EngineConfig ref_ec;
   ref_ec.num_threads = 1;
@@ -531,10 +564,10 @@ TEST(LandmarkRepairDifferentialTest, BackgroundThreadQuiesceConverges) {
   fx.repairer_->Stop();
 
   landmark::LandmarkIndex fresh = fx.FreshIndex();
+  const std::shared_ptr<const landmark::LandmarkIndex> live = fx.index();
   for (NodeId lm : fx.landmarks_) {
     for (int t = 0; t < fresh.num_topics(); ++t) {
-      const auto& got =
-          fx.index_->Recommendations(lm, static_cast<TopicId>(t));
+      const auto& got = live->Recommendations(lm, static_cast<TopicId>(t));
       const auto& want = fresh.Recommendations(lm, static_cast<TopicId>(t));
       ASSERT_EQ(got.size(), want.size());
       for (size_t i = 0; i < want.size(); ++i) {

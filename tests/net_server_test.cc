@@ -2,7 +2,7 @@
 // remote answers must be byte-identical to direct engine calls, overload
 // must shed with OVERLOADED (and show up in STATS), and shutdown must
 // drain in-flight work while refusing new connections. The event loop
-// answers fresh cache hits itself and never waits on the engine's lock.
+// answers fresh cache hits itself, and a publish never waits on a reader.
 
 #include <gtest/gtest.h>
 
@@ -49,23 +49,22 @@ LabeledGraph TestGraph() {
 }
 
 // Parks every scored (cache-miss) query inside the engine while armed,
-// which keeps its dispatcher busy without touching the rebind lock: it is
-// installed as the engine's stale probe, which the worker calls under the
-// shared hold. It answers false, so no reply changes tier.
+// which keeps its dispatcher busy: it is installed as the engine's stale
+// probe, which the worker calls after it pinned its generation. The probe
+// does not decide the tier, so no reply changes tier.
 struct MissGate {
   std::atomic<bool> armed{false};
   std::atomic<bool> entered{false};
   std::atomic<bool> released{false};
 
-  std::function<bool()> Probe() {
-    return [this] {
+  std::function<void(bool)> Probe() {
+    return [this](bool) {
       if (armed.load()) {
         entered.store(true);
         while (!released.load()) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
       }
-      return false;
     };
   }
   void WaitEntered() const {
@@ -667,90 +666,95 @@ TEST_F(NetServerTest, DrainingServerRefusesACachedKey) {
   for (int f : {fd, busy, ctl}) ::close(f);
 }
 
-TEST_F(NetServerTest, CachedKeyIsNeverServedFromTheEpochAnExclusiveHoldEnds) {
-  ServerConfig cfg;
-  cfg.request_deadline_ms = 0;  // the reply waits out the hold
-  StartServer(cfg);
+// A publish retires every cached key's epoch at once: after Publish()
+// returns, the event loop's cache probe never answers a warm key from an
+// older epoch. The key is scored again and stamped with the new epoch, and
+// keeps doing so while publishes land between requests.
+TEST_F(NetServerTest, CachedKeyIsNeverServedFromAnEpochAPublishRetired) {
+  StartServer({});
   auto client = Dial();
   ASSERT_TRUE(client.ok());
   auto warm = client->RecommendEx(Key(1));
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-
-  std::atomic<bool> held{false};
-  std::atomic<bool> hold_over{false};
-  std::thread holder([this, &held, &hold_over] {
-    engine_->RunExclusive([&] {
-      held.store(true);
-      std::this_thread::sleep_for(std::chrono::milliseconds(300));
-      hold_over.store(true);
-    });
-  });
-  while (!held.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  auto hit = client->RecommendEx(Key(1));
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   const uint64_t hits_before = engine_->Stats().cache_hits;
-  auto reply = client->RecommendEx(Key(1));
-  const bool answered_after_hold = hold_over.load();
-  holder.join();
+  ASSERT_GT(hits_before, 0u);
 
+  EXPECT_EQ(engine_->Publish({}), warm->graph_epoch + 1);
+  auto reply = client->RecommendEx(Key(1));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_TRUE(answered_after_hold)
-      << "a cached key was answered while RunExclusive held the engine";
-  // The hold retired the warm entry's epoch: the key is scored again and
-  // stamped with the epoch the hold published.
   EXPECT_EQ(reply->graph_epoch, warm->graph_epoch + 1);
   EXPECT_EQ(engine_->Stats().cache_hits, hits_before);
-  ASSERT_EQ(reply->entries.size(), warm->entries.size());
-  for (size_t i = 0; i < warm->entries.size(); ++i) {
-    EXPECT_EQ(reply->entries[i].id, warm->entries[i].id);
-    EXPECT_EQ(reply->entries[i].score, warm->entries[i].score);
+
+  // The same, racing: every epoch below `published` was retired before a
+  // request was sent, so no reply may carry one.
+  std::atomic<uint64_t> published{engine_->params_epoch()};
+  std::atomic<bool> stop{false};
+  std::thread publisher([this, &published, &stop] {
+    while (!stop.load()) {
+      published.store(engine_->Publish({}));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  int retired = 0;
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t floor = published.load();
+    auto r = client->RecommendEx(Key(1));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (r->graph_epoch < floor) ++retired;
+    ASSERT_EQ(r->entries.size(), warm->entries.size());
+    for (size_t k = 0; k < warm->entries.size(); ++k) {
+      EXPECT_EQ(r->entries[k].id, warm->entries[k].id);
+      EXPECT_EQ(r->entries[k].score, warm->entries[k].score);
+    }
   }
+  stop.store(true);
+  publisher.join();
+  EXPECT_EQ(retired, 0)
+      << "a cached key was answered from an epoch a publish had retired";
 }
 
-// A Rebind or a landmark repair holds the engine's lock exclusively for
-// hundreds of milliseconds. The event loop must keep answering meanwhile:
-// decoding a RECOMMEND may not wait on that lock, only its dispatcher may.
-TEST_F(NetServerTest, EventLoopKeepsAnsweringDuringAnExclusiveHold) {
+// A publish never waits on a reader. With a miss parked inside the engine
+// after it pinned its generation, Publish() returns and the event loop
+// keeps answering; the parked reply then carries the epoch it pinned.
+TEST_F(NetServerTest, EventLoopAndPublishNeverWaitOnAParkedReader) {
   ServerConfig cfg;
-  cfg.request_deadline_ms = 0;  // the RECOMMEND waits out the hold
-  StartServer(cfg);
+  cfg.request_deadline_ms = 0;  // the RECOMMEND waits out the gate
+  StartServer(cfg, /*gated=*/true);
   auto reader = Dial();
   auto operator_client = Dial();
   ASSERT_TRUE(reader.ok());
   ASSERT_TRUE(operator_client.ok());
 
-  std::atomic<bool> held{false};
-  std::thread holder([this, &held] {
-    engine_->RunExclusive([&] {
-      held.store(true);
-      std::this_thread::sleep_for(std::chrono::seconds(1));
-    });
-  });
-  while (!held.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::thread read([&reader] {
-    auto r = reader->Recommend(2, 0, 5);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-  });
-  // Admission comes after decode, so this proves the loop got past it.
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
-  while (server_->counters().requests < 1 &&
-         std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const bool admitted = server_->counters().requests >= 1;
-  const auto start = std::chrono::steady_clock::now();
-  auto text = operator_client->Metrics();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  read.join();
-  holder.join();
+  const uint64_t pinned = engine_->params_epoch();
+  gate_.armed.store(true);
+  util::Result<ResultReply> parked(util::Status::Internal("unanswered"));
+  std::thread read([&reader, &parked] { parked = reader->RecommendEx(Key(2)); });
+  gate_.WaitEntered();
 
-  EXPECT_TRUE(admitted) << "the event loop stalled decoding a RECOMMEND";
+  std::atomic<bool> published{false};
+  std::thread publisher([this, &published] {
+    engine_->Publish({});
+    published.store(true);
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!published.load() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool published_while_parked = published.load();
+  // Answered before the gate opens, or never.
+  auto text = operator_client->Metrics();
+  gate_.released.store(true);
+  read.join();
+  publisher.join();
+
+  EXPECT_TRUE(published_while_parked) << "Publish() waited on a reader";
   ASSERT_TRUE(text.ok()) << text.status().ToString();
-  EXPECT_LT(elapsed, std::chrono::milliseconds(100))
-      << "METRICS waited on the engine's exclusive hold";
+  ASSERT_TRUE(parked.ok()) << parked.status().ToString();
+  EXPECT_EQ(parked->graph_epoch, pinned);
+  EXPECT_EQ(engine_->params_epoch(), pinned + 1);
 }
 
 // ---- The served_tier byte over a live server. ----

@@ -1,5 +1,5 @@
 // Cache keying / epoch invalidation: an applied mutation batch must bump
-// the engine's params epoch (MutationApplier rebinds onto the new
+// the engine's params epoch (MutationApplier publishes the new
 // generation), force the next identical query to miss the cache, and serve
 // results that reflect the new edge; a batch that applies nothing bumps
 // nothing.
@@ -105,7 +105,7 @@ TEST(ServiceCacheTest, InvalidateAloneForcesMissButSameResult) {
   core::AuthorityIndex auth(g);
   QueryEngine engine(g, auth, topics::TwitterSimilarity(), CachedConfig());
   auto a = engine.TopN(0, kTopic, 5).value();
-  engine.Invalidate();
+  engine.Publish({});
   auto b = engine.TopN(0, kTopic, 5).value();
   EXPECT_EQ(a, b);  // same graph, same params -> identical list
   EngineStats s = engine.Stats();
@@ -113,11 +113,11 @@ TEST(ServiceCacheTest, InvalidateAloneForcesMissButSameResult) {
   EXPECT_EQ(s.cache_misses, 2u);
 }
 
-// Dead-epoch purge regression (ISSUE 7 satellite). Before the fix,
-// Invalidate() only bumped the epoch: entries keyed under dead epochs were
-// unreachable yet still occupied LRU capacity until ordinary eviction got
-// to them. Invalidate() now sweeps them out eagerly; the purge is observable
-// through the engine's mbr_engine_cache_purged_total counter.
+// Dead-epoch purge regression (ISSUE 7 satellite). Before the fix, an
+// epoch bump left entries keyed under dead epochs unreachable yet still
+// occupying LRU capacity until ordinary eviction got to them. Every
+// Publish() now sweeps them out eagerly; the purge is observable through
+// the engine's mbr_engine_cache_purged_total counter.
 TEST(ServiceCacheTest, InvalidatePurgesDeadEpochEntries) {
   LabeledGraph g = BaseGraph();
   core::AuthorityIndex auth(g);
@@ -134,18 +134,18 @@ TEST(ServiceCacheTest, InvalidatePurgesDeadEpochEntries) {
   ASSERT_EQ(purged->Value(), 0u);
 
   // The epoch bump must evict all 6 now-unreachable entries at once.
-  engine.Invalidate();
+  engine.Publish({});
   EXPECT_EQ(purged->Value(), 6u);
 
   // Entries cached after the bump are live: a second invalidation purges
   // exactly those, never double-counting the already-swept generation.
   engine.TopN(0, kTopic, 5);
   engine.TopN(1, kTopic, 5);
-  engine.Invalidate();
+  engine.Publish({});
   EXPECT_EQ(purged->Value(), 8u);
 
   // An invalidation with an empty cache purges nothing.
-  engine.Invalidate();
+  engine.Publish({});
   EXPECT_EQ(purged->Value(), 8u);
 
   // The cache still serves normally after the sweeps.
@@ -178,12 +178,12 @@ TEST(ServiceCacheTest, RemovalInvalidatesButRejectedBatchDoesNot) {
 //
 // A reply's graph_epoch is a claim: "this ranking was computed against the
 // graph at that epoch". The bug class under test: the engine reads its
-// epoch once at admission, a Rebind lands before the worker scores, and
+// epoch once at admission, a publish lands before the worker scores, and
 // the result (computed on the NEW graph) is cached under — or stamped
 // with — the OLD epoch, so a later cache hit serves a ranking whose claim
-// and content disagree. The fix reads the scoring epoch under the same
-// shared-lock hold that scores, and cache hits stamp the lookup epoch
-// (key equality makes it the insert epoch).
+// and content disagree. The fix stamps and caches each scored result with
+// the epoch of the generation the worker pinned, and cache hits stamp the
+// lookup epoch (key equality makes it the insert epoch).
 
 TEST(ServiceCacheTest, EpochClaimMatchesGraphAcrossRebind) {
   LabeledGraph base = BaseGraph();
@@ -201,13 +201,14 @@ TEST(ServiceCacheTest, EpochClaimMatchesGraphAcrossRebind) {
   EXPECT_EQ(r0_hit.value().meta.graph_epoch, 0u);
   ASSERT_EQ(engine.Stats().cache_hits, 1u);
 
-  // Rebind to a graph where node 3 is reachable: epoch moves, and the
+  // Publish a graph where node 3 is reachable: epoch moves, and the
   // repeat query must both miss and carry the new epoch.
   dynamic::DeltaGraph delta(&base);
   ASSERT_TRUE(delta.AddEdge(1, 3, TopicSet::Single(kTopic)));
-  LabeledGraph current = delta.Materialize();
-  core::AuthorityIndex current_auth(current);
-  engine.Rebind(current, current_auth);
+  GenerationChange next;
+  next.graph = std::make_shared<const LabeledGraph>(delta.Materialize());
+  next.authority = std::make_shared<const core::AuthorityIndex>(*next.graph);
+  engine.Publish(std::move(next));
   const uint64_t e1 = engine.params_epoch();
   EXPECT_GT(e1, 0u);
 
@@ -226,20 +227,24 @@ TEST(ServiceCacheTest, EpochClaimMatchesGraphAcrossRebind) {
 }
 
 TEST(ServiceCacheTest, HammeredRebindsNeverYieldMismatchedEpochClaim) {
-  // Readers race a rebinder that alternates between two graphs whose
+  // Readers race a publisher that alternates between two graphs whose
   // rankings differ detectably (node 3 reachable iff generation is odd).
   // Every reply must satisfy: epoch parity determines ranking content.
-  // Cache on, so hits, misses, and rebinds interleave freely.
-  LabeledGraph base = BaseGraph();
-  core::AuthorityIndex base_auth(base);
-  dynamic::DeltaGraph delta(&base);
+  // Cache on, so hits, misses, and publishes interleave freely.
+  GenerationChange base;
+  base.graph = std::make_shared<const LabeledGraph>(BaseGraph());
+  base.authority = std::make_shared<const core::AuthorityIndex>(*base.graph);
+  dynamic::DeltaGraph delta(base.graph.get());
   ASSERT_TRUE(delta.AddEdge(1, 3, TopicSet::Single(kTopic)));
-  LabeledGraph with_edge = delta.Materialize();
-  core::AuthorityIndex with_edge_auth(with_edge);
+  GenerationChange with_edge;
+  with_edge.graph = std::make_shared<const LabeledGraph>(delta.Materialize());
+  with_edge.authority =
+      std::make_shared<const core::AuthorityIndex>(*with_edge.graph);
 
   EngineConfig ec = CachedConfig();
   ec.num_threads = 2;
-  QueryEngine engine(base, base_auth, topics::TwitterSimilarity(), ec);
+  QueryEngine engine(*base.graph, *base.authority,
+                     topics::TwitterSimilarity(), ec);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> violations{0};
@@ -263,11 +268,7 @@ TEST(ServiceCacheTest, HammeredRebindsNeverYieldMismatchedEpochClaim) {
     });
   }
   for (int round = 0; round < 60; ++round) {
-    if (round % 2 == 0) {
-      engine.Rebind(with_edge, with_edge_auth);
-    } else {
-      engine.Rebind(base, base_auth);
-    }
+    engine.Publish(round % 2 == 0 ? with_edge : base);
   }
   stop.store(true);
   for (auto& t : readers) t.join();

@@ -131,7 +131,7 @@ TEST_F(LadderTest, ApproxTierMatchesApproxRecommenderBytes) {
   EXPECT_EQ(s.degraded, 12u);  // every reply was below the exact base tier
 }
 
-// The stale rung: after Invalidate() the dead generation's bytes are
+// The stale rung: after a publish the dead generation's bytes are
 // served — claiming the dead epoch, never the fresh one.
 TEST_F(LadderTest, StaleReplyClaimsDeadEpochWithDeadGenerationBytes) {
   QueryEngine engine(ds_.graph, *auth_, topics::TwitterSimilarity(),
@@ -143,7 +143,7 @@ TEST_F(LadderTest, StaleReplyClaimsDeadEpochWithDeadGenerationBytes) {
   ASSERT_EQ(warm.value().meta.graph_epoch, 0u);
   const std::vector<ScoredId> dead_bytes = warm.value().ranking.entries;
 
-  engine.Invalidate();
+  engine.Publish({});
   ASSERT_EQ(engine.params_epoch(), 1u);
 
   auto stale = engine.Recommend(core::Query::TopN(q.user, q.topic, q.top_n));
@@ -171,9 +171,9 @@ TEST_F(LadderTest, StaleInventoryIsBoundedByKeepEpochs) {
   ASSERT_TRUE(warm.ok());
 
   // Push the epoch-0 entry past the keep window.
-  engine.Invalidate();
-  engine.Invalidate();
-  engine.Invalidate();
+  engine.Publish({});
+  engine.Publish({});
+  engine.Publish({});
   ASSERT_EQ(engine.params_epoch(), 3u);
 
   auto r = engine.Recommend(core::Query::TopN(q.user, q.topic, q.top_n));
@@ -209,7 +209,7 @@ TEST_F(LadderTest, LandmarkOnlyEngineAlwaysReportsApprox) {
   // base-tier replies are not "degraded".
   EXPECT_EQ(engine.Stats().degraded, 0u);
 
-  engine.Invalidate();
+  engine.Publish({});
   auto after = engine.Recommend(core::Query::TopN(q.user, q.topic, q.top_n));
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().meta.served_tier, Tier::kApprox);

@@ -14,6 +14,8 @@
 #   6. flaky:  net + coord + dynamic + slo, each test rerun until it fails
 #              (at most FLAKY_REPEAT times) beside one busy loop per
 #              hardware thread                      (build/)
+#              then service + dynamic + incremental rerun until it fails
+#              (at most FLAKY_TSAN_REPEAT times)    (build-tsan/)
 #
 # The sanitizer passes reuse the persistent build-asan/, build-tsan/ and
 # build-ubsan/ trees (configured here on first run). Every test carries at
@@ -26,13 +28,14 @@
 # runs the labels that exercise concurrency: the metrics registry (`obs`),
 # the concurrent engine and the ladder's lock-free PressureMonitor
 # (`service`, `slo`), the epoll server (`net`), mutators racing readers and
-# the background repair thread (`dynamic`), the apply/rebind lock split
-# against concurrent generation readers (`incremental`), and the router's
+# the background repair thread (`dynamic`), the applier publishing
+# generations while readers pin them (`incremental`), and the router's
 # dispatchers blocking on shard RPCs against the shard servers (`coord`).
 # The server answers a single fresh-cache RECOMMEND on its event loop
-# through the engine's try-locking cache probe; the `net` and `dynamic`
-# labels cover that probe racing dispatchers and Rebind. A test that needs
-# the dispatcher path must use an exclusion list or a cold key.
+# through the engine's cache probe, which takes no engine lock; the `net`
+# and `dynamic` labels cover that probe racing dispatchers and Publish. A
+# test that needs the dispatcher path must use an exclusion list or a cold
+# key.
 #
 # bench-smoke runs the allocation-counting smoke gate of the zero-allocation
 # hot path (DESIGN.md §6.6): a warm exact query, a warm all-topic
@@ -61,8 +64,11 @@
 # finds them: the labels whose tests race sockets, dispatchers, deadlines
 # and the repair thread run under `ctest --repeat until-fail`, while the
 # script keeps every hardware thread busy. The busy loops are killed by a
-# trap on exit, pass or fail. A test it shows failing is a defect to fix,
-# not one to rerun until green.
+# trap on exit, pass or fail. It then reruns the labels that drive the
+# publish path (the engine's generations, the applier and the repair
+# thread) in the TSan tree, so a rare interleaving of readers and writers
+# gets many chances to show a race. A test it shows failing is a defect
+# to fix, not one to rerun until green.
 #
 # Usage: tools/check.sh [tier1|asan|tsan|ubsan|bench-smoke|flaky|all]
 # (default: all)
@@ -74,6 +80,8 @@ JOBS="${JOBS:-$(nproc)}"
 TSAN_LABELS='obs|service|net|dynamic|coord|slo|incremental'
 FLAKY_LABELS='net|coord|dynamic|slo'
 FLAKY_REPEAT=20
+FLAKY_TSAN_LABELS='service|dynamic|incremental'
+FLAKY_TSAN_REPEAT=12
 BUSY_PIDS=()
 trap 'if [ ${#BUSY_PIDS[@]} -gt 0 ]; then kill "${BUSY_PIDS[@]}" 2>/dev/null; fi' EXIT
 
@@ -143,6 +151,11 @@ run_flaky() {
     --repeat until-fail:"$FLAKY_REPEAT" --output-on-failure -j "$JOBS")
   kill "${BUSY_PIDS[@]}" 2>/dev/null || true
   BUSY_PIDS=()
+  echo "==> flaky: TSan -L '$FLAKY_TSAN_LABELS' until-fail:$FLAKY_TSAN_REPEAT"
+  cmake -B "$REPO/build-tsan" -S "$REPO" -DMBR_SANITIZE=thread >/dev/null
+  cmake --build "$REPO/build-tsan" -j "$JOBS"
+  (cd "$REPO/build-tsan" && ctest -L "$FLAKY_TSAN_LABELS" \
+    --repeat until-fail:"$FLAKY_TSAN_REPEAT" --output-on-failure -j "$JOBS")
 }
 
 case "$MODE" in
